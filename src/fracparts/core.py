@@ -16,6 +16,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
 from typing import Iterable, Optional, Sequence
 
 DEFAULT_PRECISION_BITS = 192
@@ -58,10 +59,6 @@ class Real:
         object.__setattr__(self, "err", Fraction(self.err))
         if self.exact and self.err != 0:
             raise ValueError("exact scalar cannot carry a nonzero error radius")
-
-    @staticmethod
-    def exact_from(v) -> "Real":
-        return Real(Fraction(v))
 
     def __add__(self, other: "Real") -> "Real":
         other = _as_real(other)
@@ -106,7 +103,7 @@ class Real:
         return self.value <= _as_real(other).value
 
     def __hash__(self):
-        return hash((self.value, self.exact))
+        return hash(self.value)  # __eq__ compares values only
 
     def to_str(self) -> str:
         v = self.value
@@ -185,12 +182,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * n + c.value
         return acc * n
-
-    def eval_real(self, n: int) -> Real:
-        acc = Real(Fraction(0))
-        for c in reversed(self.coeffs):
-            acc = acc * Real(Fraction(n)) + c
-        return acc * Real(Fraction(n))
 
     @staticmethod
     def from_strings(strings: Sequence[str], bits: int = DEFAULT_PRECISION_BITS) -> "Poly":
@@ -288,14 +279,24 @@ class SystemState:
 # ---------------------------------------------------------------------------
 # Scan kernels.
 #
-# Every count below runs over integers n in a contiguous range, evaluating
-# each polynomial's fractional part exactly.  All polynomials are lifted to
-# one common denominator D; the integer numerators are advanced with a
-# forward-difference table mod D, so one step costs d big-int additions per
-# polynomial and every comparison is an integer comparison.  Ranges could be
-# partitioned and merged (min with smallest-n tiebreak / sum); the sequential
-# order here is the reference semantics.
+# Every scan runs over n = 1, 2, ... with exact fractional parts: all
+# polynomials are lifted to one common denominator D, so f_i(n) mod 1 is
+# N_i(n)/D for the integer residue N_i(n) mod D, and every comparison is an
+# integer comparison.  `_residue_stream` is the one place that advances the
+# forward-difference tables, a chunk of points at a time: each column over
+# a chunk is the prefix sums (`itertools.accumulate`) of the column above it,
+# in exact ints, and only the residues are reduced mod D.  Chunks start small
+# and double, so a scan that stops at an early hit stays cheap.  The scans
+# (running minimum with checkpoints, hit offsets, and the smoothed and phase
+# sums in `expsum`) are reducers over the chunks.  Ranges could be
+# partitioned and merged (min with smallest-n tiebreak / sum); the
+# sequential order here is the reference semantics.
 # ---------------------------------------------------------------------------
+
+_CHUNK_FIRST = 64    # points in a scan's first chunk
+# chunks double up to this many points; a cap of 4096 scanned no faster and
+# held three times the memory (1.5 MB traced for k = 3 at 192 bits)
+_CHUNK_MAX = 1024
 
 
 def _common_denominator(system: PolySystem) -> int:
@@ -324,14 +325,54 @@ def _diff_state(nums: Sequence[int], D: int, start: int):
     return diffs  # diffs[i] = Delta^i N at n=start, all reduced mod D
 
 
-def _scan_tables(system: PolySystem):
-    """Common denominator D plus one difference table per polynomial at n=1."""
+def _residue_stream(tables, D: int, last: int):
+    """Yield (n0, cols) with cols[i][t] = N_i(n0 + t) mod D, covering n = 1..last.
+
+    ``tables[i]`` is polynomial i's forward-difference table at n = 1, as
+    `_diff_state` builds it; the stream advances the tables in place.
+    """
+    n0, size = 1, _CHUNK_FIRST
+    while n0 <= last:
+        L = min(size, last - n0 + 1)
+        cols = []
+        for diffs in tables:
+            # Delta^i N at n0..n0+L is Delta^i N(n0) followed by the prefix
+            # sums of Delta^(i+1) N at n0..n0+L-1; Delta^d N is constant
+            col = repeat(diffs[-1], L)
+            for i in range(len(diffs) - 2, 0, -1):
+                vals = list(accumulate(col, initial=diffs[i]))
+                diffs[i] = vals[L] % D
+                col = islice(vals, L)
+            residues = [v % D for v in accumulate(col, initial=diffs[0])]
+            diffs[0] = residues.pop()
+            cols.append(residues)
+        yield n0, cols
+        n0 += L
+        size = min(2 * size, _CHUNK_MAX)
+
+
+def _residues(system: PolySystem, last: int):
+    """Common denominator D and the residue stream of ``system`` over n = 1..last."""
     D = _common_denominator(system)
-    tables = []
-    for p in system.polys:
-        nums = [int(c.value * D) for c in p.coeffs]
-        tables.append(_diff_state(nums, D, 1))
-    return D, tables
+    tables = [_diff_state([int(c.value * D) for c in p.coeffs], D, 1)
+              for p in system.polys]
+    return D, _residue_stream(tables, D, last)
+
+
+def _max_dist(cols, D: int):
+    """Per point of a chunk, D * max_i frac_dist(f_i(n))."""
+    half = D // 2
+    dists = [[r if r <= half else D - r for r in col] for col in cols]
+    return dists[0] if len(dists) == 1 else list(map(max, *dists))
+
+
+def _hits(cols, D: int, thresholds):
+    """Offsets of a chunk's points with D * frac_dist(f_i(n)) <= thresholds[i] for all i."""
+    hits = range(len(cols[0]))
+    for col, t in zip(cols, thresholds):
+        far = D - t  # min(r, D - r) <= t  <=>  r <= t or r >= D - t
+        hits = [j for j in hits if col[j] <= t or col[j] >= far]
+    return hits
 
 
 def _check_cap(last: int, k: int, enum_cap: int):
@@ -358,29 +399,7 @@ def brute_force_min(system: PolySystem, x, enum_cap: int = DEFAULT_ENUM_CAP):
 
     Ties break toward the smallest n.  Exact for rational coefficients.
     """
-    last = horizon_count(x)
-    if last < 1:
-        raise ValueError("horizon must contain at least n=1")
-    _check_cap(last, system.k, enum_cap)
-    D, tables = _scan_tables(system)
-    best_n = 1
-    best = 0
-    first = True
-    for n in range(1, last + 1):
-        worst = 0
-        for diffs in tables:
-            r = diffs[0]
-            m = r if 2 * r <= D else D - r
-            if m > worst:
-                worst = m
-        if first or worst < best:
-            best, best_n, first = worst, n, False
-            if best == 0:
-                break
-        for diffs in tables:
-            for i in range(len(diffs) - 1):
-                diffs[i] = (diffs[i] + diffs[i + 1]) % D
-    return best_n, Fraction(best, D)
+    return _checkpointed_min(system, [horizon_count(x) + 1], enum_cap)[0]
 
 
 def _checkpointed_min(system: PolySystem, checkpoints: Sequence[int],
@@ -389,33 +408,31 @@ def _checkpointed_min(system: PolySystem, checkpoints: Sequence[int],
 
     Checkpoint c reports the scan over n in {1, ..., c-1}; one pass serves a
     whole ascending grid of horizons.  Returns a list of (n_star, Fraction).
+    Ties break toward the smallest n.
     """
     cps = sorted(set(int(c) for c in checkpoints))
+    if not cps or cps[0] < 2:
+        raise ValueError("every horizon must be at least 2, so that n = 1 < x")
     last = cps[-1] - 1
     _check_cap(last, system.k, enum_cap)
-    D, tables = _scan_tables(system)
+    D, chunks = _residues(system, last)
     out = []
-    best_n, best, first = 1, 0, True
-    ci = 0
-    for n in range(1, last + 1):
-        while ci < len(cps) and n >= cps[ci]:
-            out.append((best_n, Fraction(best, D)))
-            ci += 1
-        worst = 0
-        for diffs in tables:
-            r = diffs[0]
-            m = r if 2 * r <= D else D - r
-            if m > worst:
-                worst = m
-        if first or worst < best:
-            best, best_n, first = worst, n, False
-        for diffs in tables:
-            for i in range(len(diffs) - 1):
-                diffs[i] = (diffs[i] + diffs[i + 1]) % D
-    while ci < len(cps):
-        out.append((best_n, Fraction(best, D)))
-        ci += 1
-    return out
+    best_n, best = 0, D  # every distance is at most D/2, so n = 1 replaces this
+    for n0, cols in chunks:
+        worst = _max_dist(cols, D)
+        lo = 0
+        while lo < len(worst):
+            # the segment ends where the chunk ends or the next checkpoint starts
+            hi = min(len(worst), cps[len(out)] - n0)
+            m = min(worst[lo:hi])
+            if m < best:
+                best, best_n = m, n0 + worst.index(m, lo, hi)
+            if n0 + hi == cps[len(out)]:
+                out.append((best_n, Fraction(best, D)))
+            lo = hi
+        if best == 0:  # no later n can do better
+            break
+    return out + [(best_n, Fraction(best, D))] * (len(cps) - len(out))
 
 
 def _strict_thresholds(eps: Epsilons, D: int):
@@ -426,46 +443,21 @@ def _strict_thresholds(eps: Epsilons, D: int):
 def hit_count(system: PolySystem, eps: Epsilons, x, enum_cap: int = DEFAULT_ENUM_CAP) -> int:
     """#{n <= x : frac_dist(f_i(n)) < eps_i for all i} (strict inequalities)."""
     last = int((x.value if isinstance(x, Real) else Fraction(x)).__floor__())
-    if last < 1:
-        return 0
     _check_cap(last, system.k, enum_cap)
-    D, tables = _scan_tables(system)
+    D, chunks = _residues(system, last)
     thresholds = _strict_thresholds(eps, D)
-    count = 0
-    for _n in range(1, last + 1):
-        ok = True
-        for diffs, t in zip(tables, thresholds):
-            r = diffs[0]
-            if (r if 2 * r <= D else D - r) > t:
-                ok = False
-                break
-        if ok:
-            count += 1
-        for diffs in tables:
-            for i in range(len(diffs) - 1):
-                diffs[i] = (diffs[i] + diffs[i + 1]) % D
-    return count
+    return sum(len(_hits(cols, D, thresholds)) for _n0, cols in chunks)
 
 
 def first_hit(system: PolySystem, eps: Epsilons, x,
               enum_cap: int = DEFAULT_ENUM_CAP) -> Optional[int]:
     """Smallest n < x with frac_dist(f_i(n)) < eps_i for all i, or None."""
     last = horizon_count(x)
-    if last < 1:
-        return None
     _check_cap(last, system.k, enum_cap)
-    D, tables = _scan_tables(system)
+    D, chunks = _residues(system, last)
     thresholds = _strict_thresholds(eps, D)
-    for n in range(1, last + 1):
-        ok = True
-        for diffs, t in zip(tables, thresholds):
-            r = diffs[0]
-            if (r if 2 * r <= D else D - r) > t:
-                ok = False
-                break
-        if ok:
-            return n
-        for diffs in tables:
-            for i in range(len(diffs) - 1):
-                diffs[i] = (diffs[i] + diffs[i + 1]) % D
+    for n0, cols in chunks:
+        hits = _hits(cols, D, thresholds)
+        if hits:
+            return n0 + hits[0]
     return None

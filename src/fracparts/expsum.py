@@ -14,6 +14,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath
@@ -26,8 +28,10 @@ from .core import (
     Poly,
     PolySystem,
     Real,
-    _diff_state,
-    _scan_tables,
+    _check_cap,
+    _hits,
+    _residues,
+    _strict_thresholds,
     frac_dist,
     hit_count,
 )
@@ -136,12 +140,9 @@ def _phase_coefficients(system: PolySystem, h: Sequence[int]) -> List[Fraction]:
     return out
 
 
-def _phase_table(sigma: Sequence[Fraction]):
-    D = 1
-    for s in sigma:
-        D = D * s.denominator // math.gcd(D, s.denominator)
-    nums = [int(s * D) for s in sigma]
-    return D, nums
+def _phase_residues(sigma: Sequence[Fraction], last: int):
+    """D and the residue stream of the phase polynomial sum_j sigma_j n^j."""
+    return _residues(PolySystem((Poly(tuple(sigma)),)), last)
 
 
 def weyl_sum(system: PolySystem, h: Sequence[int], x,
@@ -154,25 +155,20 @@ def weyl_sum(system: PolySystem, h: Sequence[int], x,
     """
     last = int(Fraction(x.value if isinstance(x, Real) else Fraction(x)).__floor__())
     sigma = _phase_coefficients(system, h)
-    D, nums = _phase_table(sigma)
     with mpmath.workprec(bits + 16):
-        total = mpmath.mpc(0)
-        if all(v == 0 for v in nums):
+        if not any(sigma):
             return mpmath.mpc(last, 0)
-        diffs = _diff_state(nums, D, 1)
-        cache = {} if D <= 65536 else None
-        for _n in range(last):
-            r = diffs[0]
-            if cache is not None:
+        D, chunks = _phase_residues(sigma, last)
+        cache = {}
+        total = mpmath.mpc(0)
+        for _n0, (col,) in chunks:
+            for r in col:
                 val = cache.get(r)
                 if val is None:
                     val = mpmath.expjpi(mpmath.mpf(2 * r) / D)
-                    cache[r] = val
-            else:
-                val = mpmath.expjpi(mpmath.mpf(2 * r) / D)
-            total += val
-            for i in range(len(diffs) - 1):
-                diffs[i] = (diffs[i] + diffs[i + 1]) % D
+                    if D <= 65536:
+                        cache[r] = val
+                total += val
         return total
 
 
@@ -180,23 +176,21 @@ def _abs_sum_exact_phase(sigma: Sequence[Fraction], last: int) -> float:
     """|sum_{n<=last} e(P(n))| with exact per-n phase reduction, float arithmetic.
 
     The phase handed to cos/sin is an exact rational in [0,1), so the float
-    error is bounded by last * 2pi * 2^-52.
+    error is bounded by last * 2pi * 2^-52.  The cosines and sines are added
+    one n at a time, in order: `reduce`, since `sum` of floats is
+    compensated from Python 3.12 on.
     """
-    D, nums = _phase_table(sigma)
-    if all(v == 0 for v in nums):
+    if not any(sigma):
         return float(last)
-    diffs = _diff_state(nums, D, 1)
+    D, chunks = _phase_residues(sigma, last)
     re = 0.0
     im = 0.0
     tau = 2 * math.pi
-    cos, sin = math.cos, math.sin
     invD = 1.0 / D
-    for _n in range(last):
-        ang = tau * (diffs[0] * invD)
-        re += cos(ang)
-        im += sin(ang)
-        for i in range(len(diffs) - 1):
-            diffs[i] = (diffs[i] + diffs[i + 1]) % D
+    for _n0, (col,) in chunks:
+        angles = [tau * (r * invD) for r in col]
+        re = reduce(add, map(math.cos, angles), re)
+        im = reduce(add, map(math.sin, angles), im)
     return math.hypot(re, im)
 
 
@@ -216,30 +210,22 @@ def smoothed_count(system: PolySystem, eps: Epsilons, x,
     if kernel is None:
         kernel = SmoothingKernel()
     last = int((x.value if isinstance(x, Real) else Fraction(x)).__floor__())
-    if last < 1:
-        return Fraction(0)
-    if last * system.k > enum_cap:
-        raise BoxTooLargeError(f"{last} x {system.k} evaluations exceed cap")
-    D, tables = _scan_tables(system)
+    _check_cap(last, system.k, enum_cap)
+    D, chunks = _residues(system, last)
     evals = [e.value for e in eps.eps]
-    # integer thresholds: plateau when 2*m*den <= num*D, support while m*den < num*D
-    plateau = [(e.numerator * D, e.denominator) for e in evals]
+    # in D * frac_dist units: the support is the strict hit region, and the
+    # plateau is 2*m*den <= num*D
+    support = _strict_thresholds(eps, D)
+    plateau = [e.numerator * D // (2 * e.denominator) for e in evals]
     total = Fraction(0)
-    for _n in range(1, last + 1):
-        prod = Fraction(1)
-        for diffs, e, (numD, den) in zip(tables, evals, plateau):
-            r = diffs[0]
-            m = r if 2 * r <= D else D - r
-            md = m * den
-            if md >= numD:          # outside support
-                prod = Fraction(0)
-                break
-            if 2 * md > numD:       # transition band
-                prod *= _transition(2 * Fraction(m, D) / e - 1)
-        total += prod
-        for diffs in tables:
-            for i in range(len(diffs) - 1):
-                diffs[i] = (diffs[i] + diffs[i + 1]) % D
+    for _n0, cols in chunks:
+        for j in _hits(cols, D, support):
+            prod = Fraction(1)
+            for col, e, flat in zip(cols, evals, plateau):
+                m = min(col[j], D - col[j])
+                if m > flat:  # transition band
+                    prod *= _transition(2 * Fraction(m, D) / e - 1)
+            total += prod
     return total
 
 

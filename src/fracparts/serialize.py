@@ -85,11 +85,6 @@ def emit_system(state: SystemState, path: PathLike):
         fh.write(json.dumps(data, indent=2) + "\n")
 
 
-def emit_outcome(outcome, path: PathLike):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(outcome.to_dict()))
-
-
 def write_certificate(cert: Certificate, path: PathLike):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(cert.to_dict()))

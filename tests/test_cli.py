@@ -129,6 +129,14 @@ class TestExponentCommand:
         assert lines[0] == "k,d,x,trial_id,seed,min_max_dist,fitted_exponent"
         assert len(lines) == 1 + 2 * 2
 
+    def test_empty_horizon_exit_1(self, tmp_path, capsys):
+        out_csv = tmp_path / "rows.csv"
+        rc = main(["exponent", "--k", "1", "--d", "2", "--x", "1,100",
+                   "--trials", "1", "--out", str(out_csv)])
+        assert rc == EXIT_ERROR
+        assert not out_csv.exists()
+        capsys.readouterr()
+
 
 class TestVerifyCert:
     def test_tampered_cert_exit_2(self, tmp_path, half_system, capsys):

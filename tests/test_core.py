@@ -149,6 +149,13 @@ class TestHitCount:
 
 
 class TestTypes:
+    def test_real_hash_follows_equality(self):
+        exact = Real(Fraction(1, 2))
+        inexact = Real(Fraction(1, 2), exact=False, err=Fraction(1, 2 ** 192))
+        assert exact == inexact
+        assert hash(exact) == hash(inexact)
+        assert len({exact, inexact}) == 1
+
     def test_epsilons_validation(self):
         with pytest.raises(ValueError):
             Epsilons((Fraction(0),))

@@ -169,6 +169,11 @@ class TestMeasureExponent:
         with pytest.raises(ValueError):
             measure_exponent("monomial", 1, 1, [100, 100], trials=1)
 
+    def test_grid_horizon_below_two_rejected(self):
+        # x = 1 leaves no n < x, so there is no minimum to report
+        with pytest.raises(ValueError):
+            measure_exponent("monomial", 1, 2, [1, 100, 1000], trials=1)
+
 
 class TestSystemFiles:
     def test_roundtrip_idempotent(self, tmp_path):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from fracparts.core import Epsilons, Poly, PolySystem, hit_count
+from fracparts.core import Epsilons, HorizonCapError, Poly, PolySystem, hit_count
 from fracparts.expsum import (
     HIT_DENSITY,
     LARGE_COEFFICIENTS,
@@ -124,6 +124,11 @@ class TestSmoothedCount:
 
     def test_zero_poly(self):
         assert smoothed_count(sys1(["0"]), Epsilons((Fraction(1, 10),)), 10) == 10
+
+    def test_cap(self):
+        with pytest.raises(HorizonCapError):
+            smoothed_count(sys1(["1/3"]), Epsilons((Fraction(1, 10),)), 10 ** 7,
+                           enum_cap=10 ** 3)
 
     def test_full_plateau(self):
         # integer-valued polynomial keeps every residue inside the plateau
