@@ -1,10 +1,18 @@
 """The density-increment solve loop and the exponent-measurement harness.
 
+Each level runs the dichotomy's hit-density gate (`expsum.density_gate`).
+Dense hits are returned by scan; otherwise the level tries one reduction,
+with generators from the relation lattice over q0 = 1, and recurses on the
+smaller child.  The lattice is built from the coefficients themselves, so
+the Fourier box scan, relation reconstruction and denominator clustering
+are not on this path; they serve the `fourier-scan | relations |
+denom-analyze` CLI chain.
+
 Fallback ladder (the analytic argument's dichotomies need not fire at desk
-scale): Fourier branch, then the reduction branch, then brute force within
-the enumeration cap, else an inconclusive outcome.  Every fallback is
-recorded in the run stats, and every Found is re-verified exactly against
-the root system before it is reported.
+scale): the gate, then the reduction branch, then brute force within the
+enumeration cap, else an inconclusive outcome.  Every fallback is recorded
+in the run stats, and every Found is re-verified exactly against the root
+system before it is reported.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import mpmath
 
@@ -32,15 +40,8 @@ from .core import (
     first_hit,
     horizon_count,
 )
-from .denomstruct import cluster_by_denominator
-from .diophantine import build_relations, default_q_rel, sigma_vector
-from .expsum import (
-    DEFAULT_MAX_BOX,
-    HIT_DENSITY,
-    BoxTooLargeError,
-    large_coefficients,
-)
-from .latgeom import GeneratorSet, NoShortVector, quasi_orthogonal_generators
+from .expsum import DEFAULT_MAX_BOX, HIT_DENSITY, BoxTooLargeError, density_gate
+from .latgeom import NoShortVector, quasi_orthogonal_generators
 from .reduction import (
     TERMINAL_EXHAUSTED,
     TERMINAL_FOUND,
@@ -59,21 +60,23 @@ STATUS_FOUND = "found"
 STATUS_NOT_FOUND = "not-found"
 STATUS_INCONCLUSIVE = "inconclusive"
 
+# N_target of the generator search, 2m + 1 for m = 1 relation: the loosest
+# product bound N_target^(-1/(d+1)) that a nonempty relation family sets
+N_TARGET = 3
+
 
 @dataclass
 class SolverConfig:
     c_hit: float = 0.05
     C_cfg: int = 4
     c_orth: float = 0.05
-    delta_const: Optional[str] = None     # fraction string; None = per-(k,d) default
-    tol_rel: float = 1.0
+    delta_const: Optional[str] = None     # fraction string; None = DEFAULT_DELTA_CONST
     precision_bits: int = DEFAULT_PRECISION_BITS
     enum_cap: int = DEFAULT_ENUM_CAP
     max_box: int = DEFAULT_MAX_BOX
     max_depth: Optional[int] = None       # None = k - 1 (k strictly decreases)
     brute_force_threshold: int = 64
     seed: int = 0
-    q_rel_cap: int = 10 ** 6
     C_impl: Optional[float] = None  # None: per-step implementation constant
 
     def delta_fraction(self) -> Optional[Fraction]:
@@ -82,11 +85,11 @@ class SolverConfig:
     def to_dict(self) -> dict:
         return {
             "c_hit": self.c_hit, "C_cfg": self.C_cfg, "c_orth": self.c_orth,
-            "delta_const": self.delta_const, "tol_rel": self.tol_rel,
+            "delta_const": self.delta_const,
             "precision_bits": self.precision_bits, "enum_cap": self.enum_cap,
             "max_box": self.max_box, "max_depth": self.max_depth,
             "brute_force_threshold": self.brute_force_threshold,
-            "seed": self.seed, "q_rel_cap": self.q_rel_cap, "C_impl": self.C_impl,
+            "seed": self.seed, "C_impl": self.C_impl,
         }
 
     @staticmethod
@@ -156,7 +159,8 @@ def generator_bounds(eps: Epsilons) -> List[int]:
     """B_i = max(ceil(1/eps_i), floor(eps_i^-1 Delta^(-2/(2k)^4))).
 
     Large enough that meeting 1/B_i implies meeting eps_i, and wide enough
-    to contain the post-clustering frequency range.
+    to contain the Fourier frequency box (`expsum.frequency_caps`, whose
+    exponent is half this one).
     """
     k = eps.k
     delta = eps.delta_product
@@ -169,29 +173,6 @@ def generator_bounds(eps: Epsilons) -> List[int]:
             cap = int(mpmath.floor(factor * mpmath.mpf(inv.numerator) / inv.denominator))
             out.append(max(math.ceil(inv), cap, 2))
     return out
-
-
-def _refit_generators(gens: GeneratorSet, system: PolySystem, q0: int):
-    """Reinterpret generator numerators over denominator q0 (a_j = round(q0 sigma_j)).
-
-    Returns None when some refit residual leaves the eta window, meaning q0
-    is not actually the common denominator of these relations.
-    """
-    new_a = []
-    for h in gens.h_vecs:
-        sig = sigma_vector(system, h)
-        a_vec = []
-        for j, s in enumerate(sig, start=1):
-            a_j = round(q0 * s)
-            slack = sum(abs(hi) * system.polys[i].coeffs[j - 1].err
-                        for i, hi in enumerate(h))
-            if abs(s - Fraction(a_j, q0)) + slack > gens.eta ** j:
-                return None
-            a_vec.append(a_j)
-        new_a.append(tuple(a_vec))
-    return GeneratorSet(r=gens.r, h_vecs=gens.h_vecs, a_vecs=tuple(new_a),
-                        B=gens.B, eta=gens.eta, tilde_product=gens.tilde_product,
-                        orth_ratio=gens.orth_ratio, orth_ratio_sq=gens.orth_ratio_sq)
 
 
 def solve(state: SystemState, config: Optional[SolverConfig] = None) -> SolveOutcome:
@@ -241,8 +222,6 @@ def _scan_level(state: SystemState, config: SolverConfig, stats: SolveStats,
 def _solve_level(state: SystemState, config: SolverConfig, stats: SolveStats,
                  depth: int, constants: dict, root_k: int) -> SolveOutcome:
     stats.max_depth_reached = max(stats.max_depth_reached, depth)
-    budget = config.max_depth if config.max_depth is not None else root_k - 1
-    assert depth <= budget, "recursion exceeded its depth budget (k must shrink)"
     # record whether the analytic argument's hypothesis held at this level:
     # Delta^-1 <= x^(2/C)  <=>  x^2 Delta^C >= 1 (exact rational comparison)
     xv = state.y.value
@@ -253,89 +232,69 @@ def _solve_level(state: SystemState, config: SolverConfig, stats: SolveStats,
         return _scan_level(state, config, stats, constants, "below brute-force threshold")
 
     try:
-        dich = large_coefficients(state.system, state.eps, state.y.value,
-                                  c_hit=config.c_hit, max_box=config.max_box,
-                                  enum_cap=config.enum_cap)
+        gate = density_gate(state.system, state.eps, state.y.value,
+                            c_hit=config.c_hit, max_box=config.max_box,
+                            enum_cap=config.enum_cap)
     except (BoxTooLargeError, ValueError, HorizonCapError) as exc:
         stats.fallbacks.append(f"fourier:{exc}")
         return _scan_level(state, config, stats, constants, "fourier unavailable")
-    stats.fourier_branches.append(dich.branch)
+    stats.fourier_branches.append(gate.branch)
 
-    if dich.branch == HIT_DENSITY:
+    if gate.branch == HIT_DENSITY:
         # the count already located hits; return the smallest one
         return _scan_level(state, config, stats, constants, "hit-density scan")
 
-    outcome = _reduction_path(state, config, stats, depth, constants, dich, root_k)
-    if outcome is not None:
-        return outcome
-    stats.fallbacks.append("reduction-path-exhausted")
+    # k drops by at least one per reduction, so by default the budget only
+    # stops k = 1 levels, where no reduction exists
+    budget = config.max_depth if config.max_depth is not None else root_k - 1
+    if depth >= budget:
+        stats.fallbacks.append("depth-budget")
+    else:
+        outcome = _reduction_path(state, config, stats, depth, constants, root_k)
+        if outcome is not None:
+            return outcome
+        stats.fallbacks.append("reduction-path-exhausted")
     return _scan_level(state, config, stats, constants, "reduction path exhausted")
 
 
-def _reduction_path(state, config, stats, depth, constants, dich,
+def _reduction_path(state, config, stats, depth, constants,
                     root_k: int) -> Optional[SolveOutcome]:
-    relations = build_relations(state.system, state.eps, state.y.value, dich,
-                                Q_rel=default_q_rel(state.eps, config.C_cfg,
-                                                    config.q_rel_cap),
-                                tol_rel=config.tol_rel, C_cfg=config.C_cfg)
-    if not relations:
-        stats.fallbacks.append("no-relations")
+    """One reduction over q0 = 1, then the child's solve and the lift."""
+    eta = min(Fraction(1, 100), 1 / (2 * state.y.value))  # q0^C / (2x) at q0 = 1
+    gens = quasi_orthogonal_generators(state.system, generator_bounds(state.eps), eta,
+                                       N_target=N_TARGET, c_orth=config.c_orth,
+                                       max_r=state.k - 1)
+    if isinstance(gens, NoShortVector):
+        stats.fallbacks.append("reduction:no-short-vector")
         return None
-    cluster = cluster_by_denominator(relations)
-    B = generator_bounds(state.eps)
-    x = state.y.value
-    q0_candidates = [1]
-    if cluster.q_merged > 1:
-        q0_candidates.append(cluster.q_merged)
-    for q0 in q0_candidates:
-        eta = min(Fraction(1, 100), Fraction(q0 ** config.C_cfg) / (2 * x))
-        if eta <= 0:
-            continue
-        gens = quasi_orthogonal_generators(state.system, B, eta,
-                                           N_target=max(2, 2 * len(cluster.members) + 1),
-                                           c_orth=config.c_orth,
-                                           max_r=state.k - 1)
-        if isinstance(gens, NoShortVector):
-            stats.fallbacks.append(f"q0={q0}:no-short-vector")
-            continue
-        if gens.r >= state.k:
-            stats.fallbacks.append(f"q0={q0}:r-not-below-k")
-            continue
-        if q0 > 1:
-            refit = _refit_generators(gens, state.system, q0)
-            if refit is None:
-                stats.fallbacks.append(f"q0={q0}:refit-failed")
-                continue
-            gens = refit
-        try:
-            step = reduce_dimension(state, gens, q0, C_cfg=config.C_cfg,
-                                    delta_const=config.delta_fraction())
-        except (ReductionPreconditionError, IntegralityError,
-                DegenerateHorizonError) as exc:
-            stats.fallbacks.append(f"q0={q0}:{type(exc).__name__}")
-            continue
-        stats.reductions += 1
-        stats.density_reports.append(
-            density_invariant(state, step, C_impl=config.C_impl).to_dict())
-        child = _solve_level(step.child_state(), config, stats, depth + 1,
-                             constants, root_k)
-        if child.status != STATUS_FOUND:
-            stats.fallbacks.append(f"q0={q0}:child-{child.status}")
-            continue
-        try:
-            n, dists = lift_solution(step, child.n, state)
-        except (LiftVerificationError, HorizonOverflowError):
-            stats.lift_failures += 1
-            stats.fallbacks.append(f"q0={q0}:lift-verification")
-            continue
-        step.child_hit = child.n
-        cert = Certificate(root=state.to_dict(),
-                           chain=[step] + child.certificate.chain,
-                           terminal={"kind": TERMINAL_FOUND, "n": n,
-                                     "dists": [str(dv) for dv in dists]},
-                           constants=constants)
-        return SolveOutcome(STATUS_FOUND, n, cert, stats)
-    return None
+    try:
+        step = reduce_dimension(state, gens, q0=1, C_cfg=config.C_cfg,
+                                delta_const=config.delta_fraction())
+    except (ReductionPreconditionError, IntegralityError,
+            DegenerateHorizonError) as exc:
+        stats.fallbacks.append(f"reduction:{type(exc).__name__}")
+        return None
+    stats.reductions += 1
+    stats.density_reports.append(
+        density_invariant(state, step, C_impl=config.C_impl).to_dict())
+    child = _solve_level(step.child_state(), config, stats, depth + 1,
+                         constants, root_k)
+    if child.status != STATUS_FOUND:
+        stats.fallbacks.append(f"reduction:child-{child.status}")
+        return None
+    try:
+        n, dists = lift_solution(step, child.n, state)
+    except (LiftVerificationError, HorizonOverflowError):
+        stats.lift_failures += 1
+        stats.fallbacks.append("reduction:lift-verification")
+        return None
+    step.child_hit = child.n
+    cert = Certificate(root=state.to_dict(),
+                       chain=[step] + child.certificate.chain,
+                       terminal={"kind": TERMINAL_FOUND, "n": n,
+                                 "dists": [str(dv) for dv in dists]},
+                       constants=constants)
+    return SolveOutcome(STATUS_FOUND, n, cert, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -84,11 +84,8 @@ class SmoothingKernel:
     """Fixed even bump: 1 on |t| <= 1/2, supported on |t| < 1, C^2 throughout.
 
     The transition on [1/2, 1] is a three-piece cubic spline.  Fourier data
-    is computed numerically on demand; coefficients beyond ``fourier_tail_cut``
-    are treated as tail.
+    is computed numerically on demand.
     """
-
-    fourier_tail_cut: int = 64
 
     def phi(self, u) -> Fraction:
         u = abs(u.value if isinstance(u, Real) else Fraction(u))
@@ -151,9 +148,11 @@ def weyl_sum(system: PolySystem, h: Sequence[int], x,
 
     Each phase is an exact rational reduced mod 1 before the complex
     exponential is taken, so results at different precisions agree to the
-    smaller precision's rounding.
+    smaller precision's rounding.  Raises HorizonCapError when floor(x)
+    exceeds the default enumeration cap.
     """
     last = int(Fraction(x.value if isinstance(x, Real) else Fraction(x)).__floor__())
+    _check_cap(last, 1, DEFAULT_ENUM_CAP)
     sigma = _phase_coefficients(system, h)
     with mpmath.workprec(bits + 16):
         if not any(sigma):
@@ -200,15 +199,12 @@ def _abs_sum_exact_phase(sigma: Sequence[Fraction], last: int) -> float:
 
 
 def smoothed_count(system: PolySystem, eps: Epsilons, x,
-                   kernel: Optional[SmoothingKernel] = None,
                    enum_cap: int = DEFAULT_ENUM_CAP) -> Fraction:
-    """sum_{n <= x} prod_i Phi_i(f_i(n)), exactly.
+    """sum_{n <= x} prod_i Phi_i(f_i(n)), exactly, with `SmoothingKernel`'s Phi.
 
     Sandwiched between the strict hit counts at eps/2 and eps because the
     kernel's plateau covers |u| <= 1/2 and its support is |u| < 1.
     """
-    if kernel is None:
-        kernel = SmoothingKernel()
     last = int((x.value if isinstance(x, Real) else Fraction(x)).__floor__())
     _check_cap(last, system.k, enum_cap)
     D, chunks = _residues(system, last)
@@ -308,17 +304,15 @@ def _dyadic_index(s: float, N: int) -> Optional[int]:
     return j
 
 
-def large_coefficients(system: PolySystem, eps: Epsilons, x, c_hit: float = 0.05,
-                       max_box: int = DEFAULT_MAX_BOX,
-                       enum_cap: int = DEFAULT_ENUM_CAP) -> FourierDichotomy:
-    """Hit-density versus many-large-Fourier-coefficients dichotomy.
+def density_gate(system: PolySystem, eps: Epsilons, x, c_hit: float = 0.05,
+                 max_box: int = DEFAULT_MAX_BOX,
+                 enum_cap: int = DEFAULT_ENUM_CAP) -> FourierDichotomy:
+    """The dichotomy's preconditions and its hit-density test.
 
-    Branch 1 fires when the strict hit count reaches c_hit * Delta * floor(x).
-    Otherwise all nonzero h in the frequency box are scanned, |S(h)| values
-    are bucketed into dyadic classes [x/Q, 2x/Q] with Q = 2^j, and the
-    smallest Q whose class (after precise re-evaluation of its members)
-    holds at least sqrt(Q) vectors wins.  If no class qualifies, the most
-    populated one is returned with a diagnostic flag.
+    Raises ValueError unless Delta <= 1/4 and floor(x) >= 2, and
+    BoxTooLargeError when the frequency box exceeds ``max_box``.  The branch
+    is HIT_DENSITY when the strict hit count reaches c_hit * Delta * floor(x),
+    else LARGE_COEFFICIENTS with Q and witnesses left for the box scan.
     """
     delta = eps.delta_product
     if delta > Fraction(1, 4):
@@ -340,6 +334,26 @@ def large_coefficients(system: PolySystem, eps: Epsilons, x, c_hit: float = 0.05
     if hits >= threshold:
         return FourierDichotomy(branch=HIT_DENSITY, x_floor=N, h_caps=caps,
                                 density_count=hits, density_threshold=float(threshold))
+    return FourierDichotomy(branch=LARGE_COEFFICIENTS, x_floor=N, h_caps=caps)
+
+
+def large_coefficients(system: PolySystem, eps: Epsilons, x, c_hit: float = 0.05,
+                       max_box: int = DEFAULT_MAX_BOX,
+                       enum_cap: int = DEFAULT_ENUM_CAP) -> FourierDichotomy:
+    """Hit-density versus many-large-Fourier-coefficients dichotomy.
+
+    Branch 1 fires when `density_gate` finds the hits dense.  Otherwise all
+    nonzero h in the frequency box are scanned, |S(h)| values are bucketed
+    into dyadic classes [x/Q, 2x/Q] with Q = 2^j, and the smallest Q whose
+    class (after precise re-evaluation of its members) holds at least
+    sqrt(Q) vectors wins.  If no class qualifies, the most populated one is
+    returned with a diagnostic flag.
+    """
+    gate = density_gate(system, eps, x, c_hit=c_hit, max_box=max_box,
+                        enum_cap=enum_cap)
+    if gate.branch == HIT_DENSITY:
+        return gate
+    N, caps = gate.x_floor, gate.h_caps
 
     # fast pass: numpy doubles on exactly reduced phase coefficients
     n = np.arange(1, N + 1, dtype=np.float64)

@@ -53,14 +53,11 @@ class HorizonOverflowError(ValueError):
     pass
 
 
-def default_delta_const(k: int, d: int) -> Fraction:
-    """Desk-scale default for the reduction constant delta.
-
-    The proof only needs delta small in terms of k and d; 1/4 keeps the
-    child horizon y ~ delta^3-sized windows usable at desk scale, and the
-    exact lift re-verification bounds the risk of a too-large choice.
-    """
-    return Fraction(1, 4)
+# Desk-scale default for the reduction constant delta.  The proof only needs
+# delta small in terms of k and d; 1/4 keeps the child horizon y ~
+# delta^3-sized windows usable at desk scale, and the exact lift
+# re-verification bounds the risk of a too-large choice.
+DEFAULT_DELTA_CONST = Fraction(1, 4)
 
 
 def _fraction(v) -> Fraction:
@@ -176,7 +173,7 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet, q0: int,
     if q0 < 1:
         raise ReductionPreconditionError("q0 must be a positive integer")
     if delta_const is None:
-        delta_const = default_delta_const(k, d)
+        delta_const = DEFAULT_DELTA_CONST
     delta = Fraction(delta_const)
     if not (0 < delta < 1):
         raise ReductionPreconditionError("delta_const must lie in (0, 1)")

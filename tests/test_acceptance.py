@@ -90,9 +90,10 @@ def test_criterion_1_determinant_identity():
 PLANT_SEED = 77031
 PLANT_COUNT = 200
 PLANT_CONFIG = SolverConfig(c_hit=1e9, brute_force_threshold=32, seed=PLANT_SEED)
-# c_hit is set huge so the dichotomy always routes to the structure branch:
-# this suite exists to stress relations -> clustering -> generators ->
-# reduction -> lift, and lifting soundness is checked unconditionally.
+# c_hit is set huge so the hit-density gate never fires and every level takes
+# the structure branch: this suite exists to stress generators (from the
+# relation lattice) -> reduction -> lift, and lifting soundness is checked
+# unconditionally.
 
 
 def _rational_coeff(rng):
@@ -271,20 +272,27 @@ def test_criterion_5_best_rational():
     rng = random.Random(50551)
     optimal = 0
     dirichlet = 0
+    one = 2 ** 64
     for _ in range(1000):
-        alpha = Fraction(rng.getrandbits(64), 2 ** 64)
+        p = rng.getrandbits(64)
+        alpha = Fraction(p, one)
         Q = rng.randint(1, 500)
         a, q = best_rational(alpha, Q)
         dist = abs(alpha - Fraction(a, q))
         if dist <= Fraction(1, q * (Q + 1)):
             dirichlet += 1
-        # exhaustive scan over the same Dirichlet-gated candidate set
+        # exhaustive scan over the same Dirichlet-gated candidate set, in
+        # integers: |alpha - aa/qq| = |p qq - aa 2^64| / (2^64 qq)
+        num = abs(p * q - a * one)
         better = False
         for qq in range(1, Q + 1):
-            base = round(alpha * qq)
+            base, rem = divmod(p * qq, one)  # round(alpha * qq), half to even
+            if 2 * rem > one or (2 * rem == one and base % 2):
+                base += 1
             for aa in (base - 1, base, base + 1):
-                dd = abs(alpha - Fraction(aa, qq))
-                if dd * qq * (Q + 1) <= 1 and (dd, qq) < (dist, q):
+                nn = abs(p * qq - aa * one)
+                # dd * qq * (Q + 1) <= 1, and (dd, qq) < (dist, q)
+                if nn * (Q + 1) <= one and (nn * q, qq) < (num * qq, q):
                     better = True
         if not better:
             optimal += 1

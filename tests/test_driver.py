@@ -12,6 +12,7 @@ from fracparts.core import (
     SystemState,
     brute_force_min,
     eval_system,
+    first_hit,
     hit_count,
 )
 from fracparts.driver import (
@@ -42,6 +43,11 @@ def state_of(system, eps_list, x):
 FORCED = SolverConfig(c_hit=1e9, brute_force_threshold=32)
 
 
+def dup_sqrt2_state(x):
+    return state_of(sys1(["0", "sqrt(2)"], ["0", "sqrt(2)"]),
+                    [Fraction(1, 20), Fraction(1, 20)], x)
+
+
 class TestSolve:
     def test_trivial_half(self):
         st = state_of(sys1(["1/2"]), [Fraction(1, 100)], 10)
@@ -65,14 +71,38 @@ class TestSolve:
         assert v < Fraction(1, 20)  # the oracle agrees a hit exists
 
     def test_duplicates_forced_through_reduction(self):
-        s = sys1(["0", "sqrt(2)"], ["0", "sqrt(2)"])
-        st = state_of(s, [Fraction(1, 20), Fraction(1, 20)], 10 ** 5)
-        out = solve(st, FORCED)
+        out = solve(dup_sqrt2_state(10 ** 5), FORCED)
         assert out.status == STATUS_FOUND
         assert out.stats.reductions >= 1
         assert len(out.certificate.chain) >= 1
         checks = verify_certificate(out.certificate)
         assert all(ok for _n, ok, _d in checks)
+
+    def test_reduction_needs_no_box_scan_or_relations(self, monkeypatch):
+        # the generators come from the relation lattice alone, so the Fourier
+        # box scan and relation reconstruction stay off the path.  Their
+        # helpers _half_box and best_rational are module globals, so patching
+        # them also catches a caller that imported either stage by name.
+        def unreachable(*_args, **_kwargs):
+            raise AssertionError("off the solve path")
+
+        monkeypatch.setattr("fracparts.expsum._half_box", unreachable)
+        monkeypatch.setattr("fracparts.diophantine.build_relations", unreachable)
+        monkeypatch.setattr("fracparts.diophantine.best_rational", unreachable)
+        out = solve(dup_sqrt2_state(10 ** 5), FORCED)
+        assert out.status == STATUS_FOUND
+        assert len(out.certificate.chain) >= 1
+        assert all(ok for _n, ok, _d in verify_certificate(out.certificate))
+
+    def test_depth_budget_zero_scans(self):
+        # a spent depth budget skips the reduction and falls back to the scan
+        st = dup_sqrt2_state(10 ** 4)
+        out = solve(st, SolverConfig(c_hit=1e9, brute_force_threshold=32, max_depth=0))
+        assert out.status == STATUS_FOUND
+        assert out.n == first_hit(st.system, st.eps, st.y.value)
+        assert out.certificate.chain == [] and out.stats.reductions == 0
+        assert "depth-budget" in out.stats.fallbacks
+        assert all(ok for _n, ok, _d in verify_certificate(out.certificate))
 
     def test_single_sqrt2_square(self):
         s = sys1(["0", "sqrt(2)"])

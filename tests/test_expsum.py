@@ -5,7 +5,14 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from fracparts.core import Epsilons, HorizonCapError, Poly, PolySystem, hit_count
+from fracparts.core import (
+    DEFAULT_ENUM_CAP,
+    Epsilons,
+    HorizonCapError,
+    Poly,
+    PolySystem,
+    hit_count,
+)
 from fracparts.expsum import (
     HIT_DENSITY,
     LARGE_COEFFICIENTS,
@@ -112,6 +119,13 @@ class TestWeylSum:
         fast = _abs_sum_exact_phase(_phase_coefficients(s, (1,)), 500)
         slow = float(abs(weyl_sum(s, (1,), 500)))
         assert abs(fast - slow) < 1e-9
+
+    def test_cap(self):
+        # one exponential per n: a horizon over the enumeration cap is refused
+        # before any is taken, the zero vector's closed form included
+        for h in ((1,), (0,)):
+            with pytest.raises(HorizonCapError):
+                weyl_sum(sys1(["1/3"]), h, DEFAULT_ENUM_CAP + 1)
 
 
 class TestSmoothedCount:
