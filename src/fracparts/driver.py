@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -43,6 +43,7 @@ from .core import (
 from .expsum import DEFAULT_MAX_BOX, HIT_DENSITY, BoxTooLargeError, density_gate
 from .latgeom import NoShortVector, quasi_orthogonal_generators
 from .reduction import (
+    C_CFG,
     TERMINAL_EXHAUSTED,
     TERMINAL_FOUND,
     Certificate,
@@ -64,42 +65,29 @@ STATUS_INCONCLUSIVE = "inconclusive"
 # product bound N_target^(-1/(d+1)) that a nonempty relation family sets
 N_TARGET = 3
 
+# least orthogonality ratio of an accepted generator set
+C_ORTH = 0.05
+
 
 @dataclass
 class SolverConfig:
     c_hit: float = 0.05
-    C_cfg: int = 4
-    c_orth: float = 0.05
-    delta_const: Optional[str] = None     # fraction string; None = DEFAULT_DELTA_CONST
-    precision_bits: int = DEFAULT_PRECISION_BITS
     enum_cap: int = DEFAULT_ENUM_CAP
     max_box: int = DEFAULT_MAX_BOX
     max_depth: Optional[int] = None       # None = k - 1 (k strictly decreases)
     brute_force_threshold: int = 64
     seed: int = 0
-    C_impl: Optional[float] = None  # None: per-step implementation constant
-
-    def delta_fraction(self) -> Optional[Fraction]:
-        return Fraction(self.delta_const) if self.delta_const is not None else None
 
     def to_dict(self) -> dict:
-        return {
-            "c_hit": self.c_hit, "C_cfg": self.C_cfg, "c_orth": self.c_orth,
-            "delta_const": self.delta_const,
-            "precision_bits": self.precision_bits, "enum_cap": self.enum_cap,
-            "max_box": self.max_box, "max_depth": self.max_depth,
-            "brute_force_threshold": self.brute_force_threshold,
-            "seed": self.seed, "C_impl": self.C_impl,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "SolverConfig":
-        cfg = SolverConfig()
-        for key, val in d.items():
-            if not hasattr(cfg, key):
+        names = {f.name for f in fields(SolverConfig)}
+        for key in d:
+            if key not in names:
                 raise ValueError(f"unknown config field {key!r}")
-            setattr(cfg, key, val)
-        return cfg
+        return SolverConfig(**d)
 
 
 @dataclass
@@ -115,17 +103,7 @@ class SolveStats:
     wall_time: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "evaluations": self.evaluations,
-            "reductions": self.reductions,
-            "max_depth_reached": self.max_depth_reached,
-            "fourier_branches": list(self.fourier_branches),
-            "fallbacks": list(self.fallbacks),
-            "density_reports": list(self.density_reports),
-            "delta_gate": list(self.delta_gate),
-            "lift_failures": self.lift_failures,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -226,7 +204,7 @@ def _solve_level(state: SystemState, config: SolverConfig, stats: SolveStats,
     # Delta^-1 <= x^(2/C)  <=>  x^2 Delta^C >= 1 (exact rational comparison)
     xv = state.y.value
     stats.delta_gate.append(
-        xv * xv * state.eps.delta_product ** config.C_cfg >= 1)
+        xv * xv * state.eps.delta_product ** C_CFG >= 1)
     horizon = horizon_count(state.y)
     if horizon <= config.brute_force_threshold:
         return _scan_level(state, config, stats, constants, "below brute-force threshold")
@@ -260,23 +238,23 @@ def _solve_level(state: SystemState, config: SolverConfig, stats: SolveStats,
 def _reduction_path(state, config, stats, depth, constants,
                     root_k: int) -> Optional[SolveOutcome]:
     """One reduction over q0 = 1, then the child's solve and the lift."""
-    eta = min(Fraction(1, 100), 1 / (2 * state.y.value))  # q0^C / (2x) at q0 = 1
+    # eta < 1/x is reduce_dimension's gate; 1/100 is the lemma's hypothesis
+    eta = min(Fraction(1, 100), 1 / (2 * state.y.value))
     gens = quasi_orthogonal_generators(state.system, generator_bounds(state.eps), eta,
-                                       N_target=N_TARGET, c_orth=config.c_orth,
+                                       N_target=N_TARGET, c_orth=C_ORTH,
                                        max_r=state.k - 1)
     if isinstance(gens, NoShortVector):
         stats.fallbacks.append("reduction:no-short-vector")
         return None
     try:
-        step = reduce_dimension(state, gens, q0=1, C_cfg=config.C_cfg,
-                                delta_const=config.delta_fraction())
+        step = reduce_dimension(state, gens)
     except (ReductionPreconditionError, IntegralityError,
             DegenerateHorizonError) as exc:
         stats.fallbacks.append(f"reduction:{type(exc).__name__}")
         return None
     stats.reductions += 1
     stats.density_reports.append(
-        density_invariant(state, step, C_impl=config.C_impl).to_dict())
+        density_invariant(state, step).to_dict())
     child = _solve_level(step.child_state(), config, stats, depth + 1,
                          constants, root_k)
     if child.status != STATUS_FOUND:
@@ -385,8 +363,7 @@ def measure_exponent(generator_spec: str, k: int, d: int, x_grid: Sequence[int],
     rows: List[ExperimentRow] = []
     exponents: List[float] = []
     for trial in range(trials):
-        system = draw_system(generator_spec, k, d, config.seed, trial,
-                             config.precision_bits)
+        system = draw_system(generator_spec, k, d, config.seed, trial)
         try:
             results = _checkpointed_min(system, xs, enum_cap=config.enum_cap)
         except HorizonCapError:

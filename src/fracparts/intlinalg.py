@@ -28,10 +28,6 @@ def mat_vec(A: Sequence[Sequence], v: Sequence):
     return [sum(A[i][t] * v[t] for t in range(len(v))) for i in range(len(A))]
 
 
-def transpose(A: Sequence[Sequence]):
-    return [list(col) for col in zip(*A)]
-
-
 def det_bareiss(M: Sequence[Sequence[int]]) -> int:
     """Fraction-free exact determinant of a square integer matrix."""
     n = len(M)

@@ -290,6 +290,17 @@ def decisively_in_region(system: PolySystem, h: Sequence[int], a: Sequence[int],
     return all(c + s <= eta ** j for j, (c, s) in enumerate(zip(centers, slacks), start=1))
 
 
+def max_minor(rows: Sequence[Sequence[Fraction]]) -> Tuple[Fraction, Tuple[int, ...]]:
+    """Largest |det| over the r x r minors of r rows, and the lexicographically
+    first columns that attain it."""
+    best_val, best_cols = None, None
+    for cols in combinations(range(len(rows[0])), len(rows)):
+        val = abs(det_fraction([[row[c] for c in cols] for row in rows]))
+        if best_val is None or val > best_val:
+            best_val, best_cols = val, cols
+    return best_val, best_cols
+
+
 def quasi_orthogonal_generators(system: PolySystem, B: Sequence, eta,
                                 N_target: int, c_orth: float,
                                 C_slack: Optional[Fraction] = None,
@@ -352,8 +363,7 @@ def quasi_orthogonal_generators(system: PolySystem, B: Sequence, eta,
                 tp *= _linf(v)
             if tp ** (d + 1) > prod_bound_pow:
                 continue
-            minor = max(abs(det_fraction([[row[c] for c in cols] for row in rows]))
-                        for cols in combinations(range(k), r))
+            minor, _cols = max_minor(rows)
             if best is None or minor > best[0]:
                 best = (minor, subset, (wsq, l2sq, tp))
         if best is not None:

@@ -11,16 +11,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath
 
 from .core import Epsilons, Poly, PolySystem, Real, SystemState, eval_system
-from .intlinalg import det_bareiss, det_fraction, frac_inverse, mat_vec, solve_integer
+from .intlinalg import det_bareiss, frac_inverse, mat_vec, solve_integer
 from .latgeom import (
     GeneratorSet,
     LatticeBasis,
+    max_minor,
+    membership_residuals,
     reduce_basis,
     solution_lattice_basis,
     sublattice_determinants,
@@ -31,7 +32,7 @@ class ReductionPreconditionError(ValueError):
 
 
 class IntegralityError(ArithmeticError):
-    """No integer b' table exists; the generator set or q0 is invalid."""
+    """No integer b' table exists; the generator set is invalid."""
 
 
 class DegenerateHorizonError(ValueError):
@@ -58,6 +59,10 @@ class HorizonOverflowError(ValueError):
 # delta^3-sized windows usable at desk scale, and the exact lift
 # re-verification bounds the risk of a too-large choice.
 DEFAULT_DELTA_CONST = Fraction(1, 4)
+
+# The relation-quality exponent C of the density invariant's exponents
+# 3C^2 - C^2/k^3; every step records it as C_cfg.
+C_CFG = 4
 
 
 def _fraction(v) -> Fraction:
@@ -97,7 +102,7 @@ class ReductionStep:
         return SystemState(self.g, self.eps_prime, self.y)
 
     def scale(self) -> int:
-        """The lift multiplier: n = n' * q0 * D2."""
+        """The lift multiplier: n = n' * q0 * D2 (q0 = 1 in every step built here)."""
         return self.q0 * self.D2
 
     def to_dict(self) -> dict:
@@ -144,63 +149,39 @@ class ReductionStep:
             child_hit=d.get("child_hit"))
 
 
-def _best_leading_columns(h_tilde: List[List[Fraction]], k: int, r: int) -> Tuple[int, ...]:
-    """Columns of the maximal r x r minor (exact |det|, lexicographic ties)."""
-    best_cols = None
-    best_val = None
-    for cols in combinations(range(k), r):
-        val = abs(det_fraction([[row[c] for c in cols] for row in h_tilde]))
-        if best_val is None or val > best_val:
-            best_val, best_cols = val, cols
-    if best_val == 0:
-        raise ReductionPreconditionError("generator h vectors are rank deficient")
-    return best_cols
-
-
-def reduce_dimension(state: SystemState, gens: GeneratorSet, q0: int,
-                     C_cfg: int = 4, delta_const=None) -> ReductionStep:
+def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
     """Build the k' = k - r reduced system from a generator set.
 
-    The generators' a-vectors are read as numerators over q0 (q0 = 1 when
-    they came straight from the relation lattice).  The b' table is solved
-    exactly over Z; a non-integral solve raises IntegralityError, and a
-    collapsed child horizon raises DegenerateHorizonError.
+    The generators' a-vectors are integers (the common denominator q0 is 1,
+    as they come straight from the relation lattice), and the window
+    constant is DEFAULT_DELTA_CONST.  The b' table is solved exactly over Z;
+    a non-integral solve raises IntegralityError, and a collapsed child
+    horizon raises DegenerateHorizonError.
     """
     k, d = state.k, state.system.d
     r = gens.r
     if not (1 <= r < k):
         raise ReductionPreconditionError(f"need 1 <= r < k, got r={r}, k={k}")
-    if q0 < 1:
-        raise ReductionPreconditionError("q0 must be a positive integer")
-    if delta_const is None:
-        delta_const = DEFAULT_DELTA_CONST
-    delta = Fraction(delta_const)
-    if not (0 < delta < 1):
-        raise ReductionPreconditionError("delta_const must lie in (0, 1)")
+    delta = DEFAULT_DELTA_CONST
     x = _fraction(state.y)
     eta = gens.eta
-    if not (eta * x < q0 ** C_cfg):
+    if not (eta * x < 1):
         raise ReductionPreconditionError(
-            f"residual scale eta={eta} fails eta < q0^C/x = {q0 ** C_cfg}/{x}")
+            f"residual scale eta={eta} fails eta < 1/x = 1/{x}")
 
-    # membership of each generator relative to q0, with coefficient error slack
+    # membership of each generator, with coefficient error slack
     for ell in range(r):
-        h = gens.h_vecs[ell]
-        a = gens.a_vecs[ell]
-        for j in range(1, d + 1):
-            center = Fraction(0)
-            slack = Fraction(0)
-            for i, hi in enumerate(h):
-                if hi:
-                    c = state.system.coeff(i + 1, j)
-                    center += hi * c.value
-                    slack += abs(hi) * c.err
-            if abs(center - Fraction(a[j - 1], q0)) + slack > eta ** j:
+        centers, slacks = membership_residuals(state.system, gens.h_vecs[ell],
+                                               gens.a_vecs[ell])
+        for j, (c, s) in enumerate(zip(centers, slacks), start=1):
+            if c + s > eta ** j:
                 raise ReductionPreconditionError(
                     f"generator {ell} slot {j}: residual exceeds eta^{j}")
 
     h_tilde = gens.h_tilde()
-    lead = _best_leading_columns(h_tilde, k, r)
+    minor, lead = max_minor(h_tilde)
+    if minor == 0:
+        raise ReductionPreconditionError("generator h vectors are rank deficient")
     perm = tuple(list(lead) + [c for c in range(k) if c not in lead])
 
     H1 = [[gens.h_vecs[ell][perm[p]] for p in range(r)] for ell in range(r)]
@@ -217,12 +198,12 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet, q0: int,
     if abs(det_bareiss(Z)) * D2 != D1:
         raise ArithmeticError("solution lattice determinant mismatch")
 
-    # b' tables: H1 u_j - H2 w_j = D2^j q0^(j-1) a_j, solved exactly over Z
+    # b' tables: H1 u_j - H2 w_j = D2^j a_j, solved exactly over Z
     A = [list(H1[ell]) + [-v for v in H2[ell]] for ell in range(r)]
     b_upper = [[0] * d for _ in range(r)]
     b_lower = [[0] * d for _ in range(k - r)]
     for j in range(1, d + 1):
-        rhs = [D2 ** j * q0 ** (j - 1) * gens.a_vecs[ell][j - 1] for ell in range(r)]
+        rhs = [D2 ** j * gens.a_vecs[ell][j - 1] for ell in range(r)]
         v = solve_integer(A, rhs)
         if v is None:
             raise IntegralityError(f"no integer b' for slot {j}")
@@ -231,16 +212,15 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet, q0: int,
         for i in range(k - r):
             b_lower[i][j - 1] = v[r + i]
 
-    # f~_i(X) = f_perm(i)(D2 q0 X) - sum_j b'_{i,j} X^j for the trailing block
-    scale = D2 * q0
+    # f~_i(X) = f_perm(i)(D2 X) - sum_j b'_{i,j} X^j for the trailing block
     ftil = []  # list over i = r+1..k of coefficient Reals
     for p in range(r, k):
         orig = state.system.polys[perm[p]]
         coeffs = []
         for j in range(1, d + 1):
             c = orig.coeffs[j - 1]
-            val = c.value * scale ** j - b_lower[p - r][j - 1]
-            err = c.err * scale ** j
+            val = c.value * D2 ** j - b_lower[p - r][j - 1]
+            err = c.err * D2 ** j
             coeffs.append(Real(val, exact=(err == 0), err=err))
         ftil.append(coeffs)
 
@@ -261,20 +241,20 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet, q0: int,
     eps_prime = Epsilons(tuple(1 / b for b in B_prime))
 
     min_h = min(max(abs(v) for v in h_tilde[ell]) for ell in range(r))
-    y_new = delta * x * min_h / (q0 ** (C_cfg + 1) * D2)
+    y_new = delta * x * min_h / D2
     if y_new <= 1:
         raise DegenerateHorizonError(f"reduced horizon {y_new} <= 1")
 
     return ReductionStep(
-        k=k, k_prime=k - r, r=r, perm=perm, q0=q0, D1=D1, D2=D2, Z=Z,
+        k=k, k_prime=k - r, r=r, perm=perm, q0=1, D1=D1, D2=D2, Z=Z,
         b_prime_upper=b_upper, b_prime=b_lower, g=g, eps_prime=eps_prime,
-        y=Real(y_new), delta_const=delta, C_cfg=C_cfg,
+        y=Real(y_new), delta_const=delta, C_cfg=C_CFG,
         parent_digest=state.digest(), gens=gens, B_prime=B_prime,
         min_h_tilde=min_h)
 
 
 def lift_solution(step: ReductionStep, n_prime: int, parent: SystemState):
-    """Map a solution of the reduced system to the parent: n = n' q0 D2.
+    """Map a solution of the reduced system to the parent: n = n' * step.scale().
 
     The parent system is re-evaluated exactly at n and every tolerance is
     enforced; failure raises LiftVerificationError with the offending index.
@@ -313,19 +293,20 @@ class DensityReport:
                 "C_impl": self.C_impl, "log10_C_impl": self.log10_C_impl}
 
 
-def implementation_constant(step: ReductionStep, C_cfg: Optional[int] = None) -> float:
+def implementation_constant(step: ReductionStep) -> float:
     """log10 of this implementation's provable density-invariant slack.
 
     The chain ratio >= 1/C_impl follows from the construction's own bounds:
     prod B' = delta^(-2k') * (prod ||z_i||_inf) * (tail B) exactly, the LLL
     orthogonality defect prod||z_i|| <= 2^(k'(k'-1)/4) * D1/D2, Hadamard
     D1 <= (head B) * r^(r/2) * tilde_product, and min||h~|| >= tilde_product
-    (each factor lies in (0, 1]).  Collecting terms:
+    (each factor lies in (0, 1]).  Collecting terms, with C, delta and q0
+    as the step records them:
 
         C_impl = q0^(C+1) * delta^-(1 + 2 k' E') * 2^(k'(k'-1)/4 * E')
                  * r^(r E' / 2),       E' = 3C^2 - C^2/k'^3.
     """
-    C = C_cfg if C_cfg is not None else step.C_cfg
+    C = step.C_cfg
     kp, r = step.k_prime, step.r
     E_new = float(3 * C * C - Fraction(C * C, kp ** 3))
     delta = float(step.delta_const)
@@ -336,17 +317,15 @@ def implementation_constant(step: ReductionStep, C_cfg: Optional[int] = None) ->
     return log10
 
 
-def density_invariant(parent: SystemState, step: ReductionStep,
-                      C_cfg: Optional[int] = None,
-                      C_impl: Optional[float] = None) -> DensityReport:
+def density_invariant(parent: SystemState, step: ReductionStep) -> DensityReport:
     """Compare y' / (prod B')^(3C^2 - C^2/k'^3) with x / (prod B)^(3C^2 - C^2/k^3 - C^2/k^4).
 
     Computed in logs so astronomically large products stay finite; pass
-    means lhs >= rhs / C_impl.  By default C_impl is the implementation's
-    own provable slack for this step (see implementation_constant), recorded
-    in the report; a caller may pin an explicit constant instead.
+    means lhs >= rhs / C_impl, where C_impl is the implementation's own
+    provable slack for this step (see implementation_constant), recorded in
+    the report.  C is the step's recorded C_cfg.
     """
-    C = C_cfg if C_cfg is not None else step.C_cfg
+    C = step.C_cfg
     k, kp = step.k, step.k_prime
     C2 = Fraction(C) ** 2
     E_new = 3 * C2 - C2 / kp ** 3
@@ -364,12 +343,8 @@ def density_invariant(parent: SystemState, step: ReductionStep,
         lhs_s = mpmath.nstr(mpmath.exp(llhs), 8) if abs(llhs) < 700 else f"exp({mpmath.nstr(llhs, 8)})"
         rhs_s = mpmath.nstr(mpmath.exp(lrhs), 8) if abs(lrhs) < 700 else f"exp({mpmath.nstr(lrhs, 8)})"
         log10r = float(lratio / mpmath.log(10))
-    if C_impl is None:
-        log10_C = implementation_constant(step, C)
-        C_impl_val = 10.0 ** log10_C if log10_C < 308 else math.inf
-    else:
-        C_impl_val = C_impl
-        log10_C = math.log10(C_impl)
+    log10_C = implementation_constant(step)
+    C_impl_val = 10.0 ** log10_C if log10_C < 308 else math.inf
     passed = log10r >= -log10_C - 1e-9
     return DensityReport(lhs_str=lhs_s, rhs_str=rhs_s, ratio=ratio,
                          log10_ratio=log10r, passed=passed, C_impl=C_impl_val,

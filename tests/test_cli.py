@@ -52,6 +52,14 @@ class TestSolveCommand:
         assert main(["solve", half_system, "--config", cfg]) == EXIT_OK
         capsys.readouterr()
 
+    @pytest.mark.parametrize("name", ["C_cfg", "c_orth", "delta_const",
+                                      "precision_bits", "C_impl"])
+    def test_config_constant_is_unknown_field(self, tmp_path, half_system, name, capsys):
+        # the reduction's constants are not configuration
+        cfg = write(tmp_path, "cfg.json", {name: 4})
+        assert main(["solve", half_system, "--config", cfg]) == EXIT_ERROR
+        assert f"unknown config field {name!r}" in capsys.readouterr().err
+
 
 class TestOracleCommand:
     def test_oracle(self, half_system, capsys):

@@ -78,6 +78,17 @@ class TestSolve:
         checks = verify_certificate(out.certificate)
         assert all(ok for _n, ok, _d in checks)
 
+    def test_chain_step_records_fixed_constants(self):
+        # the reduction's constants are fixed, and each step still records them
+        out = solve(dup_sqrt2_state(10 ** 5), FORCED)
+        assert out.certificate.chain
+        for step in out.certificate.chain:
+            assert step.q0 == 1 and step.C_cfg == 4
+            assert step.to_dict()["delta_const"] == "1/4"
+            assert step.scale() == step.D2
+        config = out.certificate.constants["config"]
+        assert SolverConfig.from_dict(config) == FORCED
+
     def test_reduction_needs_no_box_scan_or_relations(self, monkeypatch):
         # the generators come from the relation lattice alone, so the Fourier
         # box scan and relation reconstruction stay off the path.  Their

@@ -39,9 +39,8 @@ def dup_state(x=10 ** 5, eps=Fraction(1, 20)):
     return SystemState(s, Epsilons((eps, eps)), Real(Fraction(x)))
 
 
-def dup_gens(state, q0=1, C=4):
-    x = state.y.value
-    eta = min(Fraction(1, 100), Fraction(q0 ** C, 1) / (2 * x))
+def dup_gens(state):
+    eta = min(Fraction(1, 100), 1 / (2 * state.y.value))
     g = quasi_orthogonal_generators(state.system, [20, 20], eta,
                                     N_target=41, c_orth=0.05)
     assert isinstance(g, GeneratorSet)
@@ -52,7 +51,7 @@ class TestReduceDimension:
     def test_duplicate_pair_end_to_end(self):
         state = dup_state()
         gens = dup_gens(state)
-        step = reduce_dimension(state, gens, q0=1, C_cfg=4)
+        step = reduce_dimension(state, gens)
         assert step.k_prime == 1
         assert step.D1 == 1 and step.D2 == 1
         # child system is the surviving duplicate
@@ -71,14 +70,14 @@ class TestReduceDimension:
                                         N_target=3, c_orth=0.05)
         assert isinstance(g, GeneratorSet) and g.r == 1
         with pytest.raises(ReductionPreconditionError):
-            reduce_dimension(state, g, q0=1)
+            reduce_dimension(state, g)
 
     def test_eta_gate_enforced(self):
         state = dup_state()
         gens = dup_gens(state)
         loose = dataclasses.replace(gens, eta=Fraction(1, 50))
         with pytest.raises(ReductionPreconditionError):
-            reduce_dimension(state, loose, q0=1, C_cfg=4)
+            reduce_dimension(state, loose)
 
     def test_rational_system_symbolic_identity(self):
         # exact rational duplicates: Z g(t) must equal the shifted system at
@@ -90,7 +89,7 @@ class TestReduceDimension:
         gens = quasi_orthogonal_generators(s, [20, 20], eta, N_target=41,
                                            c_orth=0.05, max_r=1)
         assert isinstance(gens, GeneratorSet)
-        step = reduce_dimension(state, gens, q0=1, C_cfg=4)
+        step = reduce_dimension(state, gens)
         scale = step.scale()
         d = s.d
         for t in range(1, 21):
@@ -104,7 +103,7 @@ class TestReduceDimension:
 
     def test_b_prime_consistency_and_detz(self):
         state = dup_state()
-        step = reduce_dimension(state, dup_gens(state), q0=1, C_cfg=4)
+        step = reduce_dimension(state, dup_gens(state))
         r, k, d = step.r, step.k, state.system.d
         H1 = [[step.gens.h_vecs[ell][step.perm[p]] for p in range(r)]
               for ell in range(r)]
@@ -114,8 +113,7 @@ class TestReduceDimension:
             lhs = [sum(H1[ell][i] * step.b_prime_upper[i][j - 1] for i in range(r))
                    - sum(H2[ell][i] * step.b_prime[i][j - 1] for i in range(k - r))
                    for ell in range(r)]
-            rhs = [step.D2 ** j * step.q0 ** (j - 1) * step.gens.a_vecs[ell][j - 1]
-                   for ell in range(r)]
+            rhs = [step.D2 ** j * step.gens.a_vecs[ell][j - 1] for ell in range(r)]
             assert lhs == rhs
         assert abs(det_bareiss(step.Z)) * step.D2 == step.D1
         assert step.k_prime < step.k
@@ -130,7 +128,7 @@ class TestReduceDimension:
         gens = quasi_orthogonal_generators(s, [60, 60], eta, N_target=41, c_orth=0.05)
         assert isinstance(gens, GeneratorSet)
         assert sorted(abs(v) for v in gens.h_vecs[0]) == [3, 3]
-        step = reduce_dimension(state, gens, q0=1, C_cfg=4)
+        step = reduce_dimension(state, gens)
         assert step.D2 == 3
         assert step.scale() == 3
         child = step.child_state()
@@ -141,17 +139,20 @@ class TestReduceDimension:
             assert all(dv < e.value for dv, e in zip(dists, state.eps.eps))
 
     def test_degenerate_horizon(self):
-        state = dup_state(x=2000)
+        # y' = delta x min|h~| / D2 = (1/4) * 80 * (1/20) = 1, not above 1
+        state = dup_state(x=80)
         gens = dup_gens(state)
         with pytest.raises(DegenerateHorizonError):
-            reduce_dimension(state, gens, q0=1, C_cfg=4,
-                             delta_const=Fraction(1, 10 ** 4))
+            reduce_dimension(state, gens)
+        # just above the boundary the same generators reduce
+        wider = dup_state(x=100)
+        assert reduce_dimension(wider, dup_gens(wider)).y.value == Fraction(5, 4)
 
 
 class TestLift:
     def _working(self):
         state = dup_state()
-        step = reduce_dimension(state, dup_gens(state), q0=1, C_cfg=4)
+        step = reduce_dimension(state, dup_gens(state))
         child = step.child_state()
         hit = first_hit(child.system, child.eps, child.y.value)
         assert hit is not None
@@ -204,7 +205,7 @@ class TestLift:
 class TestDensityInvariant:
     def test_executed_reduction_passes(self):
         state = dup_state()
-        step = reduce_dimension(state, dup_gens(state), q0=1, C_cfg=4)
+        step = reduce_dimension(state, dup_gens(state))
         rep = density_invariant(state, step)
         assert rep.passed
         assert math.isfinite(rep.log10_ratio)
@@ -213,7 +214,7 @@ class TestDensityInvariant:
     def test_formula_spot_check(self):
         # k=2 -> k'=1 with y' = x: log ratio must equal E log(prod B) - E' log(prod B')
         state = dup_state()
-        step = reduce_dimension(state, dup_gens(state), q0=1, C_cfg=4)
+        step = reduce_dimension(state, dup_gens(state))
         synthetic = dataclasses.replace(step, y=Real(state.y.value))
         rep = density_invariant(state, synthetic)
         C2 = 16
@@ -225,7 +226,7 @@ class TestDensityInvariant:
 
     def test_halving_y_halves_ratio(self):
         state = dup_state()
-        step = reduce_dimension(state, dup_gens(state), q0=1, C_cfg=4)
+        step = reduce_dimension(state, dup_gens(state))
         rep = density_invariant(state, step)
         tampered = dataclasses.replace(step, y=Real(step.y.value / 2))
         rep2 = density_invariant(state, tampered)
@@ -235,7 +236,7 @@ class TestDensityInvariant:
 class TestCertificate:
     def _cert(self):
         state = dup_state()
-        step = reduce_dimension(state, dup_gens(state), q0=1, C_cfg=4)
+        step = reduce_dimension(state, dup_gens(state))
         child = step.child_state()
         hit = first_hit(child.system, child.eps, child.y.value)
         n, dists = lift_solution(step, hit, state)
