@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .core import HorizonCapError, Real, brute_force_min
+from .core import HorizonCapError, brute_force_min
 from .denomstruct import (
     DEFAULT_FILTER_DELTA,
     cluster_by_denominator,
@@ -82,9 +82,8 @@ def cmd_solve(args) -> int:
 
 def cmd_oracle(args) -> int:
     state = parse_system_file(args.system)
-    n_star, value = brute_force_min(state.system, state.y.value,
-                                    enum_cap=args.enum_cap)
-    meets = all(value < e.value for e in state.eps.eps)
+    n_star, value = brute_force_min(state.system, state.y, enum_cap=args.enum_cap)
+    meets = all(value < e for e in state.eps.eps)
     _emit({"n_star": n_star, "min_max_dist": str(value),
            "min_max_dist_float": float(value), "meets_all_eps": meets})
     return EXIT_OK
@@ -119,8 +118,8 @@ def cmd_verify_cert(args) -> int:
 
 
 def cmd_fourier_scan(args) -> int:
-    state = parse_system_file(args.system, bits=args.precision)
-    x = Fraction(args.x) if args.x else state.y.value
+    state = parse_system_file(args.system)
+    x = Fraction(args.x) if args.x else state.y
     dich = large_coefficients(state.system, state.eps, x, c_hit=args.c_hit,
                               max_box=args.max_box)
     _emit({"system": state.to_dict(), "x": str(x), "dichotomy": dich.to_dict()})
@@ -240,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", help="override the file's horizon")
     p.add_argument("--c-hit", type=float, default=0.05)
     p.add_argument("--max-box", type=int, default=20000)
-    p.add_argument("--precision", type=int, default=192)
     p.set_defaults(func=cmd_fourier_scan)
 
     p = sub.add_parser("relations", help="rational relations from a fourier scan")

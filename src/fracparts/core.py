@@ -1,10 +1,13 @@
 """Exact representation of polynomial systems and the brute-force ground truth.
 
-All scalars are carried as exact rationals (`fractions.Fraction`).  Inputs
-that are genuinely irrational (the ``sqrt(m)/q`` coefficient grammar) are
-rounded once at ingestion to a dyadic rational with a recorded rounding
-radius; every later computation is exact arithmetic on that approximant.
-This gives bit-identical, machine-independent results and makes "exact for
+All scalars are carried as exact rationals (`fractions.Fraction`).
+Tolerances and horizons are plain Fractions: they are thresholds, and an
+irrational one is rejected where it enters (`SystemState` for the horizon,
+`serialize` for system files).  Only coefficients may be genuinely
+irrational (the ``sqrt(m)/q`` grammar); a coefficient is a `Real`, a
+dyadic approximant rounded once at ingestion plus its error radius, and
+every later computation is exact arithmetic on that approximant.  This
+gives bit-identical, machine-independent results and makes "exact for
 rational inputs" literally true.
 """
 
@@ -14,10 +17,10 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 DEFAULT_PRECISION_BITS = 192
 DEFAULT_ENUM_CAP = 10 ** 8
@@ -41,73 +44,45 @@ class ScalarParseError(ValueError):
 
 @dataclass(frozen=True)
 class Real:
-    """A real scalar: an exact rational approximant plus bookkeeping.
+    """A real coefficient: an exact rational approximant plus its error radius.
 
-    ``value`` is the stored rational.  ``exact`` is True when the intended
-    real equals ``value``; otherwise ``err`` bounds ``|intended - value|``.
-    ``prec`` records the fractional bit count used at ingestion.
+    ``value`` is the stored rational and ``err`` bounds
+    ``|intended - value|``; the scalar is exact when ``err`` is 0.
     """
 
     value: Fraction
-    exact: bool = True
     err: Fraction = Fraction(0)
-    prec: int = DEFAULT_PRECISION_BITS
     source: Optional[str] = None  # the grammar form this was parsed from, if any
 
     def __post_init__(self):
         object.__setattr__(self, "value", Fraction(self.value))
         object.__setattr__(self, "err", Fraction(self.err))
-        if self.exact and self.err != 0:
-            raise ValueError("exact scalar cannot carry a nonzero error radius")
+
+    @property
+    def exact(self) -> bool:
+        return self.err == 0
 
     def __add__(self, other: "Real") -> "Real":
         other = _as_real(other)
-        return Real(self.value + other.value, self.exact and other.exact,
-                    Fraction(0) if (self.exact and other.exact) else self.err + other.err,
-                    min(self.prec, other.prec))
+        return Real(self.value + other.value, self.err + other.err)
 
     def __sub__(self, other: "Real") -> "Real":
         return self + (-_as_real(other))
 
     def __neg__(self) -> "Real":
-        return Real(-self.value, self.exact, self.err, self.prec)
+        return Real(-self.value, self.err)
 
     def __mul__(self, other: "Real") -> "Real":
         other = _as_real(other)
-        exact = self.exact and other.exact
-        err = Fraction(0)
-        if not exact:
-            err = (abs(self.value) * other.err + abs(other.value) * self.err
-                   + self.err * other.err)
-        return Real(self.value * other.value, exact, err, min(self.prec, other.prec))
-
-    def __truediv__(self, other: "Real") -> "Real":
-        other = _as_real(other)
-        if not other.exact:
-            raise ValueError("division by an inexact scalar is not supported")
-        if other.value == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        return Real(self.value / other.value, self.exact,
-                    self.err / abs(other.value), min(self.prec, other.prec))
-
-    def __float__(self) -> float:
-        return float(self.value)
+        err = (abs(self.value) * other.err + abs(other.value) * self.err
+               + self.err * other.err)
+        return Real(self.value * other.value, err)
 
     def __eq__(self, other) -> bool:
         return self.value == _as_real(other).value
 
-    def __lt__(self, other) -> bool:
-        return self.value < _as_real(other).value
-
-    def __le__(self, other) -> bool:
-        return self.value <= _as_real(other).value
-
     def __hash__(self):
         return hash(self.value)  # __eq__ compares values only
-
-    def to_str(self) -> str:
-        v = self.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 def _as_real(v) -> Real:
@@ -149,14 +124,13 @@ def parse_scalar(text: str, bits: int = DEFAULT_PRECISION_BITS) -> Real:
     if root * root == rad:
         return Real(Fraction(sign * root, rden), source=text)
     approx = _isqrt_dyadic(rad, bits)
-    return Real(sign * approx / rden, exact=False,
-                err=Fraction(1, (1 << bits) * rden), prec=bits, source=text)
+    return Real(sign * approx / rden, err=Fraction(1, (1 << bits) * rden),
+                source=text)
 
 
 def frac_dist(t) -> Fraction:
     """Distance from t to the nearest integer, as an exact Fraction in [0, 1/2]."""
-    v = t.value if isinstance(t, Real) else Fraction(t)
-    r = v - v.__floor__()
+    r = Fraction(t) % 1
     return min(r, 1 - r)
 
 
@@ -222,10 +196,10 @@ class Epsilons:
     eps: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", tuple(_as_real(e) for e in self.eps))
+        object.__setattr__(self, "eps", tuple(Fraction(e) for e in self.eps))
         for e in self.eps:
-            if not (0 < e.value <= Fraction(1, 2)):
-                raise ValueError(f"epsilon {e.value} outside (0, 1/2]")
+            if not (0 < e <= Fraction(1, 2)):
+                raise ValueError(f"epsilon {e} outside (0, 1/2]")
 
     @property
     def k(self) -> int:
@@ -233,29 +207,36 @@ class Epsilons:
 
     @property
     def delta_product(self) -> Fraction:
-        prod = Fraction(1)
-        for e in self.eps:
-            prod *= e.value
-        return prod
+        return math.prod(self.eps, start=Fraction(1))
 
     @property
     def within_theorem_hypothesis(self) -> bool:
         """True when every tolerance is <= 1/100 (the range the guarantee covers)."""
-        return all(e.value <= Fraction(1, 100) for e in self.eps)
+        return all(e <= Fraction(1, 100) for e in self.eps)
 
 
 @dataclass(frozen=True)
 class SystemState:
-    """A (k, system, tolerances, horizon) search problem."""
+    """A (k, system, tolerances, horizon) search problem.
+
+    The horizon is an exact rational; an exact `Real` is accepted and
+    stored as its value, and an inexact one is rejected.
+    """
 
     system: PolySystem
     eps: Epsilons
-    y: Real
+    y: Fraction
 
     def __post_init__(self):
+        y = self.y
+        if isinstance(y, Real):
+            if not y.exact:
+                raise ValueError("horizon must be exact, not an approximant")
+            y = y.value
+        object.__setattr__(self, "y", Fraction(y))
         if self.system.k != self.eps.k:
             raise ValueError("tolerance count must match polynomial count")
-        if not self.y.value > 1:
+        if not self.y > 1:
             raise ValueError("horizon must exceed 1")
 
     @property
@@ -265,10 +246,10 @@ class SystemState:
     def to_dict(self) -> dict:
         return {
             "d": self.system.d,
-            "polys": [[c.to_str() for c in p.coeffs] for p in self.system.polys],
+            "polys": [[str(c.value) for c in p.coeffs] for p in self.system.polys],
             "polys_exact": [[c.exact for c in p.coeffs] for p in self.system.polys],
-            "eps": [e.to_str() for e in self.eps.eps],
-            "x": self.y.to_str(),
+            "eps": [str(e) for e in self.eps.eps],
+            "x": str(self.y),
         }
 
     def digest(self) -> str:
@@ -383,8 +364,7 @@ def _check_cap(last: int, k: int, enum_cap: int):
 
 def horizon_count(x) -> int:
     """Number of n in the strict horizon {1, ..., ceil(x)-1}."""
-    v = x.value if isinstance(x, Real) else Fraction(x)
-    return max(int(math.ceil(v)) - 1, 0)
+    return max(math.ceil(x) - 1, 0)
 
 
 def eval_system(system: PolySystem, n: int):
@@ -437,12 +417,12 @@ def _checkpointed_min(system: PolySystem, checkpoints: Sequence[int],
 
 def _strict_thresholds(eps: Epsilons, D: int):
     # min(r, D-r) <= t  <=>  min(r, D-r)/D < eps, with t = (eps.num*D - 1) // eps.den
-    return [(e.value.numerator * D - 1) // e.value.denominator for e in eps.eps]
+    return [(e.numerator * D - 1) // e.denominator for e in eps.eps]
 
 
 def hit_count(system: PolySystem, eps: Epsilons, x, enum_cap: int = DEFAULT_ENUM_CAP) -> int:
     """#{n <= x : frac_dist(f_i(n)) < eps_i for all i} (strict inequalities)."""
-    last = int((x.value if isinstance(x, Real) else Fraction(x)).__floor__())
+    last = math.floor(x)
     _check_cap(last, system.k, enum_cap)
     D, chunks = _residues(system, last)
     thresholds = _strict_thresholds(eps, D)

@@ -8,7 +8,7 @@ the diagnostics for the expansion branch, exercised in tests and experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import List, Sequence, Tuple

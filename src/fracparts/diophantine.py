@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .core import PolySystem, Epsilons, Real
+from .core import PolySystem, Epsilons
 from .expsum import LARGE_COEFFICIENTS, FourierDichotomy
 
 DEFAULT_TOL_REL = 1.0
@@ -25,10 +25,6 @@ RESIDUAL_MATCH_TOL = Fraction(1, 2 ** 40)
 
 class ShapeMismatchError(ValueError):
     pass
-
-
-def _as_fraction(v) -> Fraction:
-    return v.value if isinstance(v, Real) else Fraction(v)
 
 
 def _feasible(dist: Fraction, q: int, Q: int) -> bool:
@@ -49,7 +45,7 @@ def best_rational(alpha, Q: int) -> Tuple[int, int]:
     """
     if Q < 1:
         raise ValueError("Q must be a positive integer")
-    alpha = _as_fraction(alpha)
+    alpha = Fraction(alpha)
 
     best: Optional[Tuple[Fraction, int, int]] = None  # (dist, q, a)
 
@@ -151,7 +147,6 @@ def build_relations(system: PolySystem, eps: Epsilons, x, dich: FourierDichotomy
     """
     if dich.branch != LARGE_COEFFICIENTS:
         raise ValueError("relations require the large-coefficients branch")
-    xv = _as_fraction(x)
     tol = Fraction(tol_rel)
     bound_num = tol * Fraction(Q_rel) ** C_cfg
     kept = []
@@ -162,7 +157,7 @@ def build_relations(system: PolySystem, eps: Epsilons, x, dich: FourierDichotomy
         for j, s in enumerate(sigmas, start=1):
             a_j, q_j = best_rational(s, Q_rel)
             r_j = abs(s - Fraction(a_j, q_j))
-            if r_j > bound_num / xv ** j:
+            if r_j > bound_num / x ** j:
                 ok = False
                 break
             a_vec.append(a_j)

@@ -69,6 +69,12 @@ N_TARGET = 3
 C_ORTH = 0.05
 
 
+# JSON value types of the config fields that are not plain integers; a
+# bool is never accepted, although Python counts it as an int
+_CONFIG_TYPES = {"c_hit": ((int, float), "a number"),
+                 "max_depth": ((int, type(None)), "an integer or null")}
+
+
 @dataclass
 class SolverConfig:
     c_hit: float = 0.05
@@ -84,9 +90,12 @@ class SolverConfig:
     @staticmethod
     def from_dict(d: dict) -> "SolverConfig":
         names = {f.name for f in fields(SolverConfig)}
-        for key in d:
+        for key, value in d.items():
             if key not in names:
                 raise ValueError(f"unknown config field {key!r}")
+            types, what = _CONFIG_TYPES.get(key, (int, "an integer"))
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"config field {key!r}: need {what}, got {value!r}")
         return SolverConfig(**d)
 
 
@@ -147,7 +156,7 @@ def generator_bounds(eps: Epsilons) -> List[int]:
                               -2.0 / (2 * k) ** 4)
         out = []
         for e in eps.eps:
-            inv = 1 / e.value
+            inv = 1 / e
             cap = int(mpmath.floor(factor * mpmath.mpf(inv.numerator) / inv.denominator))
             out.append(max(math.ceil(inv), cap, 2))
     return out
@@ -174,8 +183,8 @@ def solve(state: SystemState, config: Optional[SolverConfig] = None) -> SolveOut
                            root_k=state.k)
     if outcome.status == STATUS_FOUND:
         dists = eval_system(state.system, outcome.n)
-        if not all(dv < e.value for dv, e in zip(dists, state.eps.eps)):
-            raise LiftVerificationError(0, max(dists), min(e.value for e in state.eps.eps))
+        if not all(dv < e for dv, e in zip(dists, state.eps.eps)):
+            raise LiftVerificationError(0, max(dists), min(state.eps.eps))
     stats.wall_time = time.monotonic() - t0
     return outcome
 
@@ -183,7 +192,7 @@ def solve(state: SystemState, config: Optional[SolverConfig] = None) -> SolveOut
 def _scan_level(state: SystemState, config: SolverConfig, stats: SolveStats,
                 constants: dict, reason: str) -> SolveOutcome:
     try:
-        n = first_hit(state.system, state.eps, state.y.value, enum_cap=config.enum_cap)
+        n = first_hit(state.system, state.eps, state.y, enum_cap=config.enum_cap)
         stats.evaluations += horizon_count(state.y) if n is None else n
     except HorizonCapError:
         stats.fallbacks.append(f"{reason}:enum-cap")
@@ -202,15 +211,14 @@ def _solve_level(state: SystemState, config: SolverConfig, stats: SolveStats,
     stats.max_depth_reached = max(stats.max_depth_reached, depth)
     # record whether the analytic argument's hypothesis held at this level:
     # Delta^-1 <= x^(2/C)  <=>  x^2 Delta^C >= 1 (exact rational comparison)
-    xv = state.y.value
     stats.delta_gate.append(
-        xv * xv * state.eps.delta_product ** C_CFG >= 1)
+        state.y ** 2 * state.eps.delta_product ** C_CFG >= 1)
     horizon = horizon_count(state.y)
     if horizon <= config.brute_force_threshold:
         return _scan_level(state, config, stats, constants, "below brute-force threshold")
 
     try:
-        gate = density_gate(state.system, state.eps, state.y.value,
+        gate = density_gate(state.system, state.eps, state.y,
                             c_hit=config.c_hit, max_box=config.max_box,
                             enum_cap=config.enum_cap)
     except (BoxTooLargeError, ValueError, HorizonCapError) as exc:
@@ -239,7 +247,7 @@ def _reduction_path(state, config, stats, depth, constants,
                     root_k: int) -> Optional[SolveOutcome]:
     """One reduction over q0 = 1, then the child's solve and the lift."""
     # eta < 1/x is reduce_dimension's gate; 1/100 is the lemma's hypothesis
-    eta = min(Fraction(1, 100), 1 / (2 * state.y.value))
+    eta = min(Fraction(1, 100), 1 / (2 * state.y))
     gens = quasi_orthogonal_generators(state.system, generator_bounds(state.eps), eta,
                                        N_target=N_TARGET, c_orth=C_ORTH,
                                        max_r=state.k - 1)
@@ -325,8 +333,7 @@ def draw_system(generator_spec: str, k: int, d: int, seed: int, trial: int,
             elif generator_spec == "monomial" and j < d:
                 coeffs.append(Real(Fraction(0)))
             else:
-                coeffs.append(Real(_counter_uniform(seed, trial, index, bits),
-                                   exact=True))
+                coeffs.append(Real(_counter_uniform(seed, trial, index, bits)))
             index += 1
         polys.append(Poly(tuple(coeffs)))
     return PolySystem(tuple(polys))

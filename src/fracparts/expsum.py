@@ -27,7 +27,6 @@ from .core import (
     Epsilons,
     Poly,
     PolySystem,
-    Real,
     _check_cap,
     _hits,
     _residues,
@@ -88,7 +87,7 @@ class SmoothingKernel:
     """
 
     def phi(self, u) -> Fraction:
-        u = abs(u.value if isinstance(u, Real) else Fraction(u))
+        u = abs(Fraction(u))
         if u <= Fraction(1, 2):
             return Fraction(1)
         if u >= 1:
@@ -97,10 +96,9 @@ class SmoothingKernel:
 
     def periodized(self, t, eps) -> Fraction:
         """Phi(t) = sum_m phi((t+m)/eps); equals phi(frac_dist(t)/eps) for eps <= 1/2."""
-        e = eps.value if isinstance(eps, Real) else Fraction(eps)
-        if not (0 < e <= Fraction(1, 2)):
+        if not (0 < eps <= Fraction(1, 2)):
             raise ValueError("kernel width must lie in (0, 1/2]")
-        return self.phi(frac_dist(t) / e)
+        return self.phi(frac_dist(t) / eps)
 
     def phi_hat(self, u: float) -> float:
         """Fourier transform integral phi(t) e(-ut) dt (real since phi is even)."""
@@ -114,7 +112,7 @@ class SmoothingKernel:
 
     def fourier_coefficient(self, eps, h: int) -> float:
         """Coefficient of e(h t) in the Fourier series of the eps-periodization."""
-        e = float(eps.value if isinstance(eps, Real) else Fraction(eps))
+        e = float(eps)
         return e * self.phi_hat(e * h)
 
 
@@ -151,7 +149,7 @@ def weyl_sum(system: PolySystem, h: Sequence[int], x,
     smaller precision's rounding.  Raises HorizonCapError when floor(x)
     exceeds the default enumeration cap.
     """
-    last = int(Fraction(x.value if isinstance(x, Real) else Fraction(x)).__floor__())
+    last = math.floor(x)
     _check_cap(last, 1, DEFAULT_ENUM_CAP)
     sigma = _phase_coefficients(system, h)
     with mpmath.workprec(bits + 16):
@@ -205,19 +203,18 @@ def smoothed_count(system: PolySystem, eps: Epsilons, x,
     Sandwiched between the strict hit counts at eps/2 and eps because the
     kernel's plateau covers |u| <= 1/2 and its support is |u| < 1.
     """
-    last = int((x.value if isinstance(x, Real) else Fraction(x)).__floor__())
+    last = math.floor(x)
     _check_cap(last, system.k, enum_cap)
     D, chunks = _residues(system, last)
-    evals = [e.value for e in eps.eps]
     # in D * frac_dist units: the support is the strict hit region, and the
     # plateau is 2*m*den <= num*D
     support = _strict_thresholds(eps, D)
-    plateau = [e.numerator * D // (2 * e.denominator) for e in evals]
+    plateau = [e.numerator * D // (2 * e.denominator) for e in eps.eps]
     total = Fraction(0)
     for _n0, cols in chunks:
         for j in _hits(cols, D, support):
             prod = Fraction(1)
-            for col, e, flat in zip(cols, evals, plateau):
+            for col, e, flat in zip(cols, eps.eps, plateau):
                 m = min(col[j], D - col[j])
                 if m > flat:  # transition band
                     prod *= _transition(2 * Fraction(m, D) / e - 1)
@@ -275,7 +272,7 @@ def frequency_caps(eps: Epsilons) -> Tuple[int, ...]:
                               -float(exponent))
         caps = []
         for e in eps.eps:
-            v = factor / (mpmath.mpf(e.value.numerator) / e.value.denominator)
+            v = factor / (mpmath.mpf(e.numerator) / e.denominator)
             caps.append(int(mpmath.floor(v)))
     return tuple(caps)
 
@@ -317,8 +314,7 @@ def density_gate(system: PolySystem, eps: Epsilons, x, c_hit: float = 0.05,
     delta = eps.delta_product
     if delta > Fraction(1, 4):
         raise ValueError(f"Delta = {delta} exceeds 1/4")
-    xv = x.value if isinstance(x, Real) else Fraction(x)
-    N = int(xv.__floor__())
+    N = math.floor(x)
     if N < 2:
         raise ValueError("need floor(x) >= 2")
 
@@ -329,7 +325,7 @@ def density_gate(system: PolySystem, eps: Epsilons, x, c_hit: float = 0.05,
     if box > max_box:
         raise BoxTooLargeError(f"frequency box {box} exceeds cap {max_box}")
 
-    hits = hit_count(system, eps, xv, enum_cap=enum_cap)
+    hits = hit_count(system, eps, x, enum_cap=enum_cap)
     threshold = Fraction(c_hit) * delta * N
     if hits >= threshold:
         return FourierDichotomy(branch=HIT_DENSITY, x_floor=N, h_caps=caps,
@@ -460,17 +456,14 @@ def verify_weyl_bound(poly: Poly, alpha, a: int, q: int, Q: int, x,
         raise InvalidApproximationError(f"gcd({a},{q}) != 1 or q < 1")
     if Q < q:
         raise InvalidApproximationError(f"declared Q = {Q} below q = {q}")
-    av = alpha.value if isinstance(alpha, Real) else Fraction(alpha)
-    if abs(av - Fraction(a, q)) > Fraction(1, q * Q):
+    if abs(alpha - Fraction(a, q)) > Fraction(1, q * Q):
         raise InvalidApproximationError(
             f"|alpha - {a}/{q}| exceeds 1/(qQ) = 1/{q * Q}")
-    xv = x.value if isinstance(x, Real) else Fraction(x)
-    N = int(xv.__floor__())
+    N = math.floor(x)
     d = poly.d
-    sigma = [(c.value * av) for c in poly.coeffs]
-    sigma = [s - s.__floor__() for s in sigma]
+    sigma = [(c.value * alpha) % 1 for c in poly.coeffs]
     lhs = _abs_sum_exact_phase(sigma, N)
-    xf = float(xv)
+    xf = float(x)
     rhs = C_check * (xf / q ** c_d + xf / (xf ** d / q) ** c_d)
     return WeylBoundReport(lhs=lhs, rhs=rhs, passed=lhs <= rhs, q=q,
                            c_d=c_d, C_check=C_check)

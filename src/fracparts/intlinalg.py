@@ -7,7 +7,6 @@ solves and kernels, and Fraction matrix inverses.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 

@@ -18,9 +18,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import PolySystem, Real
+from .core import PolySystem
 from .intlinalg import (
-    column_echelon,
     det_bareiss,
     det_fraction,
     frac_inverse,
@@ -29,7 +28,6 @@ from .intlinalg import (
     kernel_columns,
     lattice_det_from_columns,
     mat_mul,
-    mat_vec,
 )
 
 LLL_DELTA = Fraction(99, 100)
@@ -96,13 +94,13 @@ def build_relation_lattice(system: PolySystem, B: Sequence, eta) -> LatticeBasis
     with |h_i| <= B_i and |sum_i h_i beta_ij - a_j| <= eta^j.
     """
     k, d = system.k, system.d
-    Bv = [b.value if isinstance(b, Real) else Fraction(b) for b in B]
+    Bv = [Fraction(b) for b in B]
     if len(Bv) != k or any(b < 1 for b in Bv):
         raise ValueError("need one bound B_i >= 1 per polynomial")
     # the lemma hypothesis wants eta <= 1/100; the construction itself only
     # needs eta < 1/2 (so that unit-box points force integer a), and the
     # desk-scale examples exercise larger eta
-    ev = eta.value if isinstance(eta, Real) else Fraction(eta)
+    ev = Fraction(eta)
     if not (0 < ev < Fraction(1, 2)):
         raise ValueError("eta must lie in (0, 1/2)")
     max_err = max((system.coeff(i, j).err for i in range(1, k + 1)

@@ -16,7 +16,13 @@ from typing import List, Optional, Sequence, Tuple
 import mpmath
 
 from .core import Epsilons, Poly, PolySystem, Real, SystemState, eval_system
-from .intlinalg import det_bareiss, frac_inverse, mat_vec, solve_integer
+from .intlinalg import (
+    det_bareiss,
+    frac_inverse,
+    lattice_det_from_columns,
+    mat_vec,
+    solve_integer,
+)
 from .latgeom import (
     GeneratorSet,
     LatticeBasis,
@@ -65,10 +71,6 @@ DEFAULT_DELTA_CONST = Fraction(1, 4)
 C_CFG = 4
 
 
-def _fraction(v) -> Fraction:
-    return v.value if isinstance(v, Real) else Fraction(v)
-
-
 def _linf_col(Z: Sequence[Sequence[int]], col: int) -> int:
     return max(abs(Z[row][col]) for row in range(len(Z)))
 
@@ -89,7 +91,7 @@ class ReductionStep:
     b_prime: List[List[int]]         # rows i = r+1..k, slots j = 1..d
     g: PolySystem
     eps_prime: Epsilons
-    y: Real
+    y: Fraction
     delta_const: Fraction
     C_cfg: int
     parent_digest: str
@@ -112,10 +114,10 @@ class ReductionStep:
             "Z": [list(row) for row in self.Z],
             "b_prime_upper": [list(row) for row in self.b_prime_upper],
             "b_prime": [list(row) for row in self.b_prime],
-            "g": [[c.to_str() for c in p.coeffs] for p in self.g.polys],
+            "g": [[str(c.value) for c in p.coeffs] for p in self.g.polys],
             "g_err": [[str(c.err) for c in p.coeffs] for p in self.g.polys],
-            "eps_prime": [e.to_str() for e in self.eps_prime.eps],
-            "y": self.y.to_str(),
+            "eps_prime": [str(e) for e in self.eps_prime.eps],
+            "y": str(self.y),
             "delta_const": str(self.delta_const),
             "C_cfg": self.C_cfg,
             "parent_digest": self.parent_digest,
@@ -130,7 +132,7 @@ class ReductionStep:
         g_polys = []
         for coeffs, errs in zip(d["g"], d["g_err"]):
             g_polys.append(Poly(tuple(
-                Real(Fraction(c), exact=(Fraction(e) == 0), err=Fraction(e))
+                Real(Fraction(c), Fraction(e))
                 for c, e in zip(coeffs, errs))))
         return ReductionStep(
             k=d["k"], k_prime=d["k_prime"], r=d["r"], perm=tuple(d["perm"]),
@@ -140,7 +142,7 @@ class ReductionStep:
             b_prime=[list(row) for row in d["b_prime"]],
             g=PolySystem(tuple(g_polys)),
             eps_prime=Epsilons(tuple(Fraction(e) for e in d["eps_prime"])),
-            y=Real(Fraction(d["y"])),
+            y=Fraction(d["y"]),
             delta_const=Fraction(d["delta_const"]), C_cfg=d["C_cfg"],
             parent_digest=d["parent_digest"],
             gens=GeneratorSet.from_dict(d["gens"]),
@@ -163,7 +165,7 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
     if not (1 <= r < k):
         raise ReductionPreconditionError(f"need 1 <= r < k, got r={r}, k={k}")
     delta = DEFAULT_DELTA_CONST
-    x = _fraction(state.y)
+    x = state.y
     eta = gens.eta
     if not (eta * x < 1):
         raise ReductionPreconditionError(
@@ -187,11 +189,11 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
     H1 = [[gens.h_vecs[ell][perm[p]] for p in range(r)] for ell in range(r)]
     H2 = [[gens.h_vecs[ell][perm[p]] for p in range(r, k)] for ell in range(r)]
     D1 = abs(det_bareiss(H1))
-    rep = sublattice_determinants(H1, H2)
-    D2 = rep.det2
+    D2 = lattice_det_from_columns([h1 + h2 for h1, h2 in zip(H1, H2)])
 
     Z_cols = solution_lattice_basis(H1, H2)  # (k-r) x (k-r), columns generate
-    # LLL-reduce the solution lattice (rows of the transpose are the columns)
+    # LLL-reduce the solution lattice (rows of the transpose are the columns);
+    # LLL is unimodular, so the check below is the identity D1 = D2 * det3
     rows = [[Fraction(Z_cols[i][j]) for i in range(k - r)] for j in range(k - r)]
     red = reduce_basis(LatticeBasis(vectors=rows))
     Z = [[int(red.vectors[j][i]) for j in range(k - r)] for i in range(k - r)]
@@ -221,7 +223,7 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
             c = orig.coeffs[j - 1]
             val = c.value * D2 ** j - b_lower[p - r][j - 1]
             err = c.err * D2 ** j
-            coeffs.append(Real(val, exact=(err == 0), err=err))
+            coeffs.append(Real(val, err))
         ftil.append(coeffs)
 
     Zinv = frac_inverse(Z)
@@ -231,7 +233,7 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
         for j in range(d):
             val = sum(Zinv[m][p] * ftil[p][j].value for p in range(k - r))
             err = sum(abs(Zinv[m][p]) * ftil[p][j].err for p in range(k - r))
-            coeffs.append(Real(val, exact=(err == 0), err=err))
+            coeffs.append(Real(val, err))
         g_polys.append(Poly(tuple(coeffs)))
     g = PolySystem(tuple(g_polys))
 
@@ -248,7 +250,7 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
     return ReductionStep(
         k=k, k_prime=k - r, r=r, perm=perm, q0=1, D1=D1, D2=D2, Z=Z,
         b_prime_upper=b_upper, b_prime=b_lower, g=g, eps_prime=eps_prime,
-        y=Real(y_new), delta_const=delta, C_cfg=C_CFG,
+        y=y_new, delta_const=delta, C_cfg=C_CFG,
         parent_digest=state.digest(), gens=gens, B_prime=B_prime,
         min_h_tilde=min_h)
 
@@ -261,19 +263,19 @@ def lift_solution(step: ReductionStep, n_prime: int, parent: SystemState):
     """
     if n_prime < 1:
         raise ValueError("n' must be a positive integer")
-    if not (n_prime < _fraction(step.y)):
-        raise HorizonOverflowError(f"n' = {n_prime} not below child horizon {step.y.value}")
+    if not (n_prime < step.y):
+        raise HorizonOverflowError(f"n' = {n_prime} not below child horizon {step.y}")
     child_dists = eval_system(step.g, n_prime)
     for i, (dist, e) in enumerate(zip(child_dists, step.eps_prime.eps)):
-        if dist >= e.value:
-            raise LiftVerificationError(i, dist, e.value)
+        if dist >= e:
+            raise LiftVerificationError(i, dist, e)
     n = n_prime * step.scale()
-    if not (n < _fraction(parent.y)):
-        raise HorizonOverflowError(f"lifted n = {n} not below parent horizon {parent.y.value}")
+    if not (n < parent.y):
+        raise HorizonOverflowError(f"lifted n = {n} not below parent horizon {parent.y}")
     dists = eval_system(parent.system, n)
     for i, (dist, e) in enumerate(zip(dists, parent.eps.eps)):
-        if dist >= e.value:
-            raise LiftVerificationError(i, dist, e.value)
+        if dist >= e:
+            raise LiftVerificationError(i, dist, e)
     return n, dists
 
 
@@ -336,8 +338,8 @@ def density_invariant(parent: SystemState, step: ReductionStep) -> DensityReport
 
         log_bp = sum(logf(b) for b in step.B_prime)
         log_b = sum(logf(Fraction(b)) for b in step.gens.B)
-        llhs = logf(_fraction(step.y)) - float(E_new) * log_bp
-        lrhs = logf(_fraction(parent.y)) - float(E_old) * log_b
+        llhs = logf(step.y) - float(E_new) * log_bp
+        lrhs = logf(parent.y) - float(E_old) * log_b
         lratio = llhs - lrhs
         ratio = float(mpmath.exp(lratio)) if lratio < 700 else math.inf
         lhs_s = mpmath.nstr(mpmath.exp(llhs), 8) if abs(llhs) < 700 else f"exp({mpmath.nstr(llhs, 8)})"
@@ -390,14 +392,12 @@ def state_from_dict(d: dict) -> SystemState:
     for pi, coeffs in enumerate(d["polys"]):
         cs = []
         for ci, cstr in enumerate(coeffs):
-            val = Fraction(cstr)
             exact = exact_flags[pi][ci] if exact_flags else True
-            cs.append(Real(val, exact=exact,
-                           err=Fraction(0) if exact else Fraction(1, 2 ** 192)))
+            cs.append(Real(Fraction(cstr), 0 if exact else Fraction(1, 2 ** 192)))
         polys.append(Poly(tuple(cs)))
     return SystemState(PolySystem(tuple(polys)),
                        Epsilons(tuple(Fraction(e) for e in d["eps"])),
-                       Real(Fraction(d["x"])))
+                       Fraction(d["x"]))
 
 
 def verify_certificate(cert: Certificate) -> List[Tuple[str, bool, str]]:
@@ -463,14 +463,14 @@ def verify_certificate(cert: Certificate) -> List[Tuple[str, bool, str]]:
                    for i in range(k - r))
         add(f"{tag}.B_prime", bp == tuple(step.B_prime))
         add(f"{tag}.eps_prime",
-            tuple(e.value for e in step.eps_prime.eps) == tuple(1 / b for b in bp))
+            step.eps_prime.eps == tuple(1 / b for b in bp))
         h_tilde = step.gens.h_tilde()
         min_h = min(max(abs(v) for v in h_tilde[ell]) for ell in range(r))
         add(f"{tag}.min_h_tilde", min_h == step.min_h_tilde)
-        y_want = delta * _fraction(parent.y) * min_h / (step.q0 ** (step.C_cfg + 1) * step.D2)
-        add(f"{tag}.y", _fraction(step.y) == y_want, f"{step.y.value} vs {y_want}")
+        y_want = delta * parent.y * min_h / (step.q0 ** (step.C_cfg + 1) * step.D2)
+        add(f"{tag}.y", step.y == y_want, f"{step.y} vs {y_want}")
         add(f"{tag}.eta_gate",
-            step.gens.eta * _fraction(parent.y) < step.q0 ** step.C_cfg)
+            step.gens.eta * parent.y < step.q0 ** step.C_cfg)
         parent = step.child_state()
         digest = parent.digest()
 
@@ -481,8 +481,8 @@ def verify_certificate(cert: Certificate) -> List[Tuple[str, bool, str]]:
         fresh = eval_system(root_state.system, n)
         add("terminal.dists_match", fresh == dists)
         add("terminal.meets_eps",
-            all(dv < e.value for dv, e in zip(fresh, root_state.eps.eps)))
-        add("terminal.in_horizon", n < _fraction(root_state.y))
+            all(dv < e for dv, e in zip(fresh, root_state.eps.eps)))
+        add("terminal.in_horizon", n < root_state.y)
         # replay the lift chain bottom-up when reductions were used
         if cert.chain:
             m = cert.chain[-1].child_hit

@@ -25,7 +25,20 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def parse_system_dict(data: dict, bits: int = 192) -> SystemState:
+def _threshold(name: str, text) -> Fraction:
+    """A tolerance or the horizon: a decimal or ``p/q``, never an approximant."""
+    try:
+        value = parse_scalar(str(text))
+    except ValueError as exc:
+        raise SystemFileError(f"field {name!r}: {exc}") from exc
+    if not value.exact:
+        raise SystemFileError(
+            f"field {name!r}: {text!r} is irrational; tolerances and the horizon "
+            "must be decimal or p/q")
+    return value.value
+
+
+def parse_system_dict(data: dict) -> SystemState:
     for key in ("d", "polys", "eps", "x"):
         if key not in data:
             raise SystemFileError(f"missing field {key!r}")
@@ -40,25 +53,23 @@ def parse_system_dict(data: dict, bits: int = 192) -> SystemState:
             raise SystemFileError(
                 f"field 'polys[{idx}]': need exactly d={d} coefficient strings")
         try:
-            polys.append(Poly(tuple(parse_scalar(c, bits) for c in coeffs)))
+            polys.append(Poly(tuple(parse_scalar(c) for c in coeffs)))
         except ValueError as exc:
             raise SystemFileError(f"field 'polys[{idx}]': {exc}") from exc
     if not isinstance(data["eps"], list) or len(data["eps"]) != len(polys):
         raise SystemFileError("field 'eps': need one tolerance per polynomial")
+    eps = tuple(_threshold("eps", e) for e in data["eps"])
     try:
-        eps = Epsilons(tuple(parse_scalar(e, bits) for e in data["eps"]))
+        eps = Epsilons(eps)
     except ValueError as exc:
         raise SystemFileError(f"field 'eps': {exc}") from exc
-    try:
-        x = parse_scalar(str(data["x"]), bits)
-    except ValueError as exc:
-        raise SystemFileError(f"field 'x': {exc}") from exc
-    if not x.value > 1:
-        raise SystemFileError(f"field 'x': horizon must exceed 1, got {x.value}")
+    x = _threshold("x", data["x"])
+    if not x > 1:
+        raise SystemFileError(f"field 'x': horizon must exceed 1, got {x}")
     return SystemState(PolySystem(tuple(polys)), eps, x)
 
 
-def parse_system_file(path: PathLike, bits: int = 192) -> SystemState:
+def parse_system_file(path: PathLike) -> SystemState:
     """Load a system description: {"d", "polys", "eps", "x"} per the schema."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -67,19 +78,19 @@ def parse_system_file(path: PathLike, bits: int = 192) -> SystemState:
         raise SystemFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise SystemFileError(f"{path}: top level must be a JSON object")
-    return parse_system_dict(data, bits)
+    return parse_system_dict(data)
 
 
 def _coeff_form(c: Real) -> str:
-    return c.source if c.source is not None else c.to_str()
+    return c.source if c.source is not None else str(c.value)
 
 
 def emit_system(state: SystemState, path: PathLike):
     data = {
         "d": state.system.d,
         "polys": [[_coeff_form(c) for c in p.coeffs] for p in state.system.polys],
-        "eps": [_coeff_form(e) for e in state.eps.eps],
-        "x": _coeff_form(state.y),
+        "eps": [str(e) for e in state.eps.eps],
+        "x": str(state.y),
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(data, indent=2) + "\n")

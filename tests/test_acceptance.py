@@ -146,8 +146,8 @@ def test_criterion_2_lifting_soundness(planted_batch):
             continue
         found += 1
         dists = eval_system(state.system, out.n)
-        if not (out.n < state.y.value
-                and all(dv < e.value for dv, e in zip(dists, state.eps.eps))):
+        if not (out.n < state.y
+                and all(dv < e for dv, e in zip(dists, state.eps.eps))):
             unverified += 1
         if out.certificate.chain:
             lifted_chains += 1
@@ -253,7 +253,7 @@ def test_criterion_4_fourier_dichotomy():
                 if not (N / Q - tol <= s <= 2 * N / Q + tol):
                     good = False
                     break
-        half = Epsilons(tuple(e.value / 2 for e in eps.eps))
+        half = Epsilons(tuple(e / 2 for e in eps.eps))
         mid = smoothed_count(system, eps, x)
         good &= hit_count(system, half, x) <= mid <= hit_count(system, eps, x)
         ok += good

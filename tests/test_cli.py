@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fracparts.cli import EXIT_ERROR, EXIT_NOT_FOUND, EXIT_OK, main
+from fracparts.core import parse_scalar
 
 
 def write(tmp_path, name, obj):
@@ -60,6 +61,31 @@ class TestSolveCommand:
         assert main(["solve", half_system, "--config", cfg]) == EXIT_ERROR
         assert f"unknown config field {name!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg", [{"enum_cap": "10"},
+                                     {"brute_force_threshold": "8"},
+                                     {"max_depth": True}])
+    def test_config_value_type_checked(self, tmp_path, half_system, cfg, capsys):
+        path = write(tmp_path, "cfg.json", cfg)
+        assert main(["solve", half_system, "--config", path]) == EXIT_ERROR
+        (name,) = cfg
+        assert f"error: config field {name!r}" in capsys.readouterr().err
+
+    def test_irrational_tolerance_exit_1(self, tmp_path, capsys):
+        # the coefficient is the 192-bit approximant of sqrt(2)/100, so
+        # n = 1 meets the intended tolerance sqrt(2)/100 but not its
+        # rounded-down approximant; the tolerance must be refused, not rounded
+        coeff = str(parse_scalar("sqrt(2)/100").value)
+        path = write(tmp_path, "irr.json", {"d": 1, "polys": [[coeff]],
+                                            "eps": ["sqrt(2)/100"], "x": "2"})
+        assert main(["solve", path]) == EXIT_ERROR
+        assert "error: field 'eps'" in capsys.readouterr().err
+
+    def test_irrational_horizon_exit_1(self, tmp_path, capsys):
+        path = write(tmp_path, "irr.json", {"d": 1, "polys": [["1/2"]],
+                                            "eps": ["0.01"], "x": "sqrt(5)"})
+        assert main(["solve", path]) == EXIT_ERROR
+        assert "error: field 'x'" in capsys.readouterr().err
+
 
 class TestOracleCommand:
     def test_oracle(self, half_system, capsys):
@@ -92,6 +118,10 @@ class TestPipelineCommands:
         scan = json.loads(capsys.readouterr().out)
         assert scan["dichotomy"]["branch"] == "hit-density"
         assert scan["dichotomy"]["density_count"] == 100
+
+    def test_fourier_scan_has_no_precision_option(self, dup_system, capsys):
+        assert main(["fourier-scan", dup_system, "--precision", "64"]) == EXIT_ERROR
+        capsys.readouterr()
 
 
 class TestLatticeCommand:

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -151,10 +150,25 @@ class TestHitCount:
 class TestTypes:
     def test_real_hash_follows_equality(self):
         exact = Real(Fraction(1, 2))
-        inexact = Real(Fraction(1, 2), exact=False, err=Fraction(1, 2 ** 192))
+        inexact = Real(Fraction(1, 2), err=Fraction(1, 2 ** 192))
         assert exact == inexact
         assert hash(exact) == hash(inexact)
         assert len({exact, inexact}) == 1
+
+    def test_real_is_exact_iff_radius_zero(self):
+        for err in (Fraction(0), Fraction(1, 2 ** 192), Fraction(1, 3)):
+            assert Real(Fraction(1, 2), err=err).exact == (err == 0)
+        assert parse_scalar("sqrt(9)/2").exact
+        assert not parse_scalar("sqrt(2)").exact
+
+    def test_state_horizon_is_a_fraction(self):
+        eps = Epsilons((Fraction(1, 100),))
+        s = SystemState(sys1(["1/2"]), eps, Real(Fraction(100)))
+        assert type(s.y) is Fraction and s.y == 100
+        assert type(SystemState(sys1(["1/2"]), eps, 7).y) is Fraction
+        assert all(type(e) is Fraction for e in s.eps.eps)
+        with pytest.raises(ValueError):
+            SystemState(sys1(["1/2"]), eps, parse_scalar("sqrt(200)"))
 
     def test_epsilons_validation(self):
         with pytest.raises(ValueError):

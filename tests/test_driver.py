@@ -110,7 +110,7 @@ class TestSolve:
         st = dup_sqrt2_state(10 ** 4)
         out = solve(st, SolverConfig(c_hit=1e9, brute_force_threshold=32, max_depth=0))
         assert out.status == STATUS_FOUND
-        assert out.n == first_hit(st.system, st.eps, st.y.value)
+        assert out.n == first_hit(st.system, st.eps, st.y)
         assert out.certificate.chain == [] and out.stats.reductions == 0
         assert "depth-budget" in out.stats.fallbacks
         assert all(ok for _n, ok, _d in verify_certificate(out.certificate))
@@ -174,7 +174,7 @@ class TestSolve:
                 dists = eval_system(s, out.n)
                 assert all(dv < e for dv, e in zip(dists, eps))
             else:
-                assert hit_count(s, Epsilons(tuple(eps)), st.y.value - 1) == 0
+                assert hit_count(s, Epsilons(tuple(eps)), st.y - 1) == 0
 
 
 class TestMeasureExponent:
@@ -247,12 +247,20 @@ class TestSystemFiles:
             {"d": 1, "polys": [["1/2"]], "eps": ["0.01"], "x": "1"},
             {"d": 1, "polys": [["x+1"]], "eps": ["0.01"], "x": "10"},
             {"d": 1, "polys": [], "eps": [], "x": "10"},
+            {"d": 1, "polys": [["1/2"]], "eps": ["sqrt(2)/100"], "x": "10"},  # irrational
+            {"d": 1, "polys": [["1/2"]], "eps": ["0.01"], "x": "sqrt(5)"},
         ]
         for i, case in enumerate(cases):
             p = tmp_path / f"bad{i}.json"
             p.write_text(json.dumps(case))
             with pytest.raises(SystemFileError):
                 parse_system_file(p)
+
+    def test_exact_sqrt_thresholds_accepted(self, tmp_path):
+        p = tmp_path / "e.json"
+        p.write_text('{"d":1,"polys":[["1/2"]],"eps":["sqrt(4)/100"],"x":"sqrt(9)/2"}')
+        st = parse_system_file(p)
+        assert st.eps.eps == (Fraction(1, 50),) and st.y == Fraction(3, 2)
 
     def test_sqrt_grammar_inexact_flag(self, tmp_path):
         p = tmp_path / "s.json"

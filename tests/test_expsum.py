@@ -157,7 +157,7 @@ class TestSmoothedCount:
                         for _ in range(2)] for _ in range(k)])
             eps = Epsilons(tuple(Fraction(rng.randint(2, 40), 100) for _ in range(k)))
             x = rng.randint(4, 80)
-            half = Epsilons(tuple(e.value / 2 for e in eps.eps))
+            half = Epsilons(tuple(e / 2 for e in eps.eps))
             mid = smoothed_count(s, eps, x)
             assert hit_count(s, half, x) <= mid <= hit_count(s, eps, x)
 

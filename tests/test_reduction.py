@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +21,6 @@ from fracparts.reduction import (
     HorizonOverflowError,
     LiftVerificationError,
     ReductionPreconditionError,
-    ReductionStep,
     density_invariant,
     lift_solution,
     reduce_dimension,
@@ -40,7 +38,7 @@ def dup_state(x=10 ** 5, eps=Fraction(1, 20)):
 
 
 def dup_gens(state):
-    eta = min(Fraction(1, 100), 1 / (2 * state.y.value))
+    eta = min(Fraction(1, 100), 1 / (2 * state.y))
     g = quasi_orthogonal_generators(state.system, [20, 20], eta,
                                     N_target=41, c_orth=0.05)
     assert isinstance(g, GeneratorSet)
@@ -56,12 +54,12 @@ class TestReduceDimension:
         assert step.D1 == 1 and step.D2 == 1
         # child system is the surviving duplicate
         child = step.child_state()
-        hit = first_hit(child.system, child.eps, child.y.value)
+        hit = first_hit(child.system, child.eps, child.y)
         assert hit is not None
         n, dists = lift_solution(step, hit, state)
         assert n == hit * step.scale()
         for dv, e in zip(dists, state.eps.eps):
-            assert dv < e.value
+            assert dv < e
 
     def test_k1_cannot_reduce(self):
         s = sys1(["1/2"])
@@ -132,11 +130,11 @@ class TestReduceDimension:
         assert step.D2 == 3
         assert step.scale() == 3
         child = step.child_state()
-        hit = first_hit(child.system, child.eps, child.y.value)
+        hit = first_hit(child.system, child.eps, child.y)
         if hit is not None:
             n, dists = lift_solution(step, hit, state)
             assert n == 3 * hit
-            assert all(dv < e.value for dv, e in zip(dists, state.eps.eps))
+            assert all(dv < e for dv, e in zip(dists, state.eps.eps))
 
     def test_degenerate_horizon(self):
         # y' = delta x min|h~| / D2 = (1/4) * 80 * (1/20) = 1, not above 1
@@ -146,7 +144,7 @@ class TestReduceDimension:
             reduce_dimension(state, gens)
         # just above the boundary the same generators reduce
         wider = dup_state(x=100)
-        assert reduce_dimension(wider, dup_gens(wider)).y.value == Fraction(5, 4)
+        assert reduce_dimension(wider, dup_gens(wider)).y == Fraction(5, 4)
 
 
 class TestLift:
@@ -154,14 +152,14 @@ class TestLift:
         state = dup_state()
         step = reduce_dimension(state, dup_gens(state))
         child = step.child_state()
-        hit = first_hit(child.system, child.eps, child.y.value)
+        hit = first_hit(child.system, child.eps, child.y)
         assert hit is not None
         return state, step, hit
 
     def test_horizon_checks(self):
         state, step, hit = self._working()
         with pytest.raises(HorizonOverflowError):
-            lift_solution(step, int(step.y.value) + 10, state)
+            lift_solution(step, int(step.y) + 10, state)
         with pytest.raises(ValueError):
             lift_solution(step, 0, state)
 
@@ -172,8 +170,7 @@ class TestLift:
         bad_polys = []
         for p in step.g.polys:
             cs = list(p.coeffs)
-            cs[0] = Real(cs[0].value + Fraction(1, 2), exact=cs[0].exact,
-                         err=cs[0].err)
+            cs[0] = Real(cs[0].value + Fraction(1, 2), err=cs[0].err)
             bad_polys.append(Poly(tuple(cs)))
         bad = dataclasses.replace(step, g=PolySystem(tuple(bad_polys)))
         with pytest.raises(LiftVerificationError):
@@ -187,13 +184,13 @@ class TestLift:
                                     eps_prime=Epsilons((Fraction(1, 2),) * step.k_prime))
         bad_hit = None
         child = step.child_state()
-        for cand in range(1, int(step.y.value)):
+        for cand in range(1, int(step.y)):
             dists = eval_system(child.system, cand)
             ok_loose = all(dv < Fraction(1, 2) for dv in dists)
-            genuine = all(dv < e.value for dv, e in zip(dists, step.eps_prime.eps))
+            genuine = all(dv < e for dv, e in zip(dists, step.eps_prime.eps))
             if ok_loose and not genuine:
                 lifted = eval_system(state.system, cand * step.scale())
-                if any(dv >= e.value for dv, e in zip(lifted, state.eps.eps)):
+                if any(dv >= e for dv, e in zip(lifted, state.eps.eps)):
                     bad_hit = cand
                     break
         assert bad_hit is not None
@@ -215,7 +212,7 @@ class TestDensityInvariant:
         # k=2 -> k'=1 with y' = x: log ratio must equal E log(prod B) - E' log(prod B')
         state = dup_state()
         step = reduce_dimension(state, dup_gens(state))
-        synthetic = dataclasses.replace(step, y=Real(state.y.value))
+        synthetic = dataclasses.replace(step, y=state.y)
         rep = density_invariant(state, synthetic)
         C2 = 16
         E_new = 3 * C2 - C2 / step.k_prime ** 3
@@ -228,7 +225,7 @@ class TestDensityInvariant:
         state = dup_state()
         step = reduce_dimension(state, dup_gens(state))
         rep = density_invariant(state, step)
-        tampered = dataclasses.replace(step, y=Real(step.y.value / 2))
+        tampered = dataclasses.replace(step, y=step.y / 2)
         rep2 = density_invariant(state, tampered)
         assert abs((rep.log10_ratio - rep2.log10_ratio) - math.log10(2)) < 1e-9
 
@@ -238,7 +235,7 @@ class TestCertificate:
         state = dup_state()
         step = reduce_dimension(state, dup_gens(state))
         child = step.child_state()
-        hit = first_hit(child.system, child.eps, child.y.value)
+        hit = first_hit(child.system, child.eps, child.y)
         n, dists = lift_solution(step, hit, state)
         step.child_hit = hit
         return state, Certificate(root=state.to_dict(), chain=[step],

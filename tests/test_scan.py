@@ -94,7 +94,7 @@ def test_reducers_match_per_n_reference(case):
     dists = [[frac_dist(p.eval(n)) for p in system.polys] for n in range(1, last + 1)]
     worst = [max(row) for row in dists]
     hits = [n for n, row in enumerate(dists, 1)
-            if all(dv < e.value for dv, e in zip(row, eps.eps))]
+            if all(dv < e for dv, e in zip(row, eps.eps))]
 
     def running_min(c):  # over n < c, smallest n on ties
         n_star = min(range(1, c), key=lambda n: (worst[n - 1], n))
@@ -111,7 +111,7 @@ def test_reducers_match_per_n_reference(case):
     for row in dists:
         prod = Fraction(1)
         for dv, e in zip(row, eps.eps):
-            prod *= kernel.phi(dv / e.value)
+            prod *= kernel.phi(dv / e)
         smoothed += prod
     assert smoothed_count(system, eps, last) == smoothed
 
