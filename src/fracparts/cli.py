@@ -38,7 +38,7 @@ from .latgeom import (
     sublattice_determinants,
     wedge_norm,
 )
-from .reduction import verify_certificate
+from .reduction import state_from_dict, verify_certificate
 from .serialize import (
     SystemFileError,
     load_certificate,
@@ -129,7 +129,9 @@ def cmd_fourier_scan(args) -> int:
 def cmd_relations(args) -> int:
     with open(args.scan, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    from .reduction import state_from_dict
+    for key in ("system", "dichotomy", "x"):
+        if not isinstance(payload, dict) or key not in payload:
+            raise SystemFileError(f"{args.scan}: missing field {key!r}")
     state = state_from_dict(payload["system"])
     dich = FourierDichotomy.from_dict(payload["dichotomy"])
     x = Fraction(payload["x"])

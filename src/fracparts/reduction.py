@@ -16,13 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import mpmath
 
 from .core import Epsilons, Poly, PolySystem, Real, SystemState, eval_system
-from .intlinalg import (
-    det_bareiss,
-    frac_inverse,
-    lattice_det_from_columns,
-    mat_vec,
-    solve_integer,
-)
+from .intlinalg import det_bareiss, frac_inverse, lattice_det_from_columns, solve_integer
 from .latgeom import (
     GeneratorSet,
     LatticeBasis,
@@ -30,7 +24,6 @@ from .latgeom import (
     membership_residuals,
     reduce_basis,
     solution_lattice_basis,
-    sublattice_determinants,
 )
 
 class ReductionPreconditionError(ValueError):
@@ -104,8 +97,8 @@ class ReductionStep:
         return SystemState(self.g, self.eps_prime, self.y)
 
     def scale(self) -> int:
-        """The lift multiplier: n = n' * q0 * D2 (q0 = 1 in every step built here)."""
-        return self.q0 * self.D2
+        """The lift multiplier: n = n' * D2."""
+        return self.D2
 
     def to_dict(self) -> dict:
         return {
@@ -302,21 +295,19 @@ def implementation_constant(step: ReductionStep) -> float:
     prod B' = delta^(-2k') * (prod ||z_i||_inf) * (tail B) exactly, the LLL
     orthogonality defect prod||z_i|| <= 2^(k'(k'-1)/4) * D1/D2, Hadamard
     D1 <= (head B) * r^(r/2) * tilde_product, and min||h~|| >= tilde_product
-    (each factor lies in (0, 1]).  Collecting terms, with C, delta and q0
-    as the step records them:
+    (each factor lies in (0, 1]).  Collecting terms, with C = C_CFG and
+    delta = DEFAULT_DELTA_CONST:
 
-        C_impl = q0^(C+1) * delta^-(1 + 2 k' E') * 2^(k'(k'-1)/4 * E')
-                 * r^(r E' / 2),       E' = 3C^2 - C^2/k'^3.
+        C_impl = delta^-(1 + 2 k' E') * 2^(k'(k'-1)/4 * E') * r^(r E' / 2),
+        E' = 3C^2 - C^2/k'^3.
     """
-    C = step.C_cfg
+    C = C_CFG
     kp, r = step.k_prime, step.r
     E_new = float(3 * C * C - Fraction(C * C, kp ** 3))
-    delta = float(step.delta_const)
-    log10 = ((C + 1) * math.log10(step.q0)
-             - (1 + 2 * kp * E_new) * math.log10(delta)
-             + (kp * (kp - 1) / 4) * E_new * math.log10(2)
-             + (r * E_new / 2) * math.log10(r))
-    return log10
+    delta = float(DEFAULT_DELTA_CONST)
+    return (-(1 + 2 * kp * E_new) * math.log10(delta)
+            + (kp * (kp - 1) / 4) * E_new * math.log10(2)
+            + (r * E_new / 2) * math.log10(r))
 
 
 def density_invariant(parent: SystemState, step: ReductionStep) -> DensityReport:
@@ -325,9 +316,9 @@ def density_invariant(parent: SystemState, step: ReductionStep) -> DensityReport
     Computed in logs so astronomically large products stay finite; pass
     means lhs >= rhs / C_impl, where C_impl is the implementation's own
     provable slack for this step (see implementation_constant), recorded in
-    the report.  C is the step's recorded C_cfg.
+    the report.  C is C_CFG.
     """
-    C = step.C_cfg
+    C = C_CFG
     k, kp = step.k, step.k_prime
     C2 = Fraction(C) ** 2
     E_new = 3 * C2 - C2 / kp ** 3
@@ -400,11 +391,20 @@ def state_from_dict(d: dict) -> SystemState:
                        Fraction(d["x"]))
 
 
-def verify_certificate(cert: Certificate) -> List[Tuple[str, bool, str]]:
-    """Re-check every invariant of a certificate without re-running any search.
+# Step fields that a rebuild does not check: the lift chain checks the
+# child's hit, and the radii g_err follow from the root's, which a
+# certificate does not record yet (state_from_dict assumes 2^-192).
+UNCHECKED_FIELDS = ("child_hit", "g_err")
 
-    Returns (check name, ok, detail) triples; the certificate is valid iff
-    every ok flag is True.
+
+def verify_certificate(cert: Certificate) -> List[Tuple[str, bool, str]]:
+    """Re-check a certificate without re-running any search.
+
+    Each chain step is rebuilt by reduce_dimension from its parent (the root,
+    then the previous rebuilt child) and its recorded generators; the step is
+    valid iff the rebuilt step records the same fields, UNCHECKED_FIELDS
+    apart.  Returns (check name, ok, detail) triples; the certificate is
+    valid iff every ok flag is True.
     """
     checks: List[Tuple[str, bool, str]] = []
 
@@ -413,66 +413,18 @@ def verify_certificate(cert: Certificate) -> List[Tuple[str, bool, str]]:
 
     root_state = state_from_dict(cert.root)
     parent = root_state
-    digest = root_state.digest()
     for idx, step in enumerate(cert.chain):
-        tag = f"step{idx}"
-        add(f"{tag}.digest", step.parent_digest == digest,
-            f"{step.parent_digest[:12]} vs {digest[:12]}")
-        add(f"{tag}.shrinks", step.k_prime < step.k,
-            f"k'={step.k_prime} k={step.k}")
-        k, d, r = step.k, parent.system.d, step.r
-        H1 = [[step.gens.h_vecs[ell][step.perm[p]] for p in range(r)]
-              for ell in range(r)]
-        H2 = [[step.gens.h_vecs[ell][step.perm[p]] for p in range(r, k)]
-              for ell in range(r)]
-        add(f"{tag}.D1", abs(det_bareiss(H1)) == step.D1)
         try:
-            rep = sublattice_determinants(H1, H2)
-            add(f"{tag}.D2", rep.det2 == step.D2, f"{rep.det2} vs {step.D2}")
+            rebuilt = reduce_dimension(parent, step.gens)
         except Exception as exc:  # noqa: BLE001 - report, never crash replay
-            add(f"{tag}.D2", False, repr(exc))
-        add(f"{tag}.detZ", abs(det_bareiss(step.Z)) * step.D2 == step.D1)
-        # b' consistency per slot
-        ok_b = True
-        for j in range(1, d + 1):
-            lhs = [sum(H1[ell][i] * step.b_prime_upper[i][j - 1] for i in range(r))
-                   - sum(H2[ell][i] * step.b_prime[i][j - 1] for i in range(k - r))
-                   for ell in range(r)]
-            rhs = [step.D2 ** j * step.q0 ** (j - 1) * step.gens.a_vecs[ell][j - 1]
-                   for ell in range(r)]
-            if lhs != rhs:
-                ok_b = False
-        add(f"{tag}.b_prime", ok_b)
-        # g construction identity at 20 sample points: Z g(t) == f~(t)
-        scale = step.q0 * step.D2
-        ok_g = True
-        for t in range(1, 21):
-            gvals = [p.eval(t) for p in step.g.polys]
-            lhs = mat_vec(step.Z, gvals)
-            for p in range(r, k):
-                orig = parent.system.polys[step.perm[p]]
-                want = orig.eval(scale * t) - sum(
-                    step.b_prime[p - r][j - 1] * t ** j for j in range(1, d + 1))
-                if lhs[p - r] != want:
-                    ok_g = False
-        add(f"{tag}.g_identity", ok_g)
-        # B' / eps' / y formulas
-        delta = step.delta_const
-        B_perm = [Fraction(step.gens.B[step.perm[p]]) for p in range(k)]
-        bp = tuple(delta ** -2 * B_perm[r + i] * _linf_col(step.Z, i)
-                   for i in range(k - r))
-        add(f"{tag}.B_prime", bp == tuple(step.B_prime))
-        add(f"{tag}.eps_prime",
-            step.eps_prime.eps == tuple(1 / b for b in bp))
-        h_tilde = step.gens.h_tilde()
-        min_h = min(max(abs(v) for v in h_tilde[ell]) for ell in range(r))
-        add(f"{tag}.min_h_tilde", min_h == step.min_h_tilde)
-        y_want = delta * parent.y * min_h / (step.q0 ** (step.C_cfg + 1) * step.D2)
-        add(f"{tag}.y", step.y == y_want, f"{step.y} vs {y_want}")
-        add(f"{tag}.eta_gate",
-            step.gens.eta * parent.y < step.q0 ** step.C_cfg)
-        parent = step.child_state()
-        digest = parent.digest()
+            add(f"step{idx}.rebuild", False, f"reduce_dimension raised {exc!r}")
+            break
+        want, got = rebuilt.to_dict(), step.to_dict()
+        differ = [key for key in want
+                  if key not in UNCHECKED_FIELDS and want[key] != got[key]]
+        add(f"step{idx}.rebuild", not differ,
+            "differs in " + ", ".join(differ) if differ else "")
+        parent = rebuilt.child_state()
 
     kind = cert.terminal.get("kind")
     if kind == TERMINAL_FOUND:

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Union
 
 from .core import Epsilons, Poly, PolySystem, Real, SystemState, parse_scalar
-from .reduction import Certificate
+from .reduction import TERMINAL_FOUND, Certificate, state_from_dict
 
 PathLike = Union[str, Path]
 
@@ -49,7 +49,8 @@ def parse_system_dict(data: dict) -> SystemState:
         raise SystemFileError("field 'polys': need a nonempty list of coefficient lists")
     polys = []
     for idx, coeffs in enumerate(data["polys"]):
-        if not isinstance(coeffs, list) or len(coeffs) != d:
+        if (not isinstance(coeffs, list) or len(coeffs) != d
+                or not all(isinstance(c, str) for c in coeffs)):
             raise SystemFileError(
                 f"field 'polys[{idx}]': need exactly d={d} coefficient strings")
         try:
@@ -106,5 +107,28 @@ def certificate_bytes(cert: Certificate) -> bytes:
 
 
 def load_certificate(path: PathLike) -> Certificate:
+    """Read a certificate; a missing key or a value of the wrong type is a
+    SystemFileError naming the section (root, chain, terminal) it is in."""
     with open(path, "r", encoding="utf-8") as fh:
-        return Certificate.from_dict(json.load(fh))
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise SystemFileError(f"{path}: top level must be a JSON object")
+    for key in ("root", "chain", "terminal"):
+        if key not in data:
+            raise SystemFileError(f"{path}: missing field {key!r}")
+    section = "chain"
+    try:
+        cert = Certificate.from_dict(data)
+        section = "root"
+        state_from_dict(cert.root)
+        section = "terminal"
+        if cert.terminal.get("kind") == TERMINAL_FOUND:
+            if not isinstance(cert.terminal["n"], int):
+                raise TypeError("'n' must be an integer")
+            for dv in cert.terminal["dists"]:
+                Fraction(dv)
+    except KeyError as exc:
+        raise SystemFileError(f"{path}: field {section!r}: missing key {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise SystemFileError(f"{path}: field {section!r}: {exc}") from exc
+    return cert

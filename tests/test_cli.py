@@ -80,6 +80,12 @@ class TestSolveCommand:
         assert main(["solve", path]) == EXIT_ERROR
         assert "error: field 'eps'" in capsys.readouterr().err
 
+    def test_number_coefficient_exit_1(self, tmp_path, capsys):
+        path = write(tmp_path, "num.json", {"d": 1, "polys": [[0.5]],
+                                            "eps": ["0.01"], "x": "100"})
+        assert main(["solve", path]) == EXIT_ERROR
+        assert "error: field 'polys[0]'" in capsys.readouterr().err
+
     def test_irrational_horizon_exit_1(self, tmp_path, capsys):
         path = write(tmp_path, "irr.json", {"d": 1, "polys": [["1/2"]],
                                             "eps": ["0.01"], "x": "sqrt(5)"})
@@ -118,6 +124,13 @@ class TestPipelineCommands:
         scan = json.loads(capsys.readouterr().out)
         assert scan["dichotomy"]["branch"] == "hit-density"
         assert scan["dichotomy"]["density_count"] == 100
+
+    def test_relations_on_incomplete_scan_exit_1(self, tmp_path, dup_system, capsys):
+        assert main(["fourier-scan", dup_system]) == EXIT_OK
+        scan = json.loads(capsys.readouterr().out)
+        path = write(tmp_path, "scan.json", {"system": scan["system"]})
+        assert main(["relations", path]) == EXIT_ERROR
+        assert "missing field 'dichotomy'" in capsys.readouterr().err
 
     def test_fourier_scan_has_no_precision_option(self, dup_system, capsys):
         assert main(["fourier-scan", dup_system, "--precision", "64"]) == EXIT_ERROR
@@ -186,6 +199,20 @@ class TestVerifyCert:
         open(cert_path, "w").write(json.dumps(data))
         assert main(["verify-cert", cert_path]) == EXIT_NOT_FOUND
         capsys.readouterr()
+
+    @pytest.mark.parametrize("data, field", [
+        ({}, "'root'"),
+        ({"root": {}, "chain": [], "terminal": {}}, "'root': missing key 'polys'"),
+        ({"root": {"d": 1, "polys": [["1/2"]], "eps": ["0.01"], "x": "100"},
+          "chain": 5, "terminal": {}}, "'chain'"),
+        ({"root": {"d": 1, "polys": [["1/2"]], "eps": ["0.01"], "x": "100"},
+          "chain": [], "terminal": {"kind": "found-n", "n": "2"}}, "'terminal'"),
+    ])
+    def test_malformed_cert_exit_1(self, tmp_path, data, field, capsys):
+        path = write(tmp_path, "c.json", data)
+        assert main(["verify-cert", path]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
 
     def test_usage_error(self):
         assert main(["no-such-command"]) == EXIT_ERROR

@@ -1,4 +1,5 @@
-"""Every imported name is used: no module or test keeps a dead import."""
+"""Every imported name is used, and every module-level function and class of
+the package is used somewhere else: no dead import, no dead definition."""
 
 import ast
 from pathlib import Path
@@ -6,8 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "fracparts").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "fracparts").glob("*.py"))
+FILES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -34,3 +35,35 @@ def test_no_unused_imports(path):
 def test_scan_finds_an_unused_import():
     source = "import math\nfrom fractions import Fraction\nx = Fraction(1)\n"
     assert unused_imports(source) == [(1, "math")]
+
+
+def orphaned_definitions(sources: dict, defining) -> list:
+    """(file, name) of each module-level function or class in the files named
+    by `defining` that no code in `sources` refers to outside its own body."""
+    refs, defs = set(), []
+    for file, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = stmt.name
+                if file in defining:
+                    defs.append((file, own))
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else
+                        node.name if isinstance(node, ast.alias) else None)
+                if name is not None and name != own:
+                    refs.add(name)
+    return [d for d in defs if d[1] not in refs]
+
+
+def test_no_orphaned_definitions():
+    sources = {f"{p.parent.name}/{p.name}": p.read_text(encoding="utf-8") for p in FILES}
+    package = {f"{p.parent.name}/{p.name}" for p in PACKAGE}
+    assert orphaned_definitions(sources, package) == []
+
+
+def test_scan_finds_an_orphaned_definition():
+    sources = {"a.py": "def used():\n    pass\n\n\ndef orphan(n):\n    return orphan(n)\n",
+               "b.py": "from a import used\nused()\n"}
+    assert orphaned_definitions(sources, {"a.py"}) == [("a.py", "orphan")]

@@ -1,5 +1,8 @@
+import copy
 import dataclasses
+import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,8 @@ from fracparts.core import (
     eval_system,
     first_hit,
 )
+from fracparts.cli import EXIT_NOT_FOUND, main
+from fracparts.driver import solve
 from fracparts.intlinalg import det_bareiss, mat_vec
 from fracparts.latgeom import GeneratorSet, quasi_orthogonal_generators
 from fracparts.reduction import (
@@ -21,11 +26,13 @@ from fracparts.reduction import (
     HorizonOverflowError,
     LiftVerificationError,
     ReductionPreconditionError,
+    ReductionStep,
     density_invariant,
     lift_solution,
     reduce_dimension,
     verify_certificate,
 )
+from test_acceptance import PLANT_CONFIG, PLANT_SEED, planted_state
 
 
 def sys1(*coeff_lists):
@@ -230,37 +237,114 @@ class TestDensityInvariant:
         assert abs((rep.log10_ratio - rep2.log10_ratio) - math.log10(2)) < 1e-9
 
 
-class TestCertificate:
-    def _cert(self):
-        state = dup_state()
-        step = reduce_dimension(state, dup_gens(state))
-        child = step.child_state()
-        hit = first_hit(child.system, child.eps, child.y)
-        n, dists = lift_solution(step, hit, state)
-        step.child_hit = hit
-        return state, Certificate(root=state.to_dict(), chain=[step],
-                                  terminal={"kind": "found-n", "n": n,
-                                            "dists": [str(dv) for dv in dists]})
+def dup_certificate():
+    state = dup_state()
+    step = reduce_dimension(state, dup_gens(state))
+    child = step.child_state()
+    hit = first_hit(child.system, child.eps, child.y)
+    n, dists = lift_solution(step, hit, state)
+    step.child_hit = hit
+    return Certificate(root=state.to_dict(), chain=[step],
+                       terminal={"kind": "found-n", "n": n,
+                                 "dists": [str(dv) for dv in dists]})
 
+
+class TestCertificate:
     def test_roundtrip_and_verify(self):
-        state, cert = self._cert()
+        cert = dup_certificate()
         again = Certificate.from_dict(cert.to_dict())
         assert again.to_dict() == cert.to_dict()
         checks = verify_certificate(again)
         assert all(ok for _name, ok, _d in checks), [c for c in checks if not c[1]]
 
     def test_tampered_certificate_detected(self):
-        _state, cert = self._cert()
-        d = cert.to_dict()
+        d = dup_certificate().to_dict()
         d["terminal"]["n"] += 1
         bad = Certificate.from_dict(d)
         checks = verify_certificate(bad)
         assert any(not ok for _name, ok, _detail in checks)
 
     def test_tampered_matrix_detected(self):
-        _state, cert = self._cert()
-        d = cert.to_dict()
+        d = dup_certificate().to_dict()
         d["chain"][0]["Z"][0][0] += 1
         bad = Certificate.from_dict(d)
         checks = verify_certificate(bad)
         assert any(not ok for _name, ok, _detail in checks)
+
+
+@pytest.fixture(scope="module")
+def chained_certificates():
+    """The duplicate-pair chain and the first three chained PLANT_SEED solves."""
+    certs = [dup_certificate().to_dict()]
+    rng = random.Random(PLANT_SEED)
+    while len(certs) < 4:
+        out = solve(planted_state(rng), PLANT_CONFIG)
+        if out.certificate.chain:
+            certs.append(out.certificate.to_dict())
+    return certs
+
+
+# every recorded step field (g_err is recorded from g, and its radii are not
+# replayed yet), with the generators tampered in their relations and count
+TAMPERED_FIELDS = [(f.name,) for f in dataclasses.fields(ReductionStep)
+                   if f.name != "gens"] + [("gens", "a_vecs"), ("gens", "r")]
+
+
+def tamper(step: dict, path) -> None:
+    """Change the first leaf under path: an integer by +1, the digest by
+    reversal, any other rational string by halving (0 becomes 1/3)."""
+    for key in path[:-1]:
+        step = step[key]
+    key = path[-1]
+    while isinstance(step[key], list):
+        step, key = step[key], 0
+    value = step[key]
+    if isinstance(value, int):
+        step[key] = value + 1
+    elif key == "parent_digest":
+        step[key] = value[::-1]
+    else:
+        step[key] = str(Fraction(value) / 2 or Fraction(1, 3))
+
+
+class TestReplayRebuild:
+    @pytest.mark.parametrize("path", TAMPERED_FIELDS, ids=".".join)
+    def test_tampered_step_field_fails(self, chained_certificates, path):
+        for data in chained_certificates:
+            bad = copy.deepcopy(data)
+            tamper(bad["chain"][0], path)
+            checks = verify_certificate(Certificate.from_dict(bad))
+            assert not all(ok for _name, ok, _detail in checks), path
+
+    def test_cli_rejects_a_perm_that_is_no_permutation(self, chained_certificates,
+                                                       tmp_path, capsys):
+        data = copy.deepcopy(chained_certificates[1])
+        perm = data["chain"][0]["perm"]
+        perm[0] = perm[1]
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify-cert", str(path)]) == EXIT_NOT_FOUND
+        assert "FAIL step0.rebuild (differs in perm" in capsys.readouterr().out
+
+    def test_next_parent_is_the_rebuilt_child(self):
+        # a two-step chain: k = 3 duplicates -> k' = 2 -> k' = 1
+        s = sys1(*[["0", "sqrt(2)"]] * 3)
+        state = SystemState(s, Epsilons((Fraction(1, 20),) * 3), Real(Fraction(10 ** 6)))
+        gens = quasi_orthogonal_generators(s, [20] * 3, 1 / (2 * state.y),
+                                           N_target=41, c_orth=0.05, max_r=1)
+        first = reduce_dimension(state, gens)
+        child = first.child_state()
+        gens = quasi_orthogonal_generators(child.system, [321, 321], 1 / (2 * child.y),
+                                           N_target=41, c_orth=0.05)
+        second = reduce_dimension(child, gens)
+        cert = Certificate(root=state.to_dict(), chain=[first, second],
+                           terminal={"kind": "exhausted", "reason": "test"})
+        assert all(ok for _name, ok, _detail in verify_certificate(cert))
+        # a tampered child fails its own step only: the next step is rebuilt
+        # from the child that the first step's rebuild gives
+        data = cert.to_dict()
+        tamper(data["chain"][0], ("g",))
+        checks = {name: ok for name, ok, _detail in
+                  verify_certificate(Certificate.from_dict(data))}
+        assert checks["step0.rebuild"] is False
+        assert checks["step1.rebuild"] is True
