@@ -135,9 +135,8 @@ def cmd_relations(args) -> int:
     state = state_from_dict(payload["system"])
     dich = FourierDichotomy.from_dict(payload["dichotomy"])
     x = Fraction(payload["x"])
-    q_rel = args.q_rel or default_q_rel(state.eps, args.c_cfg)
-    rels = build_relations(state.system, state.eps, x, dich, Q_rel=q_rel,
-                           tol_rel=args.tol_rel, C_cfg=args.c_cfg)
+    q_rel = args.q_rel or default_q_rel(state.eps)
+    rels = build_relations(state.system, state.eps, x, dich, Q_rel=q_rel)
     _emit({"system": payload["system"], "q_rel": q_rel,
            "count": len(rels), "relations": [t.to_dict() for t in rels]})
     return EXIT_OK
@@ -246,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("relations", help="rational relations from a fourier scan")
     p.add_argument("scan", help="fourier-scan output JSON")
     p.add_argument("--q-rel", type=int, default=None)
-    p.add_argument("--tol-rel", type=float, default=1.0)
-    p.add_argument("--c-cfg", type=int, default=4)
     p.set_defaults(func=cmd_relations)
 
     p = sub.add_parser("denom-analyze", help="denominator clustering and diagnostics")

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 DEFAULT_PRECISION_BITS = 192
 DEFAULT_ENUM_CAP = 10 ** 8
@@ -187,6 +187,22 @@ class PolySystem:
     def coeff(self, i: int, j: int) -> Real:
         """Coefficient of X^j in the i-th polynomial (both 1-indexed)."""
         return self.polys[i - 1].coeffs[j - 1]
+
+
+def coefficient_sums(system: PolySystem, h: Sequence[int]) -> List[Real]:
+    """sigma_j = sum_i h_i f_{i,j} for j = 1..d, each with its radius
+    sum_i |h_i| err_{i,j}."""
+    if len(h) != system.k:
+        raise ValueError("frequency vector length must equal k")
+    out = []
+    for j in range(system.d):
+        value = err = Fraction(0)
+        for hi, p in zip(h, system.polys):
+            if hi:
+                value += hi * p.coeffs[j].value
+                err += abs(hi) * p.coeffs[j].err
+        out.append(Real(value, err))
+    return out
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .core import PolySystem, Epsilons
+from .core import Epsilons, PolySystem, coefficient_sums
 from .expsum import LARGE_COEFFICIENTS, FourierDichotomy
+from .reduction import C_CFG
 
-DEFAULT_TOL_REL = 1.0
-DEFAULT_C_CFG = 4
+# the residual filter's multiplier of Q_rel^C / x^j
+TOL_REL = 1
 Q_REL_HARD_CAP = 10 ** 6
 
 RESIDUAL_MATCH_TOL = Fraction(1, 2 ** 40)
@@ -118,37 +119,26 @@ def sigma_vector(system: PolySystem, h: Sequence[int]) -> List[Fraction]:
     """sigma_j = sum_i h_i f_{i,j} for j = 1..d (full values, not reduced)."""
     if len(h) != system.k:
         raise ShapeMismatchError("frequency vector length must equal k")
-    out = []
-    for j in range(1, system.d + 1):
-        s = Fraction(0)
-        for i, hi in enumerate(h):
-            if hi:
-                s += hi * system.polys[i].coeffs[j - 1].value
-        out.append(s)
-    return out
+    return [s.value for s in coefficient_sums(system, h)]
 
 
-def default_q_rel(eps: Epsilons, C_cfg: int = DEFAULT_C_CFG,
-                  cap: int = Q_REL_HARD_CAP) -> int:
-    """ceil(Delta^-C), capped."""
-    delta = eps.delta_product
-    q = math.ceil(1 / (delta ** C_cfg))
-    return min(q, cap)
+def default_q_rel(eps: Epsilons) -> int:
+    """ceil(Delta^-C), with C the reduction's C_CFG, capped at Q_REL_HARD_CAP."""
+    return min(math.ceil(1 / eps.delta_product ** C_CFG), Q_REL_HARD_CAP)
 
 
 def build_relations(system: PolySystem, eps: Epsilons, x, dich: FourierDichotomy,
-                    Q_rel: int, tol_rel: float = DEFAULT_TOL_REL,
-                    C_cfg: int = DEFAULT_C_CFG) -> List[RelationTriple]:
+                    Q_rel: int) -> List[RelationTriple]:
     """Turn each branch-2 witness into a relation triple, filtered by residual.
 
-    A triple survives when residual_j <= tol_rel * Q_rel^C / x^j in every
-    slot j.  The returned list is sorted lexicographically by h and may be
-    empty; emptiness is the driver's problem, not an error.
+    A triple survives when residual_j <= TOL_REL * Q_rel^C / x^j in every
+    slot j, with C the reduction's C_CFG.  The returned list is sorted
+    lexicographically by h and may be empty; emptiness is the driver's
+    problem, not an error.
     """
     if dich.branch != LARGE_COEFFICIENTS:
         raise ValueError("relations require the large-coefficients branch")
-    tol = Fraction(tol_rel)
-    bound_num = tol * Fraction(Q_rel) ** C_cfg
+    bound_num = TOL_REL * Fraction(Q_rel) ** C_CFG
     kept = []
     for h, _modulus in dich.witnesses:
         sigmas = sigma_vector(system, h)

@@ -11,8 +11,12 @@ denom-analyze` CLI chain.
 Fallback ladder (the analytic argument's dichotomies need not fire at desk
 scale): the gate, then the reduction branch, then brute force within the
 enumeration cap, else an inconclusive outcome.  Every fallback is recorded
-in the run stats, and every Found is re-verified exactly against the root
-system before it is reported.
+in the run stats.
+
+A level returns plain values: its status, n, the chain of reduction steps
+below it and, when nothing was found, the reason.  Only `solve`, at the
+root, writes the certificate and the outcome, after `check_hit` has
+re-verified a found n exactly against the root system.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .core import (
     Real,
     SystemState,
     _checkpointed_min,
-    eval_system,
     first_hit,
     horizon_count,
 )
@@ -52,6 +55,7 @@ from .reduction import (
     IntegralityError,
     LiftVerificationError,
     ReductionPreconditionError,
+    check_hit,
     density_invariant,
     lift_solution,
     reduce_dimension,
@@ -122,25 +126,6 @@ class SolveOutcome:
     certificate: Certificate
     stats: SolveStats
 
-    def to_dict(self) -> dict:
-        return {"status": self.status, "n": self.n,
-                "certificate": self.certificate.to_dict(),
-                "stats": self.stats.to_dict()}
-
-
-def _found_certificate(state: SystemState, n: int, constants: dict) -> Certificate:
-    dists = eval_system(state.system, n)
-    return Certificate(root=state.to_dict(), chain=[],
-                       terminal={"kind": TERMINAL_FOUND, "n": n,
-                                 "dists": [str(dv) for dv in dists]},
-                       constants=constants)
-
-
-def _exhausted_certificate(state: SystemState, reason: str, constants: dict) -> Certificate:
-    return Certificate(root=state.to_dict(), chain=[],
-                       terminal={"kind": TERMINAL_EXHAUSTED, "reason": reason},
-                       constants=constants)
-
 
 def generator_bounds(eps: Epsilons) -> List[int]:
     """B_i = max(ceil(1/eps_i), floor(eps_i^-1 Delta^(-2/(2k)^4))).
@@ -167,47 +152,48 @@ def solve(state: SystemState, config: Optional[SolverConfig] = None) -> SolveOut
 
     Never raises for a solver-path failure; all failure modes land in the
     outcome.  A Found outcome has been re-verified exactly on the root
-    system.
+    system, and only here is the certificate written.
     """
     if config is None:
         config = SolverConfig()
     stats = SolveStats()
     t0 = time.monotonic()
+    status, n, chain, reason = _solve_level(state, config, stats, depth=0,
+                                            root_k=state.k)
+    if status == STATUS_FOUND:
+        dists = check_hit(state.system, state.eps, n)
+        terminal = {"kind": TERMINAL_FOUND, "n": n, "dists": [str(dv) for dv in dists]}
+    else:
+        terminal = {"kind": TERMINAL_EXHAUSTED, "reason": reason}
     constants = {
         "config": config.to_dict(),
         # the analytic guarantee is only claimed for eps_i <= 1/100; larger
         # tolerances are solved anyway and the departure is recorded
         "within_theorem_hypothesis": state.eps.within_theorem_hypothesis,
     }
-    outcome = _solve_level(state, config, stats, depth=0, constants=constants,
-                           root_k=state.k)
-    if outcome.status == STATUS_FOUND:
-        dists = eval_system(state.system, outcome.n)
-        if not all(dv < e for dv, e in zip(dists, state.eps.eps)):
-            raise LiftVerificationError(0, max(dists), min(state.eps.eps))
+    certificate = Certificate(root=state.to_dict(), chain=chain, terminal=terminal,
+                              constants=constants)
     stats.wall_time = time.monotonic() - t0
-    return outcome
+    return SolveOutcome(status, n, certificate, stats)
 
 
+# A level returns (status, n, chain, reason): the chain of reduction steps
+# below it and, unless found, why its scan came up empty.
 def _scan_level(state: SystemState, config: SolverConfig, stats: SolveStats,
-                constants: dict, reason: str) -> SolveOutcome:
+                reason: str):
     try:
         n = first_hit(state.system, state.eps, state.y, enum_cap=config.enum_cap)
         stats.evaluations += horizon_count(state.y) if n is None else n
     except HorizonCapError:
         stats.fallbacks.append(f"{reason}:enum-cap")
-        return SolveOutcome(STATUS_INCONCLUSIVE, None,
-                            _exhausted_certificate(state, f"{reason}; horizon over enum cap",
-                                                   constants), stats)
+        return STATUS_INCONCLUSIVE, None, [], f"{reason}; horizon over enum cap"
     if n is not None:
-        return SolveOutcome(STATUS_FOUND, n, _found_certificate(state, n, constants), stats)
-    return SolveOutcome(STATUS_NOT_FOUND, None,
-                        _exhausted_certificate(state, f"{reason}; exhaustive scan found no hit",
-                                               constants), stats)
+        return STATUS_FOUND, n, [], None
+    return STATUS_NOT_FOUND, None, [], f"{reason}; exhaustive scan found no hit"
 
 
 def _solve_level(state: SystemState, config: SolverConfig, stats: SolveStats,
-                 depth: int, constants: dict, root_k: int) -> SolveOutcome:
+                 depth: int, root_k: int):
     stats.max_depth_reached = max(stats.max_depth_reached, depth)
     # record whether the analytic argument's hypothesis held at this level:
     # Delta^-1 <= x^(2/C)  <=>  x^2 Delta^C >= 1 (exact rational comparison)
@@ -215,7 +201,7 @@ def _solve_level(state: SystemState, config: SolverConfig, stats: SolveStats,
         state.y ** 2 * state.eps.delta_product ** C_CFG >= 1)
     horizon = horizon_count(state.y)
     if horizon <= config.brute_force_threshold:
-        return _scan_level(state, config, stats, constants, "below brute-force threshold")
+        return _scan_level(state, config, stats, "below brute-force threshold")
 
     try:
         gate = density_gate(state.system, state.eps, state.y,
@@ -223,12 +209,12 @@ def _solve_level(state: SystemState, config: SolverConfig, stats: SolveStats,
                             enum_cap=config.enum_cap)
     except (BoxTooLargeError, ValueError, HorizonCapError) as exc:
         stats.fallbacks.append(f"fourier:{exc}")
-        return _scan_level(state, config, stats, constants, "fourier unavailable")
+        return _scan_level(state, config, stats, "fourier unavailable")
     stats.fourier_branches.append(gate.branch)
 
     if gate.branch == HIT_DENSITY:
         # the count already located hits; return the smallest one
-        return _scan_level(state, config, stats, constants, "hit-density scan")
+        return _scan_level(state, config, stats, "hit-density scan")
 
     # k drops by at least one per reduction, so by default the budget only
     # stops k = 1 levels, where no reduction exists
@@ -236,16 +222,16 @@ def _solve_level(state: SystemState, config: SolverConfig, stats: SolveStats,
     if depth >= budget:
         stats.fallbacks.append("depth-budget")
     else:
-        outcome = _reduction_path(state, config, stats, depth, constants, root_k)
-        if outcome is not None:
-            return outcome
+        found = _reduction_path(state, config, stats, depth, root_k)
+        if found is not None:
+            return found
         stats.fallbacks.append("reduction-path-exhausted")
-    return _scan_level(state, config, stats, constants, "reduction path exhausted")
+    return _scan_level(state, config, stats, "reduction path exhausted")
 
 
-def _reduction_path(state, config, stats, depth, constants,
-                    root_k: int) -> Optional[SolveOutcome]:
-    """One reduction over q0 = 1, then the child's solve and the lift."""
+def _reduction_path(state, config, stats, depth, root_k: int):
+    """One reduction over q0 = 1, then the child's solve and the lift; None
+    unless the lifted n is found."""
     # eta < 1/x is reduce_dimension's gate; 1/100 is the lemma's hypothesis
     eta = min(Fraction(1, 100), 1 / (2 * state.y))
     gens = quasi_orthogonal_generators(state.system, generator_bounds(state.eps), eta,
@@ -263,24 +249,19 @@ def _reduction_path(state, config, stats, depth, constants,
     stats.reductions += 1
     stats.density_reports.append(
         density_invariant(state, step).to_dict())
-    child = _solve_level(step.child_state(), config, stats, depth + 1,
-                         constants, root_k)
-    if child.status != STATUS_FOUND:
-        stats.fallbacks.append(f"reduction:child-{child.status}")
+    status, n_child, chain, _reason = _solve_level(step.child_state(), config, stats,
+                                                   depth + 1, root_k)
+    if status != STATUS_FOUND:
+        stats.fallbacks.append(f"reduction:child-{status}")
         return None
     try:
-        n, dists = lift_solution(step, child.n, state)
+        n, _dists = lift_solution(step, n_child, state)
     except (LiftVerificationError, HorizonOverflowError):
         stats.lift_failures += 1
         stats.fallbacks.append("reduction:lift-verification")
         return None
-    step.child_hit = child.n
-    cert = Certificate(root=state.to_dict(),
-                       chain=[step] + child.certificate.chain,
-                       terminal={"kind": TERMINAL_FOUND, "n": n,
-                                 "dists": [str(dv) for dv in dists]},
-                       constants=constants)
-    return SolveOutcome(STATUS_FOUND, n, cert, stats)
+    step.child_hit = n_child
+    return STATUS_FOUND, n, [step] + chain, None
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .core import (
     _hits,
     _residues,
     _strict_thresholds,
+    coefficient_sums,
     frac_dist,
     hit_count,
 )
@@ -123,16 +124,7 @@ class SmoothingKernel:
 
 def _phase_coefficients(system: PolySystem, h: Sequence[int]) -> List[Fraction]:
     """sigma_j = sum_i h_i f_{i,j}, reduced mod 1, for j = 1..d."""
-    if len(h) != system.k:
-        raise ValueError("frequency vector length must equal k")
-    out = []
-    for j in range(1, system.d + 1):
-        sigma = Fraction(0)
-        for i, hi in enumerate(h):
-            if hi:
-                sigma += hi * system.polys[i].coeffs[j - 1].value
-        out.append(sigma - sigma.__floor__())
-    return out
+    return [s.value - s.value.__floor__() for s in coefficient_sums(system, h)]
 
 
 def _phase_residues(sigma: Sequence[Fraction], last: int):

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import PolySystem
+from .core import PolySystem, coefficient_sums
 from .intlinalg import (
     det_bareiss,
     det_fraction,
@@ -71,18 +71,6 @@ class LatticeBasis:
     reduced_flag: bool = False
     minima_estimates: List[Fraction] = field(default_factory=list)
     transform: Optional[List[List[int]]] = None  # rows: new basis in old generators
-    k: Optional[int] = None
-    d: Optional[int] = None
-    B: Optional[Tuple[Fraction, ...]] = None
-    eta: Optional[Fraction] = None
-
-    @property
-    def n(self) -> int:
-        return len(self.vectors)
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors[0])
 
 
 def build_relation_lattice(system: PolySystem, B: Sequence, eta) -> LatticeBasis:
@@ -120,8 +108,7 @@ def build_relation_lattice(system: PolySystem, B: Sequence, eta) -> LatticeBasis
         row = [Fraction(0)] * dim
         row[k + j - 1] = 1 / ev ** j
         rows.append(row)
-    return LatticeBasis(vectors=rows, transform=identity(dim),
-                        k=k, d=d, B=tuple(Bv), eta=ev)
+    return LatticeBasis(vectors=rows, transform=identity(dim))
 
 
 def _gram_schmidt(basis):
@@ -168,7 +155,7 @@ def reduce_basis(basis: LatticeBasis, delta: Fraction = LLL_DELTA) -> LatticeBas
             kk = max(kk - 1, 1)
     estimates = sorted(_linf(v) for v in vecs)
     return LatticeBasis(vectors=vecs, reduced_flag=True, minima_estimates=estimates,
-                        transform=U, k=basis.k, d=basis.d, B=basis.B, eta=basis.eta)
+                        transform=U)
 
 
 def shortest_vector(basis: LatticeBasis) -> Tuple[List[Fraction], Fraction]:
@@ -213,7 +200,7 @@ def shortest_vector(basis: LatticeBasis) -> Tuple[List[Fraction], Fraction]:
     if best_x is None:  # b_1 itself is the minimum
         best_x = [1] + [0] * (n - 1)
         best_sq = _dot(vecs[0], vecs[0])
-    vec = [sum(best_x[j] * vecs[j][t] for j in range(n)) for t in range(red.dim)]
+    vec = [sum(best_x[j] * vecs[j][t] for j in range(n)) for t in range(len(vecs[0]))]
     return vec, best_sq
 
 
@@ -264,18 +251,9 @@ class NoShortVector:
 
 def membership_residuals(system: PolySystem, h: Sequence[int], a: Sequence[int]):
     """Centers and interval radii of |sum_i h_i beta_ij - a_j| per slot j."""
-    centers, slacks = [], []
-    for j in range(1, system.d + 1):
-        c = Fraction(0)
-        s = Fraction(0)
-        for i, hi in enumerate(h):
-            if hi:
-                coeff = system.coeff(i + 1, j)
-                c += hi * coeff.value
-                s += abs(hi) * coeff.err
-        centers.append(abs(c - a[j - 1]))
-        slacks.append(s)
-    return centers, slacks
+    sums = coefficient_sums(system, h)
+    return ([abs(s.value - a_j) for s, a_j in zip(sums, a)],
+            [s.err for s in sums])
 
 
 def decisively_in_region(system: PolySystem, h: Sequence[int], a: Sequence[int],
@@ -299,9 +277,21 @@ def max_minor(rows: Sequence[Sequence[Fraction]]) -> Tuple[Fraction, Tuple[int, 
     return best_val, best_cols
 
 
+def subset_measures(rows: Sequence[Sequence[Fraction]]) -> Tuple[Fraction, float, Fraction]:
+    """What a GeneratorSet records of its rescaled rows h~: the exact
+    orthogonality ratio squared wedge^2 / prod ||v||_2^2 (0 for dependent
+    rows), its float square root, and the sup-norm product prod ||v||_inf."""
+    wsq = wedge_norm_sq(rows)
+    l2sq = tp = Fraction(1)
+    for v in rows:
+        l2sq *= _dot(v, v)
+        tp *= _linf(v)
+    ratio_sq = wsq / l2sq if wsq else Fraction(0)
+    return ratio_sq, math.sqrt(float(ratio_sq)), tp
+
+
 def quasi_orthogonal_generators(system: PolySystem, B: Sequence, eta,
                                 N_target: int, c_orth: float,
-                                C_slack: Optional[Fraction] = None,
                                 max_r: Optional[int] = None):
     """Extract r quasi-orthogonal (h, a) pairs from the reduced relation lattice.
 
@@ -309,21 +299,18 @@ def quasi_orthogonal_generators(system: PolySystem, B: Sequence, eta,
     re-verified as a region point exactly), then searches index subsets by
     descending size; a subset qualifies when the rescaled h vectors have
     orthogonality ratio >= c_orth and sup-norm product within the slack
-    factor of N_target^(-1/(d+1)).  Among qualifying subsets of a size, the
-    one with the largest maximal r x r minor wins, ties lexicographic.
-    Returns NoShortVector when nothing qualifies.  ``max_r`` caps the subset
-    size (a caller that must leave at least one polynomial behind passes
-    k - 1).
+    factor 2^(k+d) of N_target^(-1/(d+1)).  Among qualifying subsets of a
+    size, the one with the largest maximal r x r minor wins, ties
+    lexicographic.  Returns NoShortVector when nothing qualifies.  ``max_r``
+    caps the subset size (a caller that must leave at least one polynomial
+    behind passes k - 1).
     """
     if N_target < 2:
         raise ValueError("N_target must be at least 2")
     k, d = system.k, system.d
-    if C_slack is None:
-        C_slack = Fraction(2 ** (k + d))
-    C_slack = Fraction(C_slack)
-    lat = build_relation_lattice(system, B, eta)
-    red = reduce_basis(lat)
-    Bv, ev = red.B, red.eta
+    Bv = tuple(Fraction(b) for b in B)
+    ev = Fraction(eta)
+    red = reduce_basis(build_relation_lattice(system, Bv, ev))
 
     prefix = []  # (h, a) integer pairs for the usable prefix
     for row, coeffs in zip(red.vectors, red.transform):
@@ -339,41 +326,30 @@ def quasi_orthogonal_generators(system: PolySystem, B: Sequence, eta,
         return NoShortVector("no reduced basis vector fits in the unit box")
 
     c_orth_sq = Fraction(c_orth) ** 2
-    # tilde_product^(d+1) <= C_slack^(d+1) / N_target, compared exactly
-    prod_bound_pow = C_slack ** (d + 1) / N_target
+    # tilde_product^(d+1) <= (2^(k+d))^(d+1) / N_target, compared exactly
+    prod_bound_pow = Fraction(2 ** (k + d)) ** (d + 1) / N_target
 
     htils = [[Fraction(h_i) / b for h_i, b in zip(h, Bv)] for h, _a in prefix]
     r_hi = min(J, k if max_r is None else max_r)
     for r in range(r_hi, 0, -1):
-        best = None  # (max_minor_abs, subset, data)
+        best = None  # (max_minor_abs, subset, measures)
         for subset in combinations(range(J), r):
             rows = [htils[i] for i in subset]
-            wsq = wedge_norm_sq(rows)
-            if wsq == 0:
-                continue
-            l2sq = Fraction(1)
-            for v in rows:
-                l2sq *= _dot(v, v)
-            if wsq < c_orth_sq * l2sq:
-                continue
-            tp = Fraction(1)
-            for v in rows:
-                tp *= _linf(v)
-            if tp ** (d + 1) > prod_bound_pow:
+            measures = subset_measures(rows)
+            ratio_sq, _ratio, tp = measures
+            if ratio_sq == 0 or ratio_sq < c_orth_sq or tp ** (d + 1) > prod_bound_pow:
                 continue
             minor, _cols = max_minor(rows)
             if best is None or minor > best[0]:
-                best = (minor, subset, (wsq, l2sq, tp))
+                best = (minor, subset, measures)
         if best is not None:
-            _minor, subset, (wsq, l2sq, tp) = best
-            ratio_sq = wsq / l2sq
+            _minor, subset, (ratio_sq, ratio, tp) = best
             return GeneratorSet(
                 r=r,
                 h_vecs=tuple(prefix[i][0] for i in subset),
                 a_vecs=tuple(prefix[i][1] for i in subset),
                 B=Bv, eta=ev, tilde_product=tp,
-                orth_ratio=math.sqrt(float(ratio_sq)),
-                orth_ratio_sq=ratio_sq)
+                orth_ratio=ratio, orth_ratio_sq=ratio_sq)
     return NoShortVector(
         f"no subset of the {J}-vector prefix met the orthogonality/product bounds")
 

@@ -20,10 +20,11 @@ from .intlinalg import det_bareiss, frac_inverse, lattice_det_from_columns, solv
 from .latgeom import (
     GeneratorSet,
     LatticeBasis,
+    decisively_in_region,
     max_minor,
-    membership_residuals,
     reduce_basis,
     solution_lattice_basis,
+    subset_measures,
 )
 
 class ReductionPreconditionError(ValueError):
@@ -164,19 +165,20 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
         raise ReductionPreconditionError(
             f"residual scale eta={eta} fails eta < 1/x = 1/{x}")
 
-    # membership of each generator, with coefficient error slack
+    # each generator is a point of the region, with coefficient error slack
     for ell in range(r):
-        centers, slacks = membership_residuals(state.system, gens.h_vecs[ell],
-                                               gens.a_vecs[ell])
-        for j, (c, s) in enumerate(zip(centers, slacks), start=1):
-            if c + s > eta ** j:
-                raise ReductionPreconditionError(
-                    f"generator {ell} slot {j}: residual exceeds eta^{j}")
+        if not decisively_in_region(state.system, gens.h_vecs[ell], gens.a_vecs[ell],
+                                    gens.B, eta):
+            raise ReductionPreconditionError(
+                f"generator {ell} is not in the region |h| <= B, residual_j <= eta^j")
 
     h_tilde = gens.h_tilde()
     minor, lead = max_minor(h_tilde)
     if minor == 0:
         raise ReductionPreconditionError("generator h vectors are rank deficient")
+    if (gens.orth_ratio_sq, gens.orth_ratio, gens.tilde_product) != subset_measures(h_tilde):
+        raise ReductionPreconditionError(
+            "recorded orthogonality ratio or sup-norm product disagrees with h_vecs and B")
     perm = tuple(list(lead) + [c for c in range(k) if c not in lead])
 
     H1 = [[gens.h_vecs[ell][perm[p]] for p in range(r)] for ell in range(r)]
@@ -248,28 +250,33 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
         min_h_tilde=min_h)
 
 
+def check_hit(system: PolySystem, eps: Epsilons, n: int) -> List[Fraction]:
+    """The exact distances of system at n, each checked below its tolerance.
+
+    Raises LiftVerificationError at the first tolerance missed.
+    """
+    dists = eval_system(system, n)
+    for i, (dist, e) in enumerate(zip(dists, eps.eps)):
+        if dist >= e:
+            raise LiftVerificationError(i, dist, e)
+    return dists
+
+
 def lift_solution(step: ReductionStep, n_prime: int, parent: SystemState):
     """Map a solution of the reduced system to the parent: n = n' * step.scale().
 
-    The parent system is re-evaluated exactly at n and every tolerance is
-    enforced; failure raises LiftVerificationError with the offending index.
+    The child's hit and the lifted n are both checked exactly (check_hit);
+    returns n and its distances on the parent.
     """
     if n_prime < 1:
         raise ValueError("n' must be a positive integer")
     if not (n_prime < step.y):
         raise HorizonOverflowError(f"n' = {n_prime} not below child horizon {step.y}")
-    child_dists = eval_system(step.g, n_prime)
-    for i, (dist, e) in enumerate(zip(child_dists, step.eps_prime.eps)):
-        if dist >= e:
-            raise LiftVerificationError(i, dist, e)
+    check_hit(step.g, step.eps_prime, n_prime)
     n = n_prime * step.scale()
     if not (n < parent.y):
         raise HorizonOverflowError(f"lifted n = {n} not below parent horizon {parent.y}")
-    dists = eval_system(parent.system, n)
-    for i, (dist, e) in enumerate(zip(dists, parent.eps.eps)):
-        if dist >= e:
-            raise LiftVerificationError(i, dist, e)
-    return n, dists
+    return n, check_hit(parent.system, parent.eps, n)
 
 
 @dataclass

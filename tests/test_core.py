@@ -12,6 +12,7 @@ from fracparts.core import (
     ScalarParseError,
     SystemState,
     brute_force_min,
+    coefficient_sums,
     eval_system,
     first_hit,
     frac_dist,
@@ -80,6 +81,20 @@ class TestEvalSystem:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             eval_system(sys1(["1/3"]), 0)
+
+
+class TestCoefficientSums:
+    def test_values_and_radii(self):
+        s = sys1(["1/2", "sqrt(2)"], ["1/3", "sqrt(3)/2"])
+        two, three = s.coeff(1, 2), s.coeff(2, 2)
+        sums = coefficient_sums(s, (3, -2))
+        assert sums[0] == Real(Fraction(3, 2) - Fraction(2, 3)) and sums[0].exact
+        assert sums[1].value == 3 * two.value - 2 * three.value
+        assert sums[1].err == 3 * two.err + 2 * three.err > 0
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            coefficient_sums(sys1(["1/2"]), (1, 1))
 
 
 class TestBruteForceMin:

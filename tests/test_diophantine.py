@@ -188,6 +188,6 @@ class TestRelationResidual:
 
     def test_q_rel_default_capped(self):
         eps = Epsilons((Fraction(1, 100), Fraction(1, 100)))
-        assert default_q_rel(eps, 4) == 10 ** 6
+        assert default_q_rel(eps) == 10 ** 6
         eps2 = Epsilons((Fraction(1, 2),))
-        assert default_q_rel(eps2, 4) == 16
+        assert default_q_rel(eps2) == 16

@@ -23,7 +23,7 @@ from fracparts.driver import (
     measure_exponent,
     solve,
 )
-from fracparts.reduction import verify_certificate
+from fracparts.reduction import Certificate, LiftVerificationError, verify_certificate
 from fracparts.serialize import (
     SystemFileError,
     certificate_bytes,
@@ -88,6 +88,29 @@ class TestSolve:
             assert step.scale() == step.D2
         config = out.certificate.constants["config"]
         assert SolverConfig.from_dict(config) == FORCED
+
+    def test_one_certificate_per_solve(self, monkeypatch):
+        # the levels below the root return plain values; only solve writes
+        # the certificate, once, on the root
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return Certificate(*args, **kwargs)
+
+        monkeypatch.setattr("fracparts.driver.Certificate", counted)
+        out = solve(dup_sqrt2_state(10 ** 5), FORCED)
+        assert len(out.certificate.chain) >= 1 and out.stats.max_depth_reached >= 1
+        assert len(built) == 1
+
+    def test_final_check_names_the_missed_tolerance(self, monkeypatch):
+        # n = 1 meets tolerance 0 (f_1 = 0) and misses tolerance 1 (||1/2|| = 1/2)
+        monkeypatch.setattr("fracparts.driver.first_hit", lambda *_a, **_k: 1)
+        st = state_of(sys1(["0"], ["1/2"]), [Fraction(1, 10)] * 2, 10)
+        with pytest.raises(LiftVerificationError) as info:
+            solve(st)
+        assert info.value.index == 1
+        assert info.value.dist == Fraction(1, 2) and info.value.bound == Fraction(1, 10)
 
     def test_reduction_needs_no_box_scan_or_relations(self, monkeypatch):
         # the generators come from the relation lattice alone, so the Fourier

@@ -285,14 +285,17 @@ def chained_certificates():
 
 
 # every recorded step field (g_err is recorded from g, and its radii are not
-# replayed yet), with the generators tampered in their relations and count
-TAMPERED_FIELDS = [(f.name,) for f in dataclasses.fields(ReductionStep)
-                   if f.name != "gens"] + [("gens", "a_vecs"), ("gens", "r")]
+# replayed yet) and every field of its generators but eta: a halved eta is
+# a stronger membership claim that exact relations still meet
+TAMPERED_FIELDS = ([(f.name,) for f in dataclasses.fields(ReductionStep) if f.name != "gens"]
+                   + [("gens", f.name) for f in dataclasses.fields(GeneratorSet)
+                      if f.name != "eta"])
 
 
 def tamper(step: dict, path) -> None:
     """Change the first leaf under path: an integer by +1, the digest by
-    reversal, any other rational string by halving (0 becomes 1/3)."""
+    reversal, a float or any other rational string by halving (0 becomes
+    1/3)."""
     for key in path[:-1]:
         step = step[key]
     key = path[-1]
@@ -301,6 +304,8 @@ def tamper(step: dict, path) -> None:
     value = step[key]
     if isinstance(value, int):
         step[key] = value + 1
+    elif isinstance(value, float):
+        step[key] = value / 2
     elif key == "parent_digest":
         step[key] = value[::-1]
     else:
