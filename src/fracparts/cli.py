@@ -35,6 +35,7 @@ from .latgeom import (
     NoShortVector,
     quasi_orthogonal_generators,
     reduce_basis,
+    subset_measures,
     sublattice_determinants,
     wedge_norm,
 )
@@ -196,7 +197,9 @@ def cmd_lattice(args) -> int:
         if isinstance(gens, NoShortVector):
             _emit({"outcome": "no-short-vector", "reason": gens.reason})
             return EXIT_NOT_FOUND
-        _emit({"outcome": "generators", **gens.to_dict()})
+        ratio_sq, tilde_product = subset_measures(gens.h_tilde(B))
+        _emit({"outcome": "generators", "r": gens.r, **gens.to_dict(),
+               "orth_ratio_sq": str(ratio_sq), "tilde_product": str(tilde_product)})
         return EXIT_OK
     print("choose a lattice mode: --wedge / --reduce / --generators / --det-identity",
           file=sys.stderr)

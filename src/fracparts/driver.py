@@ -2,11 +2,12 @@
 
 Each level runs the dichotomy's hit-density gate (`expsum.density_gate`).
 Dense hits are returned by scan; otherwise the level tries one reduction,
-with generators from the relation lattice over q0 = 1, and recurses on the
-smaller child.  The lattice is built from the coefficients themselves, so
-the Fourier box scan, relation reconstruction and denominator clustering
-are not on this path; they serve the `fourier-scan | relations |
-denom-analyze` CLI chain.
+with generators from the relation lattice over q0 = 1, searched in the
+level's own region (`reduction.region`, which `reduce_dimension` checks
+them against), and recurses on the smaller child.  The lattice is built
+from the coefficients themselves, so the Fourier box scan, relation
+reconstruction and denominator clustering are not on this path; they
+serve the `fourier-scan | relations | denom-analyze` CLI chain.
 
 Fallback ladder (the analytic argument's dichotomies need not fire at desk
 scale): the gate, then the reduction branch, then brute force within the
@@ -28,12 +29,9 @@ from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-import mpmath
-
 from .core import (
     DEFAULT_ENUM_CAP,
     DEFAULT_PRECISION_BITS,
-    Epsilons,
     HorizonCapError,
     Poly,
     PolySystem,
@@ -59,6 +57,7 @@ from .reduction import (
     density_invariant,
     lift_solution,
     reduce_dimension,
+    region,
 )
 
 STATUS_FOUND = "found"
@@ -125,26 +124,6 @@ class SolveOutcome:
     n: Optional[int]
     certificate: Certificate
     stats: SolveStats
-
-
-def generator_bounds(eps: Epsilons) -> List[int]:
-    """B_i = max(ceil(1/eps_i), floor(eps_i^-1 Delta^(-2/(2k)^4))).
-
-    Large enough that meeting 1/B_i implies meeting eps_i, and wide enough
-    to contain the Fourier frequency box (`expsum.frequency_caps`, whose
-    exponent is half this one).
-    """
-    k = eps.k
-    delta = eps.delta_product
-    with mpmath.workprec(96):
-        factor = mpmath.power(mpmath.mpf(delta.numerator) / delta.denominator,
-                              -2.0 / (2 * k) ** 4)
-        out = []
-        for e in eps.eps:
-            inv = 1 / e
-            cap = int(mpmath.floor(factor * mpmath.mpf(inv.numerator) / inv.denominator))
-            out.append(max(math.ceil(inv), cap, 2))
-    return out
 
 
 def solve(state: SystemState, config: Optional[SolverConfig] = None) -> SolveOutcome:
@@ -231,10 +210,10 @@ def _solve_level(state: SystemState, config: SolverConfig, stats: SolveStats,
 
 def _reduction_path(state, config, stats, depth, root_k: int):
     """One reduction over q0 = 1, then the child's solve and the lift; None
-    unless the lifted n is found."""
-    # eta < 1/x is reduce_dimension's gate; 1/100 is the lemma's hypothesis
-    eta = min(Fraction(1, 100), 1 / (2 * state.y))
-    gens = quasi_orthogonal_generators(state.system, generator_bounds(state.eps), eta,
+    unless the lifted n is found.  The generators are searched in the
+    level's own region, the one `reduce_dimension` checks them against."""
+    B, eta = region(state)
+    gens = quasi_orthogonal_generators(state.system, B, eta,
                                        N_target=N_TARGET, c_orth=C_ORTH,
                                        max_r=state.k - 1)
     if isinstance(gens, NoShortVector):

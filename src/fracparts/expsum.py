@@ -254,19 +254,19 @@ class FourierDichotomy:
             flagged=d.get("flagged", False), flag_reason=d.get("flag_reason", ""))
 
 
-def frequency_caps(eps: Epsilons) -> Tuple[int, ...]:
-    """h_cap_i = floor(eps_i^-1 * Delta^(-1/(2k)^4))."""
-    k = eps.k
+def _delta_scaled_caps(eps: Epsilons, exponent: Fraction) -> List[int]:
+    """floor(eps_i^-1 * Delta^(-exponent)) for each i, at 96 bits."""
     delta = eps.delta_product
-    exponent = Fraction(1, (2 * k) ** 4)
     with mpmath.workprec(96):
         factor = mpmath.power(mpmath.mpf(delta.numerator) / delta.denominator,
                               -float(exponent))
-        caps = []
-        for e in eps.eps:
-            v = factor / (mpmath.mpf(e.numerator) / e.denominator)
-            caps.append(int(mpmath.floor(v)))
-    return tuple(caps)
+        return [int(mpmath.floor(factor / (mpmath.mpf(e.numerator) / e.denominator)))
+                for e in eps.eps]
+
+
+def frequency_caps(eps: Epsilons) -> Tuple[int, ...]:
+    """h_cap_i = floor(eps_i^-1 * Delta^(-1/(2k)^4))."""
+    return tuple(_delta_scaled_caps(eps, Fraction(1, (2 * eps.k) ** 4)))
 
 
 def _half_box(caps: Sequence[int]):
@@ -379,6 +379,11 @@ def large_coefficients(system: PolySystem, eps: Epsilons, x, c_hit: float = 0.05
                     break
         return kept
 
+    def mirrored(kept):
+        # each kept h stands for itself and its conjugate -h, sorted by h
+        return sorted(((hh, s) for h, s in kept for hh in (h, tuple(-v for v in h))),
+                      key=lambda w: w[0])
+
     for j in sorted(classes):
         Q = 1 << j
         need = math.isqrt(Q)
@@ -390,26 +395,16 @@ def large_coefficients(system: PolySystem, eps: Epsilons, x, c_hit: float = 0.05
         kept = window_members(j, classes[j],
                               stop_at=max(canonical_need, WITNESS_EMIT_CAP))
         if 2 * len(kept) >= need:
-            witnesses = []
-            for h, s in kept:
-                witnesses.append((h, s))
-                witnesses.append((tuple(-v for v in h), s))
-            witnesses.sort(key=lambda w: w[0])
             return FourierDichotomy(branch=LARGE_COEFFICIENTS, x_floor=N,
-                                    h_caps=caps, Q=Q, witnesses=witnesses)
+                                    h_caps=caps, Q=Q, witnesses=mirrored(kept))
 
     # nothing met its sqrt(Q) threshold: report the fullest class, flagged
     if classes:
         j = max(sorted(classes), key=lambda jj: len(classes[jj]))
         kept = window_members(j, classes[j], stop_at=WITNESS_EMIT_CAP) \
             or [(h, fast_abs[h]) for h in classes[j][:WITNESS_EMIT_CAP]]
-        witnesses = []
-        for h, s in kept:
-            witnesses.append((h, s))
-            witnesses.append((tuple(-v for v in h), s))
-        witnesses.sort(key=lambda w: w[0])
         return FourierDichotomy(branch=LARGE_COEFFICIENTS, x_floor=N, h_caps=caps,
-                                Q=1 << j, witnesses=witnesses, flagged=True,
+                                Q=1 << j, witnesses=mirrored(kept), flagged=True,
                                 flag_reason="no dyadic class met its sqrt(Q) threshold")
     return FourierDichotomy(branch=LARGE_COEFFICIENTS, x_floor=N, h_caps=caps,
                             Q=2, witnesses=[], flagged=True,

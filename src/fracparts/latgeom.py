@@ -206,40 +206,32 @@ def shortest_vector(basis: LatticeBasis) -> Tuple[List[Fraction], Fraction]:
 
 @dataclass
 class GeneratorSet:
-    """Quasi-orthogonal relation vectors extracted from the reduced lattice."""
+    """r quasi-orthogonal relations (h, a) extracted from the reduced lattice.
 
-    r: int
+    They are a reduction step's only recorded choice: the region they lie
+    in, their measures and everything the step derives follow from them and
+    the parent level (see `reduction.region`).
+    """
+
     h_vecs: Tuple[Tuple[int, ...], ...]
     a_vecs: Tuple[Tuple[int, ...], ...]
-    B: Tuple[Fraction, ...]
-    eta: Fraction
-    tilde_product: Fraction
-    orth_ratio: float
-    orth_ratio_sq: Fraction  # exact wedge^2 / prod(l2^2), in (0, 1]
 
-    def h_tilde(self) -> List[List[Fraction]]:
-        return [[Fraction(h) / b for h, b in zip(hv, self.B)] for hv in self.h_vecs]
+    @property
+    def r(self) -> int:
+        return len(self.h_vecs)
+
+    def h_tilde(self, B: Sequence) -> List[List[Fraction]]:
+        """The rows h_i / B_i."""
+        return [[Fraction(h) / b for h, b in zip(hv, B)] for hv in self.h_vecs]
 
     def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "h_vecs": [list(h) for h in self.h_vecs],
-            "a_vecs": [list(a) for a in self.a_vecs],
-            "B": [str(b) for b in self.B],
-            "eta": str(self.eta),
-            "tilde_product": str(self.tilde_product),
-            "orth_ratio": self.orth_ratio,
-            "orth_ratio_sq": str(self.orth_ratio_sq),
-        }
+        return {"h_vecs": [list(h) for h in self.h_vecs],
+                "a_vecs": [list(a) for a in self.a_vecs]}
 
     @staticmethod
     def from_dict(d: dict) -> "GeneratorSet":
-        return GeneratorSet(
-            r=d["r"], h_vecs=tuple(tuple(h) for h in d["h_vecs"]),
-            a_vecs=tuple(tuple(a) for a in d["a_vecs"]),
-            B=tuple(Fraction(b) for b in d["B"]), eta=Fraction(d["eta"]),
-            tilde_product=Fraction(d["tilde_product"]),
-            orth_ratio=d["orth_ratio"], orth_ratio_sq=Fraction(d["orth_ratio_sq"]))
+        return GeneratorSet(h_vecs=tuple(tuple(h) for h in d["h_vecs"]),
+                            a_vecs=tuple(tuple(a) for a in d["a_vecs"]))
 
 
 @dataclass
@@ -277,17 +269,16 @@ def max_minor(rows: Sequence[Sequence[Fraction]]) -> Tuple[Fraction, Tuple[int, 
     return best_val, best_cols
 
 
-def subset_measures(rows: Sequence[Sequence[Fraction]]) -> Tuple[Fraction, float, Fraction]:
-    """What a GeneratorSet records of its rescaled rows h~: the exact
+def subset_measures(rows: Sequence[Sequence[Fraction]]) -> Tuple[Fraction, Fraction]:
+    """The generator search's measures of rescaled rows h~: the exact
     orthogonality ratio squared wedge^2 / prod ||v||_2^2 (0 for dependent
-    rows), its float square root, and the sup-norm product prod ||v||_inf."""
+    rows) and the sup-norm product prod ||v||_inf."""
     wsq = wedge_norm_sq(rows)
     l2sq = tp = Fraction(1)
     for v in rows:
         l2sq *= _dot(v, v)
         tp *= _linf(v)
-    ratio_sq = wsq / l2sq if wsq else Fraction(0)
-    return ratio_sq, math.sqrt(float(ratio_sq)), tp
+    return (wsq / l2sq if wsq else Fraction(0)), tp
 
 
 def quasi_orthogonal_generators(system: PolySystem, B: Sequence, eta,
@@ -332,24 +323,19 @@ def quasi_orthogonal_generators(system: PolySystem, B: Sequence, eta,
     htils = [[Fraction(h_i) / b for h_i, b in zip(h, Bv)] for h, _a in prefix]
     r_hi = min(J, k if max_r is None else max_r)
     for r in range(r_hi, 0, -1):
-        best = None  # (max_minor_abs, subset, measures)
+        best = None  # (max_minor_abs, subset)
         for subset in combinations(range(J), r):
             rows = [htils[i] for i in subset]
-            measures = subset_measures(rows)
-            ratio_sq, _ratio, tp = measures
+            ratio_sq, tp = subset_measures(rows)
             if ratio_sq == 0 or ratio_sq < c_orth_sq or tp ** (d + 1) > prod_bound_pow:
                 continue
             minor, _cols = max_minor(rows)
             if best is None or minor > best[0]:
-                best = (minor, subset, measures)
+                best = (minor, subset)
         if best is not None:
-            _minor, subset, (ratio_sq, ratio, tp) = best
-            return GeneratorSet(
-                r=r,
-                h_vecs=tuple(prefix[i][0] for i in subset),
-                a_vecs=tuple(prefix[i][1] for i in subset),
-                B=Bv, eta=ev, tilde_product=tp,
-                orth_ratio=ratio, orth_ratio_sq=ratio_sq)
+            _minor, subset = best
+            return GeneratorSet(h_vecs=tuple(prefix[i][0] for i in subset),
+                                a_vecs=tuple(prefix[i][1] for i in subset))
     return NoShortVector(
         f"no subset of the {J}-vector prefix met the orthogonality/product bounds")
 

@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import mpmath
 
 from .core import Epsilons, Poly, PolySystem, Real, SystemState, eval_system
+from .expsum import _delta_scaled_caps
 from .intlinalg import det_bareiss, frac_inverse, lattice_det_from_columns, solve_integer
 from .latgeom import (
     GeneratorSet,
@@ -24,7 +25,6 @@ from .latgeom import (
     max_minor,
     reduce_basis,
     solution_lattice_basis,
-    subset_measures,
 )
 
 class ReductionPreconditionError(ValueError):
@@ -61,8 +61,25 @@ class HorizonOverflowError(ValueError):
 DEFAULT_DELTA_CONST = Fraction(1, 4)
 
 # The relation-quality exponent C of the density invariant's exponents
-# 3C^2 - C^2/k^3; every step records it as C_cfg.
+# 3C^2 - C^2/k^3.
 C_CFG = 4
+
+
+def region(state: SystemState) -> Tuple[List[int], Fraction]:
+    """The region (B, eta) a level's generators (h, a) must lie in:
+    |h_i| <= B_i and |sum_i h_i f_{i,j} - a_j| <= eta^j.
+
+    B_i = max(ceil(1/eps_i), floor(eps_i^-1 Delta^(-2/(2k)^4)), 2) is large
+    enough that meeting 1/B_i implies meeting eps_i, and wide enough to
+    contain the Fourier frequency box (`expsum.frequency_caps`, whose
+    exponent is half this one).  eta = min(1/100, 1/(2x)): 1/100 is the
+    lemma's hypothesis, and eta n < 1/2 for every n < x.  The driver
+    searches this region and `reduce_dimension` checks against it.
+    """
+    eps = state.eps
+    caps = _delta_scaled_caps(eps, Fraction(2, (2 * eps.k) ** 4))
+    B = [max(math.ceil(1 / e), cap, 2) for e, cap in zip(eps.eps, caps)]
+    return B, min(Fraction(1, 100), 1 / (2 * state.y))
 
 
 def _linf_col(Z: Sequence[Sequence[int]], col: int) -> int:
@@ -86,8 +103,6 @@ class ReductionStep:
     g: PolySystem
     eps_prime: Epsilons
     y: Fraction
-    delta_const: Fraction
-    C_cfg: int
     parent_digest: str
     gens: GeneratorSet
     B_prime: Tuple[Fraction, ...]
@@ -96,10 +111,6 @@ class ReductionStep:
 
     def child_state(self) -> SystemState:
         return SystemState(self.g, self.eps_prime, self.y)
-
-    def scale(self) -> int:
-        """The lift multiplier: n = n' * D2."""
-        return self.D2
 
     def to_dict(self) -> dict:
         return {
@@ -112,8 +123,6 @@ class ReductionStep:
             "g_err": [[str(c.err) for c in p.coeffs] for p in self.g.polys],
             "eps_prime": [str(e) for e in self.eps_prime.eps],
             "y": str(self.y),
-            "delta_const": str(self.delta_const),
-            "C_cfg": self.C_cfg,
             "parent_digest": self.parent_digest,
             "gens": self.gens.to_dict(),
             "B_prime": [str(b) for b in self.B_prime],
@@ -137,7 +146,6 @@ class ReductionStep:
             g=PolySystem(tuple(g_polys)),
             eps_prime=Epsilons(tuple(Fraction(e) for e in d["eps_prime"])),
             y=Fraction(d["y"]),
-            delta_const=Fraction(d["delta_const"]), C_cfg=d["C_cfg"],
             parent_digest=d["parent_digest"],
             gens=GeneratorSet.from_dict(d["gens"]),
             B_prime=tuple(Fraction(b) for b in d["B_prime"]),
@@ -148,10 +156,13 @@ class ReductionStep:
 def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
     """Build the k' = k - r reduced system from a generator set.
 
-    The generators' a-vectors are integers (the common denominator q0 is 1,
-    as they come straight from the relation lattice), and the window
-    constant is DEFAULT_DELTA_CONST.  The b' table is solved exactly over Z;
-    a non-integral solve raises IntegralityError, and a collapsed child
+    The generators are the step's only input besides the parent: the region
+    (B, eta) they must lie in is the parent's own (`region`), so a
+    generator outside it raises ReductionPreconditionError.  Their
+    a-vectors are integers (the common denominator q0 is 1, as they come
+    straight from the relation lattice), and the window constant is
+    DEFAULT_DELTA_CONST.  The b' table is solved exactly over Z; a
+    non-integral solve raises IntegralityError, and a collapsed child
     horizon raises DegenerateHorizonError.
     """
     k, d = state.k, state.system.d
@@ -160,25 +171,19 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
         raise ReductionPreconditionError(f"need 1 <= r < k, got r={r}, k={k}")
     delta = DEFAULT_DELTA_CONST
     x = state.y
-    eta = gens.eta
-    if not (eta * x < 1):
-        raise ReductionPreconditionError(
-            f"residual scale eta={eta} fails eta < 1/x = 1/{x}")
+    B, eta = region(state)
 
     # each generator is a point of the region, with coefficient error slack
     for ell in range(r):
         if not decisively_in_region(state.system, gens.h_vecs[ell], gens.a_vecs[ell],
-                                    gens.B, eta):
+                                    B, eta):
             raise ReductionPreconditionError(
                 f"generator {ell} is not in the region |h| <= B, residual_j <= eta^j")
 
-    h_tilde = gens.h_tilde()
+    h_tilde = gens.h_tilde(B)
     minor, lead = max_minor(h_tilde)
     if minor == 0:
         raise ReductionPreconditionError("generator h vectors are rank deficient")
-    if (gens.orth_ratio_sq, gens.orth_ratio, gens.tilde_product) != subset_measures(h_tilde):
-        raise ReductionPreconditionError(
-            "recorded orthogonality ratio or sup-norm product disagrees with h_vecs and B")
     perm = tuple(list(lead) + [c for c in range(k) if c not in lead])
 
     H1 = [[gens.h_vecs[ell][perm[p]] for p in range(r)] for ell in range(r)]
@@ -232,7 +237,7 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
         g_polys.append(Poly(tuple(coeffs)))
     g = PolySystem(tuple(g_polys))
 
-    B_perm = [gens.B[perm[p]] for p in range(k)]
+    B_perm = [B[perm[p]] for p in range(k)]
     B_prime = tuple(delta ** -2 * B_perm[r + i] * _linf_col(Z, i)
                     for i in range(k - r))
     eps_prime = Epsilons(tuple(1 / b for b in B_prime))
@@ -245,8 +250,7 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
     return ReductionStep(
         k=k, k_prime=k - r, r=r, perm=perm, q0=1, D1=D1, D2=D2, Z=Z,
         b_prime_upper=b_upper, b_prime=b_lower, g=g, eps_prime=eps_prime,
-        y=y_new, delta_const=delta, C_cfg=C_CFG,
-        parent_digest=state.digest(), gens=gens, B_prime=B_prime,
+        y=y_new, parent_digest=state.digest(), gens=gens, B_prime=B_prime,
         min_h_tilde=min_h)
 
 
@@ -263,7 +267,7 @@ def check_hit(system: PolySystem, eps: Epsilons, n: int) -> List[Fraction]:
 
 
 def lift_solution(step: ReductionStep, n_prime: int, parent: SystemState):
-    """Map a solution of the reduced system to the parent: n = n' * step.scale().
+    """Map a solution of the reduced system to the parent: n = n' * step.D2.
 
     The child's hit and the lifted n are both checked exactly (check_hit);
     returns n and its distances on the parent.
@@ -273,7 +277,7 @@ def lift_solution(step: ReductionStep, n_prime: int, parent: SystemState):
     if not (n_prime < step.y):
         raise HorizonOverflowError(f"n' = {n_prime} not below child horizon {step.y}")
     check_hit(step.g, step.eps_prime, n_prime)
-    n = n_prime * step.scale()
+    n = n_prime * step.D2
     if not (n < parent.y):
         raise HorizonOverflowError(f"lifted n = {n} not below parent horizon {parent.y}")
     return n, check_hit(parent.system, parent.eps, n)
@@ -335,7 +339,7 @@ def density_invariant(parent: SystemState, step: ReductionStep) -> DensityReport
             return mpmath.log(mpmath.mpf(fr.numerator)) - mpmath.log(mpmath.mpf(fr.denominator))
 
         log_bp = sum(logf(b) for b in step.B_prime)
-        log_b = sum(logf(Fraction(b)) for b in step.gens.B)
+        log_b = sum(logf(Fraction(b)) for b in region(parent)[0])
         llhs = logf(step.y) - float(E_new) * log_bp
         lrhs = logf(parent.y) - float(E_old) * log_b
         lratio = llhs - lrhs
@@ -448,7 +452,7 @@ def verify_certificate(cert: Certificate) -> List[Tuple[str, bool, str]]:
             ok_chain = m is not None
             if ok_chain:
                 for step in reversed(cert.chain):
-                    m = m * step.scale()
+                    m = m * step.D2
                 ok_chain = (m == n)
             add("terminal.lift_chain", ok_chain, f"recomposed {m} vs {n}")
     elif kind == TERMINAL_EXHAUSTED:

@@ -161,8 +161,11 @@ class TestLatticeCommand:
         assert main(["lattice", "--generators", p, "--b", "2", "--eta", "1/10",
                      "--n-target", "3"]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
-        assert out["outcome"] == "generators"
+        assert out["outcome"] == "generators" and out["r"] == 1
         assert out["h_vecs"] == [[2]] and out["a_vecs"] == [[1]]
+        # the measures of h / B under --b; the region is not echoed back
+        assert out["orth_ratio_sq"] == "1" and out["tilde_product"] == "1"
+        assert "B" not in out and "eta" not in out
 
     def test_mode_required(self, capsys):
         assert main(["lattice"]) == EXIT_ERROR

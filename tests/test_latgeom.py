@@ -22,6 +22,7 @@ from fracparts.latgeom import (
     reduce_basis,
     shortest_vector,
     solution_lattice_basis,
+    subset_measures,
     sublattice_determinants,
     wedge_norm,
     wedge_norm_sq,
@@ -174,7 +175,8 @@ class TestQuasiOrthogonal:
         (h,) = g.h_vecs
         assert sorted(h) == [-1, 1]
         assert g.a_vecs == ((0, 0),)
-        assert 0 < g.orth_ratio_sq <= 1
+        ratio_sq, tilde_product = subset_measures(g.h_tilde([4, 4]))
+        assert ratio_sq == 1 and tilde_product == Fraction(1, 4)
 
     def test_membership_reverified_random_rational(self):
         rng = random.Random(17)
@@ -190,7 +192,7 @@ class TestQuasiOrthogonal:
                 continue
             hits += 1
             for h, a in zip(g.h_vecs, g.a_vecs):
-                assert decisively_in_region(s, h, a, g.B, g.eta)
+                assert decisively_in_region(s, h, a, B, eta)
         assert hits > 0
 
     def test_no_short_vector_outcome(self):
@@ -204,7 +206,7 @@ class TestQuasiOrthogonal:
         g = quasi_orthogonal_generators(s, [4, 4], Fraction(1, 200),
                                         N_target=9, c_orth=0.5)
         if isinstance(g, GeneratorSet):
-            assert g.orth_ratio_sq >= Fraction(1, 4)
+            assert subset_measures(g.h_tilde([4, 4]))[0] >= Fraction(1, 4)
 
 
 class TestSublattice:

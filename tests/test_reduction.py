@@ -30,6 +30,7 @@ from fracparts.reduction import (
     density_invariant,
     lift_solution,
     reduce_dimension,
+    region,
     verify_certificate,
 )
 from test_acceptance import PLANT_CONFIG, PLANT_SEED, planted_state
@@ -45,8 +46,7 @@ def dup_state(x=10 ** 5, eps=Fraction(1, 20)):
 
 
 def dup_gens(state):
-    eta = min(Fraction(1, 100), 1 / (2 * state.y))
-    g = quasi_orthogonal_generators(state.system, [20, 20], eta,
+    g = quasi_orthogonal_generators(state.system, *region(state),
                                     N_target=41, c_orth=0.05)
     assert isinstance(g, GeneratorSet)
     return g
@@ -64,7 +64,7 @@ class TestReduceDimension:
         hit = first_hit(child.system, child.eps, child.y)
         assert hit is not None
         n, dists = lift_solution(step, hit, state)
-        assert n == hit * step.scale()
+        assert n == hit * step.D2
         for dv, e in zip(dists, state.eps.eps):
             assert dv < e
 
@@ -77,12 +77,18 @@ class TestReduceDimension:
         with pytest.raises(ReductionPreconditionError):
             reduce_dimension(state, g)
 
-    def test_eta_gate_enforced(self):
-        state = dup_state()
-        gens = dup_gens(state)
-        loose = dataclasses.replace(gens, eta=Fraction(1, 50))
+    def test_generators_outside_the_region_refused(self):
+        # f2 - f1 = X/30 needs h = (30, -30): a search under B = 60 finds it,
+        # but the level's own region has B = 20
+        s = sys1(["0", "sqrt(2)"], ["1/30", "sqrt(2)"])
+        state = SystemState(s, Epsilons((Fraction(1, 20),) * 2), Real(Fraction(10 ** 5)))
+        B, eta = region(state)
+        assert B == [20, 20]
+        gens = quasi_orthogonal_generators(s, [60, 60], eta, N_target=41, c_orth=0.05)
+        assert isinstance(gens, GeneratorSet)
+        assert sorted(abs(v) for v in gens.h_vecs[0]) == [30, 30]
         with pytest.raises(ReductionPreconditionError):
-            reduce_dimension(state, loose)
+            reduce_dimension(state, gens)
 
     def test_rational_system_symbolic_identity(self):
         # exact rational duplicates: Z g(t) must equal the shifted system at
@@ -95,7 +101,7 @@ class TestReduceDimension:
                                            c_orth=0.05, max_r=1)
         assert isinstance(gens, GeneratorSet)
         step = reduce_dimension(state, gens)
-        scale = step.scale()
+        scale = step.D2
         d = s.d
         for t in range(1, 21):
             gvals = [p.eval(t) for p in step.g.polys]
@@ -135,7 +141,6 @@ class TestReduceDimension:
         assert sorted(abs(v) for v in gens.h_vecs[0]) == [3, 3]
         step = reduce_dimension(state, gens)
         assert step.D2 == 3
-        assert step.scale() == 3
         child = step.child_state()
         hit = first_hit(child.system, child.eps, child.y)
         if hit is not None:
@@ -196,7 +201,7 @@ class TestLift:
             ok_loose = all(dv < Fraction(1, 2) for dv in dists)
             genuine = all(dv < e for dv, e in zip(dists, step.eps_prime.eps))
             if ok_loose and not genuine:
-                lifted = eval_system(state.system, cand * step.scale())
+                lifted = eval_system(state.system, cand * step.D2)
                 if any(dv >= e for dv, e in zip(lifted, state.eps.eps)):
                     bad_hit = cand
                     break
@@ -224,7 +229,7 @@ class TestDensityInvariant:
         C2 = 16
         E_new = 3 * C2 - C2 / step.k_prime ** 3
         E_old = 3 * C2 - C2 / step.k ** 3 - C2 / step.k ** 4
-        expect = (E_old * sum(math.log10(float(b)) for b in step.gens.B)
+        expect = (E_old * sum(math.log10(b) for b in region(state)[0])
                   - E_new * sum(math.log10(float(b)) for b in step.B_prime))
         assert abs(rep.log10_ratio - expect) < 1e-6
 
@@ -285,11 +290,9 @@ def chained_certificates():
 
 
 # every recorded step field (g_err is recorded from g, and its radii are not
-# replayed yet) and every field of its generators but eta: a halved eta is
-# a stronger membership claim that exact relations still meet
+# replayed yet) and both fields of its generators
 TAMPERED_FIELDS = ([(f.name,) for f in dataclasses.fields(ReductionStep) if f.name != "gens"]
-                   + [("gens", f.name) for f in dataclasses.fields(GeneratorSet)
-                      if f.name != "eta"])
+                   + [("gens", f.name) for f in dataclasses.fields(GeneratorSet)])
 
 
 def tamper(step: dict, path) -> None:
