@@ -13,8 +13,6 @@ rational inputs" literally true.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -267,10 +265,6 @@ class SystemState:
             "eps": [str(e) for e in self.eps.eps],
             "x": str(self.y),
         }
-
-    def digest(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

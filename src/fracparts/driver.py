@@ -14,10 +14,10 @@ scale): the gate, then the reduction branch, then brute force within the
 enumeration cap, else an inconclusive outcome.  Every fallback is recorded
 in the run stats.
 
-A level returns plain values: its status, n, the chain of reduction steps
-below it and, when nothing was found, the reason.  Only `solve`, at the
-root, writes the certificate and the outcome, after `check_hit` has
-re-verified a found n exactly against the root system.
+A level returns plain values: status, n, n's distances if a lift checked
+them, the chain of reduction steps below it and, unless found, the reason.
+Only `solve`, at the root, writes the certificate and the outcome; a found
+n is checked exactly on the root once, by its lift or else by `check_hit`.
 """
 
 from __future__ import annotations
@@ -111,7 +111,6 @@ class SolveStats:
     fallbacks: List[str] = field(default_factory=list)
     density_reports: List[dict] = field(default_factory=list)
     delta_gate: List[bool] = field(default_factory=list)
-    lift_failures: int = 0
     wall_time: float = 0.0
 
     def to_dict(self) -> dict:
@@ -137,10 +136,11 @@ def solve(state: SystemState, config: Optional[SolverConfig] = None) -> SolveOut
         config = SolverConfig()
     stats = SolveStats()
     t0 = time.monotonic()
-    status, n, chain, reason = _solve_level(state, config, stats, depth=0,
-                                            root_k=state.k)
+    status, n, dists, chain, reason = _solve_level(state, config, stats, depth=0,
+                                                   root_k=state.k)
     if status == STATUS_FOUND:
-        dists = check_hit(state.system, state.eps, n)
+        if dists is None:  # a scan's hit, not yet checked on the root
+            dists = check_hit(state.system, state.eps, n)
         terminal = {"kind": TERMINAL_FOUND, "n": n, "dists": [str(dv) for dv in dists]}
     else:
         terminal = {"kind": TERMINAL_EXHAUSTED, "reason": reason}
@@ -150,14 +150,13 @@ def solve(state: SystemState, config: Optional[SolverConfig] = None) -> SolveOut
         # tolerances are solved anyway and the departure is recorded
         "within_theorem_hypothesis": state.eps.within_theorem_hypothesis,
     }
-    certificate = Certificate(root=state.to_dict(), chain=chain, terminal=terminal,
-                              constants=constants)
+    certificate = Certificate(root=state.to_dict(), chain=[s.to_dict() for s in chain],
+                              terminal=terminal, constants=constants)
     stats.wall_time = time.monotonic() - t0
     return SolveOutcome(status, n, certificate, stats)
 
 
-# A level returns (status, n, chain, reason): the chain of reduction steps
-# below it and, unless found, why its scan came up empty.
+# A level returns (status, n, dists, chain, reason), as the module docstring says.
 def _scan_level(state: SystemState, config: SolverConfig, stats: SolveStats,
                 reason: str):
     try:
@@ -165,10 +164,10 @@ def _scan_level(state: SystemState, config: SolverConfig, stats: SolveStats,
         stats.evaluations += horizon_count(state.y) if n is None else n
     except HorizonCapError:
         stats.fallbacks.append(f"{reason}:enum-cap")
-        return STATUS_INCONCLUSIVE, None, [], f"{reason}; horizon over enum cap"
+        return STATUS_INCONCLUSIVE, None, None, [], f"{reason}; horizon over enum cap"
     if n is not None:
-        return STATUS_FOUND, n, [], None
-    return STATUS_NOT_FOUND, None, [], f"{reason}; exhaustive scan found no hit"
+        return STATUS_FOUND, n, None, [], None
+    return STATUS_NOT_FOUND, None, None, [], f"{reason}; exhaustive scan found no hit"
 
 
 def _solve_level(state: SystemState, config: SolverConfig, stats: SolveStats,
@@ -228,19 +227,18 @@ def _reduction_path(state, config, stats, depth, root_k: int):
     stats.reductions += 1
     stats.density_reports.append(
         density_invariant(state, step).to_dict())
-    status, n_child, chain, _reason = _solve_level(step.child_state(), config, stats,
-                                                   depth + 1, root_k)
+    status, n_child, _dists, chain, _reason = _solve_level(
+        step.child_state(), config, stats, depth + 1, root_k)
     if status != STATUS_FOUND:
         stats.fallbacks.append(f"reduction:child-{status}")
         return None
     try:
-        n, _dists = lift_solution(step, n_child, state)
+        n, dists = lift_solution(step, n_child, state)
     except (LiftVerificationError, HorizonOverflowError):
-        stats.lift_failures += 1
         stats.fallbacks.append("reduction:lift-verification")
         return None
     step.child_hit = n_child
-    return STATUS_FOUND, n, [step] + chain, None
+    return STATUS_FOUND, n, dists, [step] + chain, None
 
 
 # ---------------------------------------------------------------------------

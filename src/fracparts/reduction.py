@@ -88,13 +88,18 @@ def _linf_col(Z: Sequence[Sequence[int]], col: int) -> int:
 
 @dataclass
 class ReductionStep:
-    """One executed dimension reduction with everything needed to replay it."""
+    """One executed dimension reduction.
+
+    A certificate records the step's choice, its generators, and the
+    child's hit, plus q0 = 1 and D2 (`to_dict`).  Every other field follows
+    from the parent and the generators, and replay rebuilds it with
+    `reduce_dimension`.
+    """
 
     k: int
     k_prime: int
     r: int
     perm: Tuple[int, ...]         # position p holds original index perm[p] (0-based)
-    q0: int
     D1: int
     D2: int
     Z: List[List[int]]            # columns: reduced basis of the solution lattice
@@ -103,54 +108,18 @@ class ReductionStep:
     g: PolySystem
     eps_prime: Epsilons
     y: Fraction
-    parent_digest: str
     gens: GeneratorSet
     B_prime: Tuple[Fraction, ...]
-    min_h_tilde: Fraction
     child_hit: Optional[int] = None
 
     def child_state(self) -> SystemState:
         return SystemState(self.g, self.eps_prime, self.y)
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k, "k_prime": self.k_prime, "r": self.r,
-            "perm": list(self.perm), "q0": self.q0, "D1": self.D1, "D2": self.D2,
-            "Z": [list(row) for row in self.Z],
-            "b_prime_upper": [list(row) for row in self.b_prime_upper],
-            "b_prime": [list(row) for row in self.b_prime],
-            "g": [[str(c.value) for c in p.coeffs] for p in self.g.polys],
-            "g_err": [[str(c.err) for c in p.coeffs] for p in self.g.polys],
-            "eps_prime": [str(e) for e in self.eps_prime.eps],
-            "y": str(self.y),
-            "parent_digest": self.parent_digest,
-            "gens": self.gens.to_dict(),
-            "B_prime": [str(b) for b in self.B_prime],
-            "min_h_tilde": str(self.min_h_tilde),
-            "child_hit": self.child_hit,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ReductionStep":
-        g_polys = []
-        for coeffs, errs in zip(d["g"], d["g_err"]):
-            g_polys.append(Poly(tuple(
-                Real(Fraction(c), Fraction(e))
-                for c, e in zip(coeffs, errs))))
-        return ReductionStep(
-            k=d["k"], k_prime=d["k_prime"], r=d["r"], perm=tuple(d["perm"]),
-            q0=d["q0"], D1=d["D1"], D2=d["D2"],
-            Z=[list(row) for row in d["Z"]],
-            b_prime_upper=[list(row) for row in d["b_prime_upper"]],
-            b_prime=[list(row) for row in d["b_prime"]],
-            g=PolySystem(tuple(g_polys)),
-            eps_prime=Epsilons(tuple(Fraction(e) for e in d["eps_prime"])),
-            y=Fraction(d["y"]),
-            parent_digest=d["parent_digest"],
-            gens=GeneratorSet.from_dict(d["gens"]),
-            B_prime=tuple(Fraction(b) for b in d["B_prime"]),
-            min_h_tilde=Fraction(d["min_h_tilde"]),
-            child_hit=d.get("child_hit"))
+        # q0 is always 1; it and D2 let a reader recompose n as child_hit
+        # times q0 * D2 over the chain without rebuilding it
+        return {"gens": self.gens.to_dict(), "q0": 1, "D2": self.D2,
+                "child_hit": self.child_hit}
 
 
 def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
@@ -248,10 +217,9 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
         raise DegenerateHorizonError(f"reduced horizon {y_new} <= 1")
 
     return ReductionStep(
-        k=k, k_prime=k - r, r=r, perm=perm, q0=1, D1=D1, D2=D2, Z=Z,
+        k=k, k_prime=k - r, r=r, perm=perm, D1=D1, D2=D2, Z=Z,
         b_prime_upper=b_upper, b_prime=b_lower, g=g, eps_prime=eps_prime,
-        y=y_new, parent_digest=state.digest(), gens=gens, B_prime=B_prime,
-        min_h_tilde=min_h)
+        y=y_new, gens=gens, B_prime=B_prime)
 
 
 def check_hit(system: PolySystem, eps: Epsilons, n: int) -> List[Fraction]:
@@ -365,27 +333,28 @@ TERMINAL_EXHAUSTED = "exhausted"
 
 @dataclass
 class Certificate:
-    """Replayable record: root problem, reduction chain, terminal outcome."""
+    """Replayable record: root problem, reduction chain, terminal outcome.
+
+    Each chain entry is a step record, `ReductionStep.to_dict()`: the
+    generators, q0 = 1, D2 and the child's hit, root first.
+    """
 
     root: dict                      # SystemState.to_dict() of the root problem
-    chain: List[ReductionStep]
+    chain: List[dict]
     terminal: dict                  # {"kind": found-n|exhausted, ...}
     constants: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
             "root": self.root,
-            "chain": [s.to_dict() for s in self.chain],
+            "chain": self.chain,
             "terminal": self.terminal,
             "constants": self.constants,
         }
 
     @staticmethod
     def from_dict(d: dict) -> "Certificate":
-        return Certificate(root=d["root"],
-                           chain=[ReductionStep.from_dict(s) for s in d["chain"]],
-                           terminal=d["terminal"],
-                           constants=d.get("constants", {}))
+        return Certificate(d["root"], d["chain"], d["terminal"], d.get("constants", {}))
 
 
 def state_from_dict(d: dict) -> SystemState:
@@ -402,20 +371,15 @@ def state_from_dict(d: dict) -> SystemState:
                        Fraction(d["x"]))
 
 
-# Step fields that a rebuild does not check: the lift chain checks the
-# child's hit, and the radii g_err follow from the root's, which a
-# certificate does not record yet (state_from_dict assumes 2^-192).
-UNCHECKED_FIELDS = ("child_hit", "g_err")
-
-
 def verify_certificate(cert: Certificate) -> List[Tuple[str, bool, str]]:
     """Re-check a certificate without re-running any search.
 
     Each chain step is rebuilt by reduce_dimension from its parent (the root,
-    then the previous rebuilt child) and its recorded generators; the step is
-    valid iff the rebuilt step records the same fields, UNCHECKED_FIELDS
-    apart.  Returns (check name, ok, detail) triples; the certificate is
-    valid iff every ok flag is True.
+    then the previous rebuilt child) and its recorded generators, and must
+    give the same record, the child's hit apart.  Under a found n, each
+    step's recorded child hit must lift by lift_solution to the hit recorded
+    one step up, or to n at the root.  Returns (check name, ok, detail)
+    triples; the certificate is valid iff every ok flag is True.
     """
     checks: List[Tuple[str, bool, str]] = []
 
@@ -423,21 +387,29 @@ def verify_certificate(cert: Certificate) -> List[Tuple[str, bool, str]]:
         checks.append((name, bool(ok), detail))
 
     root_state = state_from_dict(cert.root)
-    parent = root_state
-    for idx, step in enumerate(cert.chain):
+    kind = cert.terminal.get("kind")
+    parent, above = root_state, cert.terminal.get("n")
+    for idx, record in enumerate(cert.chain):
         try:
-            rebuilt = reduce_dimension(parent, step.gens)
+            step = reduce_dimension(parent, GeneratorSet.from_dict(record["gens"]))
         except Exception as exc:  # noqa: BLE001 - report, never crash replay
             add(f"step{idx}.rebuild", False, f"reduce_dimension raised {exc!r}")
             break
-        want, got = rebuilt.to_dict(), step.to_dict()
-        differ = [key for key in want
-                  if key not in UNCHECKED_FIELDS and want[key] != got[key]]
+        differ = [key for key, value in step.to_dict().items()
+                  if key != "child_hit" and value != record.get(key)]
         add(f"step{idx}.rebuild", not differ,
             "differs in " + ", ".join(differ) if differ else "")
-        parent = rebuilt.child_state()
+        if kind == TERMINAL_FOUND:
+            hit = record.get("child_hit")
+            try:
+                lifted, _dists = lift_solution(step, hit, parent)
+                add(f"step{idx}.lift", lifted == above,
+                    f"child hit {hit} lifts to {lifted}, recorded {above}")
+            except Exception as exc:  # noqa: BLE001 - report, never crash replay
+                add(f"step{idx}.lift", False, f"lift_solution raised {exc!r}")
+            above = hit
+        parent = step.child_state()
 
-    kind = cert.terminal.get("kind")
     if kind == TERMINAL_FOUND:
         n = cert.terminal["n"]
         dists = [Fraction(s) for s in cert.terminal["dists"]]
@@ -446,15 +418,6 @@ def verify_certificate(cert: Certificate) -> List[Tuple[str, bool, str]]:
         add("terminal.meets_eps",
             all(dv < e for dv, e in zip(fresh, root_state.eps.eps)))
         add("terminal.in_horizon", n < root_state.y)
-        # replay the lift chain bottom-up when reductions were used
-        if cert.chain:
-            m = cert.chain[-1].child_hit
-            ok_chain = m is not None
-            if ok_chain:
-                for step in reversed(cert.chain):
-                    m = m * step.D2
-                ok_chain = (m == n)
-            add("terminal.lift_chain", ok_chain, f"recomposed {m} vs {n}")
     elif kind == TERMINAL_EXHAUSTED:
         add("terminal.exhausted", isinstance(cert.terminal.get("reason"), str))
     else:

@@ -106,6 +106,20 @@ def certificate_bytes(cert: Certificate) -> bytes:
     return canonical_json(cert.to_dict()).encode()
 
 
+def _check_step_record(record) -> None:
+    """A chain entry: {"gens": {"h_vecs", "a_vecs"}, "q0", "D2", "child_hit"}."""
+    for key in ("h_vecs", "a_vecs"):
+        rows = record["gens"][key]
+        if not (isinstance(rows, list) and all(
+                isinstance(row, list) and all(type(v) is int for v in row) for row in rows)):
+            raise TypeError(f"'gens.{key}' must be a list of integer lists")
+    for key in ("q0", "D2"):
+        if type(record[key]) is not int:
+            raise TypeError(f"{key!r} must be an integer")
+    if not (record["child_hit"] is None or type(record["child_hit"]) is int):
+        raise TypeError("'child_hit' must be an integer or null")
+
+
 def load_certificate(path: PathLike) -> Certificate:
     """Read a certificate; a missing key or a value of the wrong type is a
     SystemFileError naming the section (root, chain, terminal) it is in."""
@@ -116,9 +130,11 @@ def load_certificate(path: PathLike) -> Certificate:
     for key in ("root", "chain", "terminal"):
         if key not in data:
             raise SystemFileError(f"{path}: missing field {key!r}")
+    cert = Certificate.from_dict(data)
     section = "chain"
     try:
-        cert = Certificate.from_dict(data)
+        for record in cert.chain:
+            _check_step_record(record)
         section = "root"
         state_from_dict(cert.root)
         section = "terminal"

@@ -210,6 +210,12 @@ class TestVerifyCert:
           "chain": 5, "terminal": {}}, "'chain'"),
         ({"root": {"d": 1, "polys": [["1/2"]], "eps": ["0.01"], "x": "100"},
           "chain": [], "terminal": {"kind": "found-n", "n": "2"}}, "'terminal'"),
+        ({"root": {"d": 1, "polys": [["1/2"]], "eps": ["0.01"], "x": "100"},
+          "chain": [{"q0": 1, "D2": 2, "child_hit": 3}], "terminal": {}},
+         "'chain': missing key 'gens'"),
+        ({"root": {"d": 1, "polys": [["1/2"]], "eps": ["0.01"], "x": "100"},
+          "chain": [{"gens": {"h_vecs": [[1]], "a_vecs": [[0]]}, "q0": 1, "D2": "2",
+                     "child_hit": 3}], "terminal": {}}, "'chain': 'D2' must be an integer"),
     ])
     def test_malformed_cert_exit_1(self, tmp_path, data, field, capsys):
         path = write(tmp_path, "c.json", data)

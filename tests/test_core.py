@@ -195,12 +195,6 @@ class TestTypes:
         assert not e.within_theorem_hypothesis
         assert Epsilons((Fraction(1, 100),)).within_theorem_hypothesis
 
-    def test_state_digest_stable(self):
-        s = SystemState(sys1(["1/2"]), Epsilons((Fraction(1, 100),)), Real(Fraction(100)))
-        assert s.digest() == s.digest()
-        s2 = SystemState(sys1(["1/2"]), Epsilons((Fraction(1, 100),)), Real(Fraction(101)))
-        assert s.digest() != s2.digest()
-
     def test_system_shape_checks(self):
         with pytest.raises(ValueError):
             PolySystem((Poly.from_strings(["1/2"]), Poly.from_strings(["0", "1/2"])))

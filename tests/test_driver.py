@@ -79,16 +79,15 @@ class TestSolve:
         assert all(ok for _n, ok, _d in checks)
 
     def test_chain_step_records_fixed_constants(self):
-        # of the fixed constants a step records only q0 = 1; its generators
-        # are recorded without the region they were searched in, which
-        # replay derives from the parent
+        # a step records its generators (without the region they were
+        # searched in), the fixed q0 = 1, D2 and the child's hit; replay
+        # derives everything else from the parent
         out = solve(dup_sqrt2_state(10 ** 5), FORCED)
         assert out.certificate.chain
-        for step in out.certificate.chain:
-            assert step.q0 == 1
-            data = step.to_dict()
-            assert set(data["gens"]) == {"h_vecs", "a_vecs"}
-            assert "C_cfg" not in data and "delta_const" not in data
+        for record in out.certificate.chain:
+            assert set(record) == {"gens", "q0", "D2", "child_hit"}
+            assert set(record["gens"]) == {"h_vecs", "a_vecs"}
+            assert record["q0"] == 1
         config = out.certificate.constants["config"]
         assert SolverConfig.from_dict(config) == FORCED
 
@@ -105,6 +104,22 @@ class TestSolve:
         out = solve(dup_sqrt2_state(10 ** 5), FORCED)
         assert len(out.certificate.chain) >= 1 and out.stats.max_depth_reached >= 1
         assert len(built) == 1
+
+    def test_chain_found_n_checked_once_on_the_root(self, monkeypatch):
+        # the depth-0 lift checks n on the root, and solve reuses its dists
+        st = dup_sqrt2_state(10 ** 5)
+        on_root = []
+
+        def counted(system, n):
+            if system is st.system:
+                on_root.append(n)
+            return eval_system(system, n)
+
+        monkeypatch.setattr("fracparts.reduction.eval_system", counted)
+        out = solve(st, FORCED)
+        assert out.status == STATUS_FOUND and out.certificate.chain
+        assert on_root == [out.n]
+        assert out.certificate.terminal["dists"] == [str(dv) for dv in eval_system(st.system, out.n)]
 
     def test_final_check_names_the_missed_tolerance(self, monkeypatch):
         # n = 1 meets tolerance 0 (f_1 = 0) and misses tolerance 1 (||1/2|| = 1/2)
@@ -252,7 +267,6 @@ class TestSystemFiles:
         emit_system(st1, p2)
         st2 = parse_system_file(p2)
         assert st1.to_dict() == st2.to_dict()
-        assert st1.digest() == st2.digest()
         # second round trip is byte-stable
         p3 = tmp_path / "c.json"
         emit_system(st2, p3)

@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import json
 import math
 import random
 from fractions import Fraction
@@ -16,7 +15,6 @@ from fracparts.core import (
     eval_system,
     first_hit,
 )
-from fracparts.cli import EXIT_NOT_FOUND, main
 from fracparts.driver import solve
 from fracparts.intlinalg import det_bareiss, mat_vec
 from fracparts.latgeom import GeneratorSet, quasi_orthogonal_generators
@@ -26,7 +24,6 @@ from fracparts.reduction import (
     HorizonOverflowError,
     LiftVerificationError,
     ReductionPreconditionError,
-    ReductionStep,
     density_invariant,
     lift_solution,
     reduce_dimension,
@@ -249,8 +246,29 @@ def dup_certificate():
     hit = first_hit(child.system, child.eps, child.y)
     n, dists = lift_solution(step, hit, state)
     step.child_hit = hit
-    return Certificate(root=state.to_dict(), chain=[step],
+    return Certificate(root=state.to_dict(), chain=[step.to_dict()],
                        terminal={"kind": "found-n", "n": n,
+                                 "dists": [str(dv) for dv in dists]})
+
+
+def two_step_certificate():
+    """f = (X^2/6,) * 3 reduced twice, D2 = 2 then 1: the child's hit 3
+    lifts to 3 and then to n = 6."""
+    state = SystemState(sys1(*[["0", "1/6"]] * 3), Epsilons((Fraction(1, 9),) * 3),
+                        Real(Fraction(10 ** 5)))
+    levels, parent = [], state
+    for _ in range(2):
+        gens = quasi_orthogonal_generators(parent.system, *region(parent),
+                                           N_target=3, c_orth=0.05, max_r=1)
+        step = reduce_dimension(parent, gens)
+        levels.append((parent, step))
+        parent = step.child_state()
+    hit = first_hit(parent.system, parent.eps, parent.y)
+    for parent, step in reversed(levels):
+        step.child_hit = hit
+        hit, dists = lift_solution(step, hit, parent)
+    return Certificate(root=state.to_dict(), chain=[s.to_dict() for _p, s in levels],
+                       terminal={"kind": "found-n", "n": hit,
                                  "dists": [str(dv) for dv in dists]})
 
 
@@ -269,50 +287,35 @@ class TestCertificate:
         checks = verify_certificate(bad)
         assert any(not ok for _name, ok, _detail in checks)
 
-    def test_tampered_matrix_detected(self):
-        d = dup_certificate().to_dict()
-        d["chain"][0]["Z"][0][0] += 1
-        bad = Certificate.from_dict(d)
-        checks = verify_certificate(bad)
-        assert any(not ok for _name, ok, _detail in checks)
-
 
 @pytest.fixture(scope="module")
 def chained_certificates():
-    """The duplicate-pair chain and the first three chained PLANT_SEED solves."""
-    certs = [dup_certificate().to_dict()]
+    """The duplicate-pair chain, the two-step chain and the first three
+    chained PLANT_SEED solves."""
+    certs = [dup_certificate().to_dict(), two_step_certificate().to_dict()]
     rng = random.Random(PLANT_SEED)
-    while len(certs) < 4:
+    while len(certs) < 5:
         out = solve(planted_state(rng), PLANT_CONFIG)
         if out.certificate.chain:
             certs.append(out.certificate.to_dict())
     return certs
 
 
-# every recorded step field (g_err is recorded from g, and its radii are not
-# replayed yet) and both fields of its generators
-TAMPERED_FIELDS = ([(f.name,) for f in dataclasses.fields(ReductionStep) if f.name != "gens"]
-                   + [("gens", f.name) for f in dataclasses.fields(GeneratorSet)])
+# every key of a step record (ReductionStep.to_dict()), and both keys of its
+# generators
+STEP_RECORD = dup_certificate().chain[0]
+TAMPERED_FIELDS = ([(key,) for key in STEP_RECORD if key != "gens"]
+                   + [("gens", key) for key in STEP_RECORD["gens"]])
 
 
 def tamper(step: dict, path) -> None:
-    """Change the first leaf under path: an integer by +1, the digest by
-    reversal, a float or any other rational string by halving (0 becomes
-    1/3)."""
+    """Add 1 to the first leaf under path, an integer in every step record."""
     for key in path[:-1]:
         step = step[key]
     key = path[-1]
     while isinstance(step[key], list):
         step, key = step[key], 0
-    value = step[key]
-    if isinstance(value, int):
-        step[key] = value + 1
-    elif isinstance(value, float):
-        step[key] = value / 2
-    elif key == "parent_digest":
-        step[key] = value[::-1]
-    else:
-        step[key] = str(Fraction(value) / 2 or Fraction(1, 3))
+    step[key] += 1
 
 
 class TestReplayRebuild:
@@ -324,15 +327,18 @@ class TestReplayRebuild:
             checks = verify_certificate(Certificate.from_dict(bad))
             assert not all(ok for _name, ok, _detail in checks), path
 
-    def test_cli_rejects_a_perm_that_is_no_permutation(self, chained_certificates,
-                                                       tmp_path, capsys):
-        data = copy.deepcopy(chained_certificates[1])
-        perm = data["chain"][0]["perm"]
-        perm[0] = perm[1]
-        path = tmp_path / "cert.json"
-        path.write_text(json.dumps(data))
-        assert main(["verify-cert", str(path)]) == EXIT_NOT_FOUND
-        assert "FAIL step0.rebuild (differs in perm" in capsys.readouterr().out
+    @pytest.mark.parametrize("hit", [4, None], ids=["plus-one", "null"])
+    def test_tampered_intermediate_child_hit_fails(self, hit):
+        data = two_step_certificate().to_dict()
+        assert [(s["D2"], s["child_hit"]) for s in data["chain"]] == [(2, 3), (1, 3)]
+        assert data["terminal"]["n"] == 6
+        assert all(ok for _name, ok, _detail in verify_certificate(Certificate.from_dict(data)))
+        data["chain"][0]["child_hit"] = hit
+        checks = {name: ok for name, ok, _detail in
+                  verify_certificate(Certificate.from_dict(data))}
+        # the hit no longer lifts to n, nor is it what the step below lifts to
+        assert checks["step0.lift"] is False and checks["step1.lift"] is False
+        assert checks["step0.rebuild"] and checks["step1.rebuild"]
 
     def test_next_parent_is_the_rebuilt_child(self):
         # a two-step chain: k = 3 duplicates -> k' = 2 -> k' = 1
@@ -345,13 +351,13 @@ class TestReplayRebuild:
         gens = quasi_orthogonal_generators(child.system, [321, 321], 1 / (2 * child.y),
                                            N_target=41, c_orth=0.05)
         second = reduce_dimension(child, gens)
-        cert = Certificate(root=state.to_dict(), chain=[first, second],
+        cert = Certificate(root=state.to_dict(), chain=[first.to_dict(), second.to_dict()],
                            terminal={"kind": "exhausted", "reason": "test"})
         assert all(ok for _name, ok, _detail in verify_certificate(cert))
-        # a tampered child fails its own step only: the next step is rebuilt
-        # from the child that the first step's rebuild gives
-        data = cert.to_dict()
-        tamper(data["chain"][0], ("g",))
+        # a tampered first step fails its own check only: the next step is
+        # rebuilt from the child that the first step's rebuild gives
+        data = copy.deepcopy(cert.to_dict())
+        tamper(data["chain"][0], ("D2",))
         checks = {name: ok for name, ok, _detail in
                   verify_certificate(Certificate.from_dict(data))}
         assert checks["step0.rebuild"] is False
