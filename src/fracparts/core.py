@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 DEFAULT_PRECISION_BITS = 192
 DEFAULT_ENUM_CAP = 10 ** 8
@@ -430,24 +430,28 @@ def _strict_thresholds(eps: Epsilons, D: int):
     return [(e.numerator * D - 1) // e.denominator for e in eps.eps]
 
 
-def hit_count(system: PolySystem, eps: Epsilons, x, enum_cap: int = DEFAULT_ENUM_CAP) -> int:
-    """#{n <= x : frac_dist(f_i(n)) < eps_i for all i} (strict inequalities)."""
-    last = math.floor(x)
+def _hit_chunks(system: PolySystem, eps: Epsilons, last: int, enum_cap: int):
+    """(n0, offsets of the strict hits in the chunk at n0) over n = 1..last."""
     _check_cap(last, system.k, enum_cap)
     D, chunks = _residues(system, last)
     thresholds = _strict_thresholds(eps, D)
-    return sum(len(_hits(cols, D, thresholds)) for _n0, cols in chunks)
+    return ((n0, _hits(cols, D, thresholds)) for n0, cols in chunks)
+
+
+def hit_count(system: PolySystem, eps: Epsilons, x,
+              enum_cap: int = DEFAULT_ENUM_CAP) -> Tuple[int, Optional[int]]:
+    """#{n <= x : frac_dist(f_i(n)) < eps_i for all i} (strict inequalities),
+    and the smallest such n < x (what `first_hit` returns), from one pass."""
+    count, first = 0, None
+    for n0, hits in _hit_chunks(system, eps, math.floor(x), enum_cap):
+        if first is None and hits and n0 + hits[0] < x:
+            first = n0 + hits[0]
+        count += len(hits)
+    return count, first
 
 
 def first_hit(system: PolySystem, eps: Epsilons, x,
               enum_cap: int = DEFAULT_ENUM_CAP) -> Optional[int]:
     """Smallest n < x with frac_dist(f_i(n)) < eps_i for all i, or None."""
-    last = horizon_count(x)
-    _check_cap(last, system.k, enum_cap)
-    D, chunks = _residues(system, last)
-    thresholds = _strict_thresholds(eps, D)
-    for n0, cols in chunks:
-        hits = _hits(cols, D, thresholds)
-        if hits:
-            return n0 + hits[0]
-    return None
+    chunks = _hit_chunks(system, eps, horizon_count(x), enum_cap)
+    return next((n0 + hits[0] for n0, hits in chunks if hits), None)

@@ -1,18 +1,19 @@
 """The density-increment solve loop and the exponent-measurement harness.
 
-Each level runs the dichotomy's hit-density gate (`expsum.density_gate`).
-Dense hits are returned by scan; otherwise the level tries one reduction,
-with generators from the relation lattice over q0 = 1, searched in the
-level's own region (`reduction.region`, which `reduce_dimension` checks
-them against), and recurses on the smaller child.  The lattice is built
-from the coefficients themselves, so the Fourier box scan, relation
-reconstruction and denominator clustering are not on this path; they
-serve the `fourier-scan | relations | denom-analyze` CLI chain.
+Each level runs the dichotomy's hit-density gate (`expsum.density_gate`),
+one pass that counts the hits and finds the smallest.  Dense hits return
+it; otherwise a level with k >= 2 tries one reduction, with generators from
+the relation lattice over q0 = 1, searched in the level's own region
+(`reduction.region`, which `reduce_dimension` checks them against), and
+recurses on the smaller child.  The lattice is built from the coefficients
+themselves, so the Fourier box scan, relation reconstruction and
+denominator clustering serve only the CLI chain.
 
 Fallback ladder (the analytic argument's dichotomies need not fire at desk
-scale): the gate, then the reduction branch, then brute force within the
-enumeration cap, else an inconclusive outcome.  Every fallback is recorded
-in the run stats.
+scale): the gate, then the reduction branch, then the gate's smallest hit.
+A level whose gate does not run scans with `first_hit` within the
+enumeration cap, else is inconclusive.  Every fallback is recorded in the
+run stats.
 
 A level returns plain values: status, n, n's distances if a lift checked
 them, the chain of reduction steps below it and, unless found, the reason.
@@ -41,8 +42,8 @@ from .core import (
     first_hit,
     horizon_count,
 )
-from .expsum import DEFAULT_MAX_BOX, HIT_DENSITY, BoxTooLargeError, density_gate
-from .latgeom import NoShortVector, quasi_orthogonal_generators
+from .expsum import HIT_DENSITY, BoxTooLargeError, density_gate
+from .latgeom import NoShortVector, PrecisionError, quasi_orthogonal_generators
 from .reduction import (
     C_CFG,
     TERMINAL_EXHAUSTED,
@@ -72,18 +73,10 @@ N_TARGET = 3
 C_ORTH = 0.05
 
 
-# JSON value types of the config fields that are not plain integers; a
-# bool is never accepted, although Python counts it as an int
-_CONFIG_TYPES = {"c_hit": ((int, float), "a number"),
-                 "max_depth": ((int, type(None)), "an integer or null")}
-
-
 @dataclass
 class SolverConfig:
     c_hit: float = 0.05
     enum_cap: int = DEFAULT_ENUM_CAP
-    max_box: int = DEFAULT_MAX_BOX
-    max_depth: Optional[int] = None       # None = k - 1 (k strictly decreases)
     brute_force_threshold: int = 64
     seed: int = 0
 
@@ -96,9 +89,14 @@ class SolverConfig:
         for key, value in d.items():
             if key not in names:
                 raise ValueError(f"unknown config field {key!r}")
-            types, what = _CONFIG_TYPES.get(key, (int, "an integer"))
+            # a bool is never accepted, although Python counts it as an int
+            types, what = ((int, float), "a number") if key == "c_hit" else (int, "an integer")
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ValueError(f"config field {key!r}: need {what}, got {value!r}")
+            # every field but the seed is a cap or a threshold (NaN fails this)
+            if key != "seed" and not 0 <= value < math.inf:
+                raise ValueError(f"config field {key!r}: need a finite value >= 0, "
+                                 f"got {value!r}")
         return SolverConfig(**d)
 
 
@@ -136,8 +134,7 @@ def solve(state: SystemState, config: Optional[SolverConfig] = None) -> SolveOut
         config = SolverConfig()
     stats = SolveStats()
     t0 = time.monotonic()
-    status, n, dists, chain, reason = _solve_level(state, config, stats, depth=0,
-                                                   root_k=state.k)
+    status, n, dists, chain, reason = _solve_level(state, config, stats, depth=0)
     if status == STATUS_FOUND:
         if dists is None:  # a scan's hit, not yet checked on the root
             dists = check_hit(state.system, state.eps, n)
@@ -161,66 +158,67 @@ def _scan_level(state: SystemState, config: SolverConfig, stats: SolveStats,
                 reason: str):
     try:
         n = first_hit(state.system, state.eps, state.y, enum_cap=config.enum_cap)
-        stats.evaluations += horizon_count(state.y) if n is None else n
     except HorizonCapError:
         stats.fallbacks.append(f"{reason}:enum-cap")
         return STATUS_INCONCLUSIVE, None, None, [], f"{reason}; horizon over enum cap"
+    return _scanned(state, stats, n, reason)
+
+
+def _scanned(state: SystemState, stats: SolveStats, n: Optional[int], reason: str):
+    """The level's result from a whole scan's smallest hit n < y, or None."""
+    stats.evaluations += horizon_count(state.y) if n is None else n
     if n is not None:
         return STATUS_FOUND, n, None, [], None
     return STATUS_NOT_FOUND, None, None, [], f"{reason}; exhaustive scan found no hit"
 
 
 def _solve_level(state: SystemState, config: SolverConfig, stats: SolveStats,
-                 depth: int, root_k: int):
+                 depth: int):
     stats.max_depth_reached = max(stats.max_depth_reached, depth)
     # record whether the analytic argument's hypothesis held at this level:
     # Delta^-1 <= x^(2/C)  <=>  x^2 Delta^C >= 1 (exact rational comparison)
     stats.delta_gate.append(
         state.y ** 2 * state.eps.delta_product ** C_CFG >= 1)
-    horizon = horizon_count(state.y)
-    if horizon <= config.brute_force_threshold:
+    if horizon_count(state.y) <= config.brute_force_threshold:
         return _scan_level(state, config, stats, "below brute-force threshold")
 
     try:
-        gate = density_gate(state.system, state.eps, state.y,
-                            c_hit=config.c_hit, max_box=config.max_box,
-                            enum_cap=config.enum_cap)
+        gate, hit = density_gate(state.system, state.eps, state.y,
+                                 c_hit=config.c_hit, enum_cap=config.enum_cap)
     except (BoxTooLargeError, ValueError, HorizonCapError) as exc:
         stats.fallbacks.append(f"fourier:{exc}")
         return _scan_level(state, config, stats, "fourier unavailable")
     stats.fourier_branches.append(gate.branch)
 
     if gate.branch == HIT_DENSITY:
-        # the count already located hits; return the smallest one
-        return _scan_level(state, config, stats, "hit-density scan")
+        # the gate's count scanned the whole horizon; return its smallest hit
+        return _scanned(state, stats, hit, "hit-density scan")
 
-    # k drops by at least one per reduction, so by default the budget only
-    # stops k = 1 levels, where no reduction exists
-    budget = config.max_depth if config.max_depth is not None else root_k - 1
-    if depth >= budget:
-        stats.fallbacks.append("depth-budget")
+    if state.k == 1:
+        # a reduction leaves at least one polynomial behind, so none exists
+        stats.fallbacks.append("reduction:k=1")
     else:
-        found = _reduction_path(state, config, stats, depth, root_k)
+        found = _reduction_path(state, config, stats, depth)
         if found is not None:
             return found
         stats.fallbacks.append("reduction-path-exhausted")
-    return _scan_level(state, config, stats, "reduction path exhausted")
+    return _scanned(state, stats, hit, "reduction path exhausted")
 
 
-def _reduction_path(state, config, stats, depth, root_k: int):
+def _reduction_path(state, config, stats, depth):
     """One reduction over q0 = 1, then the child's solve and the lift; None
     unless the lifted n is found.  The generators are searched in the
     level's own region, the one `reduce_dimension` checks them against."""
     B, eta = region(state)
-    gens = quasi_orthogonal_generators(state.system, B, eta,
-                                       N_target=N_TARGET, c_orth=C_ORTH,
-                                       max_r=state.k - 1)
-    if isinstance(gens, NoShortVector):
-        stats.fallbacks.append("reduction:no-short-vector")
-        return None
     try:
+        gens = quasi_orthogonal_generators(state.system, B, eta,
+                                           N_target=N_TARGET, c_orth=C_ORTH,
+                                           max_r=state.k - 1)
+        if isinstance(gens, NoShortVector):
+            stats.fallbacks.append("reduction:no-short-vector")
+            return None
         step = reduce_dimension(state, gens)
-    except (ReductionPreconditionError, IntegralityError,
+    except (PrecisionError, ReductionPreconditionError, IntegralityError,
             DegenerateHorizonError) as exc:
         stats.fallbacks.append(f"reduction:{type(exc).__name__}")
         return None
@@ -228,7 +226,7 @@ def _reduction_path(state, config, stats, depth, root_k: int):
     stats.density_reports.append(
         density_invariant(state, step).to_dict())
     status, n_child, _dists, chain, _reason = _solve_level(
-        step.child_state(), config, stats, depth + 1, root_k)
+        step.child_state(), config, stats, depth + 1)
     if status != STATUS_FOUND:
         stats.fallbacks.append(f"reduction:child-{status}")
         return None

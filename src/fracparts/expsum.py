@@ -295,13 +295,14 @@ def _dyadic_index(s: float, N: int) -> Optional[int]:
 
 def density_gate(system: PolySystem, eps: Epsilons, x, c_hit: float = 0.05,
                  max_box: int = DEFAULT_MAX_BOX,
-                 enum_cap: int = DEFAULT_ENUM_CAP) -> FourierDichotomy:
+                 enum_cap: int = DEFAULT_ENUM_CAP) -> Tuple[FourierDichotomy, Optional[int]]:
     """The dichotomy's preconditions and its hit-density test.
 
     Raises ValueError unless Delta <= 1/4 and floor(x) >= 2, and
     BoxTooLargeError when the frequency box exceeds ``max_box``.  The branch
     is HIT_DENSITY when the strict hit count reaches c_hit * Delta * floor(x),
     else LARGE_COEFFICIENTS with Q and witnesses left for the box scan.
+    The count's pass also returns the smallest hit n < x, or None.
     """
     delta = eps.delta_product
     if delta > Fraction(1, 4):
@@ -311,23 +312,20 @@ def density_gate(system: PolySystem, eps: Epsilons, x, c_hit: float = 0.05,
         raise ValueError("need floor(x) >= 2")
 
     caps = frequency_caps(eps)
-    box = 1
-    for c in caps:
-        box *= 2 * c + 1
+    box = math.prod(2 * c + 1 for c in caps)
     if box > max_box:
         raise BoxTooLargeError(f"frequency box {box} exceeds cap {max_box}")
 
-    hits = hit_count(system, eps, x, enum_cap=enum_cap)
+    hits, first = hit_count(system, eps, x, enum_cap=enum_cap)
     threshold = Fraction(c_hit) * delta * N
-    if hits >= threshold:
-        return FourierDichotomy(branch=HIT_DENSITY, x_floor=N, h_caps=caps,
-                                density_count=hits, density_threshold=float(threshold))
-    return FourierDichotomy(branch=LARGE_COEFFICIENTS, x_floor=N, h_caps=caps)
+    if hits < threshold:
+        return FourierDichotomy(branch=LARGE_COEFFICIENTS, x_floor=N, h_caps=caps), first
+    return FourierDichotomy(branch=HIT_DENSITY, x_floor=N, h_caps=caps, density_count=hits,
+                            density_threshold=float(threshold)), first
 
 
 def large_coefficients(system: PolySystem, eps: Epsilons, x, c_hit: float = 0.05,
-                       max_box: int = DEFAULT_MAX_BOX,
-                       enum_cap: int = DEFAULT_ENUM_CAP) -> FourierDichotomy:
+                       max_box: int = DEFAULT_MAX_BOX) -> FourierDichotomy:
     """Hit-density versus many-large-Fourier-coefficients dichotomy.
 
     Branch 1 fires when `density_gate` finds the hits dense.  Otherwise all
@@ -337,8 +335,7 @@ def large_coefficients(system: PolySystem, eps: Epsilons, x, c_hit: float = 0.05
     sqrt(Q) vectors wins.  If no class qualifies, the most populated one is
     returned with a diagnostic flag.
     """
-    gate = density_gate(system, eps, x, c_hit=c_hit, max_box=max_box,
-                        enum_cap=enum_cap)
+    gate, _first = density_gate(system, eps, x, c_hit=c_hit, max_box=max_box)
     if gate.branch == HIT_DENSITY:
         return gate
     N, caps = gate.x_floor, gate.h_caps

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -54,7 +55,8 @@ class TestSolveCommand:
         capsys.readouterr()
 
     @pytest.mark.parametrize("name", ["C_cfg", "c_orth", "delta_const",
-                                      "precision_bits", "C_impl"])
+                                      "precision_bits", "C_impl", "max_depth",
+                                      "max_box"])
     def test_config_constant_is_unknown_field(self, tmp_path, half_system, name, capsys):
         # the reduction's constants are not configuration
         cfg = write(tmp_path, "cfg.json", {name: 4})
@@ -63,8 +65,14 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("cfg", [{"enum_cap": "10"},
                                      {"brute_force_threshold": "8"},
-                                     {"max_depth": True}])
+                                     {"enum_cap": True},
+                                     {"c_hit": math.inf},
+                                     {"c_hit": math.nan},
+                                     {"c_hit": -0.5},
+                                     {"enum_cap": -5},
+                                     {"brute_force_threshold": -1}])
     def test_config_value_type_checked(self, tmp_path, half_system, cfg, capsys):
+        # json writes inf and nan as Infinity and NaN, which it reads back
         path = write(tmp_path, "cfg.json", cfg)
         assert main(["solve", half_system, "--config", path]) == EXIT_ERROR
         (name,) = cfg

@@ -135,13 +135,15 @@ class TestBruteForceMin:
 
 class TestHitCount:
     def test_examples(self):
-        assert hit_count(sys1(["1/2"]), Epsilons((Fraction(3, 10),)), 5) == 2
-        assert hit_count(sys1(["0"]), Epsilons((Fraction(1, 10),)), 10) == 10
+        assert hit_count(sys1(["1/2"]), Epsilons((Fraction(3, 10),)), 5) == (2, 2)
+        assert hit_count(sys1(["0"]), Epsilons((Fraction(1, 10),)), 10) == (10, 1)
+        # the count takes n <= x, the smallest hit n < x: n = 10 is only counted
+        assert hit_count(sys1(["1/10"]), Epsilons((Fraction(1, 20),)), 10) == (1, None)
 
     def test_sqrt2_fixture(self):
         # frozen from the exhaustive scan
         s = sys1(["0", "sqrt(2)"])
-        assert hit_count(s, Epsilons((Fraction(5, 100),)), 10 ** 4) == 968
+        assert hit_count(s, Epsilons((Fraction(5, 100),)), 10 ** 4)[0] == 968
 
     def test_monotone_in_eps_and_x(self):
         rng = random.Random(5)
@@ -152,8 +154,8 @@ class TestHitCount:
             e2 = e1 + Fraction(rng.randint(0, 10), 100)
             e2 = min(e2, Fraction(1, 2))
             x = rng.randint(5, 200)
-            assert hit_count(system, Epsilons((e1,)), x) <= hit_count(system, Epsilons((e2,)), x)
-            assert hit_count(system, Epsilons((e1,)), x) <= hit_count(system, Epsilons((e1,)), x + 37)
+            assert hit_count(system, Epsilons((e1,)), x)[0] <= hit_count(system, Epsilons((e2,)), x)[0]
+            assert hit_count(system, Epsilons((e1,)), x)[0] <= hit_count(system, Epsilons((e1,)), x + 37)[0]
 
     def test_first_hit_agrees(self):
         s = sys1(["1/2"])

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies
 
 from fracparts.core import (
     Epsilons,
@@ -23,7 +25,13 @@ from fracparts.driver import (
     measure_exponent,
     solve,
 )
-from fracparts.reduction import Certificate, LiftVerificationError, verify_certificate
+from fracparts.latgeom import quasi_orthogonal_generators
+from fracparts.reduction import (
+    Certificate,
+    LiftVerificationError,
+    check_hit,
+    verify_certificate,
+)
 from fracparts.serialize import (
     SystemFileError,
     certificate_bytes,
@@ -146,14 +154,72 @@ class TestSolve:
         assert len(out.certificate.chain) >= 1
         assert all(ok for _n, ok, _d in verify_certificate(out.certificate))
 
-    def test_depth_budget_zero_scans(self):
-        # a spent depth budget skips the reduction and falls back to the scan
-        st = dup_sqrt2_state(10 ** 4)
-        out = solve(st, SolverConfig(c_hit=1e9, brute_force_threshold=32, max_depth=0))
+    def test_gate_pass_answers_the_level(self, monkeypatch):
+        # above the brute-force threshold the gate's own pass finds the
+        # smallest hit, both on the hit-density branch and after a failed
+        # reduction, so the level never scans again
+        dense = state_of(sys1(["0", "sqrt(2)"]), [Fraction(1, 20)], 10 ** 4)
+        failed = state_of(sys1(["sqrt(2)"], ["sqrt(3)"]), [Fraction(1, 20)] * 2, 1000)
+        expected = [first_hit(st.system, st.eps, st.y) for st in (dense, failed)]
+
+        def rescan(*_args, **_kwargs):
+            raise AssertionError("the level was scanned twice")
+
+        monkeypatch.setattr("fracparts.driver.first_hit", rescan)
+        out = solve(dense)
+        assert out.stats.fourier_branches == ["hit-density"]
+        assert (out.status, out.n) == (STATUS_FOUND, expected[0])
+        out = solve(failed, FORCED)
+        assert "reduction-path-exhausted" in out.stats.fallbacks
+        assert (out.status, out.n) == (STATUS_FOUND, expected[1])
+        assert out.certificate.chain == []
+
+    def test_gate_counts_the_horizon_but_returns_hits_below_it(self):
+        # f = X/100 hits only at n = 100 = x: the gate counts it, so the level
+        # takes the hit-density branch, but no n < x is a hit
+        st = state_of(sys1(["1/100"]), [Fraction(1, 200)], 100)
+        out = solve(st)
+        assert out.stats.fourier_branches == ["hit-density"]
+        assert out.status == STATUS_NOT_FOUND and out.n is None
+        assert out.certificate.terminal["reason"] == (
+            "hit-density scan; exhaustive scan found no hit")
+        assert out.stats.evaluations == 99
+
+    def test_k1_level_does_not_reduce(self, monkeypatch):
+        # one r = 2 step takes k = 3 to k = 1; the child has no polynomial to
+        # leave behind, so only the root searches for generators
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].k)
+            return quasi_orthogonal_generators(*args, **kwargs)
+
+        monkeypatch.setattr("fracparts.driver.quasi_orthogonal_generators", counted)
+        st = state_of(sys1(["sqrt(2)"], ["sqrt(2)"], ["sqrt(2)"]), [Fraction(1, 9)] * 3,
+                      10 ** 4)
+        out = solve(st, FORCED)
+        assert (out.status, out.n) == (STATUS_FOUND, 70)
+        assert [len(step["gens"]["h_vecs"]) for step in out.certificate.chain] == [2]
+        assert calls == [3]
+        assert out.stats.fallbacks == ["reduction:k=1"]
+        assert all(ok for _n, ok, _d in verify_certificate(out.certificate))
+
+    def test_k1_root_records_its_fallback(self):
+        st = state_of(sys1(["0", "sqrt(2)"]), [Fraction(1, 20)], 10 ** 4)
+        out = solve(st, FORCED)
+        assert out.stats.fallbacks == ["reduction:k=1"]
+        assert out.status == STATUS_FOUND and out.n == first_hit(st.system, st.eps, st.y)
+
+    def test_precision_error_is_a_fallback(self):
+        # at d = 12 the 192-bit radius of sqrt(2) is too coarse for the
+        # relation lattice, so the reduction gives way to the level's scan
+        c = ["0"] * 11 + ["sqrt(2)"]
+        st = state_of(sys1(c, c), [Fraction(1, 20)] * 2, 2 * 10 ** 4)
+        out = solve(st, FORCED)
         assert out.status == STATUS_FOUND
         assert out.n == first_hit(st.system, st.eps, st.y)
-        assert out.certificate.chain == [] and out.stats.reductions == 0
-        assert "depth-budget" in out.stats.fallbacks
+        assert out.stats.fallbacks == ["reduction:PrecisionError",
+                                       "reduction-path-exhausted"]
         assert all(ok for _n, ok, _d in verify_certificate(out.certificate))
 
     def test_single_sqrt2_square(self):
@@ -187,8 +253,7 @@ class TestSolve:
 
     def test_inconclusive_when_over_cap(self):
         st = state_of(sys1(["0", "sqrt(2)"]), [Fraction(1, 1000)], 10 ** 7)
-        out = solve(st, SolverConfig(enum_cap=10 ** 4, brute_force_threshold=8,
-                                     max_box=50))
+        out = solve(st, SolverConfig(enum_cap=10 ** 4, brute_force_threshold=8))
         assert out.status == "inconclusive"
         assert out.certificate.terminal["kind"] == "exhausted"
 
@@ -215,7 +280,41 @@ class TestSolve:
                 dists = eval_system(s, out.n)
                 assert all(dv < e for dv, e in zip(dists, eps))
             else:
-                assert hit_count(s, Epsilons(tuple(eps)), st.y - 1) == 0
+                assert hit_count(s, Epsilons(tuple(eps)), st.y - 1)[0] == 0
+
+
+_rational = strategies.builds(lambda p, q: str(Fraction(p, q)),
+                             strategies.integers(0, 30), strategies.integers(1, 30))
+
+
+@strategies.composite
+def small_rational_states(draw):
+    k = draw(strategies.integers(1, 3))
+    d = draw(strategies.integers(1, 2))
+    coeffs = [[draw(_rational) for _ in range(d)] for _ in range(k)]
+    if k > 1 and draw(strategies.booleans()):
+        coeffs[-1] = coeffs[0]  # a planted dependency, for the reduction
+    system = sys1(*coeffs)
+    eps = [Fraction(1, draw(strategies.integers(3, 40))) for _ in range(k)]
+    return state_of(system, eps, draw(strategies.integers(2, 2000)))
+
+
+@pytest.mark.parametrize("config", [SolverConfig(), FORCED], ids=["default", "forced"])
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(state=small_rational_states())
+def test_solve_agrees_with_first_hit(state, config):
+    # a differential test against the scan: not-found iff no hit below x,
+    # and a found n is below x, exact, and the smallest hit unless lifted
+    out = solve(state, config)
+    hit = first_hit(state.system, state.eps, state.y)
+    assert out.status in (STATUS_FOUND, STATUS_NOT_FOUND)
+    assert (out.status == STATUS_NOT_FOUND) == (hit is None)
+    if out.status == STATUS_FOUND:
+        assert out.n < state.y
+        check_hit(state.system, state.eps, out.n)
+        if not out.certificate.chain:
+            assert out.n == hit
 
 
 class TestMeasureExponent:

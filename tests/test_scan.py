@@ -103,7 +103,11 @@ def test_reducers_match_per_n_reference(case):
     assert _checkpointed_min(system, checkpoints) == [
         running_min(c) for c in sorted(set(checkpoints))]
     assert brute_force_min(system, last + 1) == running_min(last + 1)
-    assert hit_count(system, eps, last) == len(hits)
+    # one pass counts n <= x and finds the smallest hit n < x
+    below = [n for n in hits if n < last]
+    assert hit_count(system, eps, last) == (len(hits), below[0] if below else None)
+    assert hit_count(system, eps, last + Fraction(1, 2)) == (
+        len(hits), hits[0] if hits else None)
     assert first_hit(system, eps, last + 1) == (hits[0] if hits else None)
 
     kernel = SmoothingKernel()
@@ -132,7 +136,7 @@ def test_reducers_match_per_n_reference(case):
 def test_empty_horizons():
     system = PolySystem((Poly((parse_scalar("sqrt(2)"),)),))
     eps = Epsilons((Fraction(1, 2),))
-    assert hit_count(system, eps, Fraction(1, 2)) == 0
+    assert hit_count(system, eps, Fraction(1, 2)) == (0, None)
     assert first_hit(system, eps, 1) is None
     assert smoothed_count(system, eps, 0) == 0
     assert _abs_sum_exact_phase([Fraction(1, 3)], 0) == 0.0
