@@ -21,7 +21,7 @@ from .denomstruct import (
     gcd_graph,
     rfold_sum_count,
 )
-from .diophantine import RelationTriple, build_relations, default_q_rel
+from .diophantine import RelationTriple, build_relations, default_q_rel, large_coefficients
 from .driver import (
     CSV_COLUMNS,
     STATUS_FOUND,
@@ -29,7 +29,7 @@ from .driver import (
     measure_exponent,
     solve,
 )
-from .expsum import BoxTooLargeError, FourierDichotomy, large_coefficients
+from .expsum import BoxTooLargeError, FourierDichotomy
 from .latgeom import (
     LatticeBasis,
     NoShortVector,
@@ -143,10 +143,33 @@ def cmd_relations(args) -> int:
     return EXIT_OK
 
 
-def cmd_denom_analyze(args) -> int:
-    with open(args.relations, "r", encoding="utf-8") as fh:
+def _load_relations(path):
+    """The triples of a `relations` output; a malformed one is a SystemFileError
+    naming the field."""
+    with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    rels = [RelationTriple.from_dict(t) for t in payload["relations"]]
+    if not isinstance(payload, dict) or "relations" not in payload:
+        raise SystemFileError(f"{path}: missing field 'relations'")
+    if not isinstance(payload["relations"], list):
+        raise SystemFileError(f"{path}: field 'relations': need a list of relation triples")
+    rels = []
+    for i, t in enumerate(payload["relations"]):
+        field = f"'relations[{i}]'"
+        try:
+            rel = RelationTriple.from_dict(t)
+        except KeyError as exc:
+            raise SystemFileError(f"{path}: field {field}: missing key {exc}") from exc
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise SystemFileError(f"{path}: field {field}: {exc}") from exc
+        if rels and rel.d != rels[0].d:
+            raise SystemFileError(f"{path}: field {field}: {rel.d} slots, but "
+                                  f"'relations[0]' has {rels[0].d}")
+        rels.append(rel)
+    return rels
+
+
+def cmd_denom_analyze(args) -> int:
+    rels = _load_relations(args.relations)
     if not rels:
         _emit({"error": "no relations to analyze"})
         return EXIT_NOT_FOUND

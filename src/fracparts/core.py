@@ -279,7 +279,7 @@ class SystemState:
 # in exact ints, and only the residues are reduced mod D.  Chunks start small
 # and double, so a scan that stops at an early hit stays cheap.  The scans
 # (running minimum with checkpoints, hit offsets, and the smoothed and phase
-# sums in `expsum`) are reducers over the chunks.  Ranges could be
+# sums in `diophantine`) are reducers over the chunks.  Ranges could be
 # partitioned and merged (min with smallest-n tiebreak / sum); the
 # sequential order here is the reference semantics.
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Structure analysis of relation denominators.
+"""Structure analysis of relation denominators, the last step of the CLI
+chain (``denom-analyze``); the solver imports none of it.
 
-The solver only needs the same-denominator branch (greedy per-slot majority
-clustering); the gcd graph, dominant-divisor filter and r-fold sum counts are
-the diagnostics for the expansion branch, exercised in tests and experiments.
+The same-denominator branch is a greedy per-slot majority clustering; the
+gcd graph, dominant-divisor filter and r-fold sum counts are the diagnostics
+for the expansion branch.
 """
 
 from __future__ import annotations
@@ -154,7 +155,3 @@ def rfold_sum_count(relations: Sequence[RelationTriple], r: int, slot: int,
         seen.add(sum(fracs[i] for i in combo))
     return len(seen)
 
-
-def reduced_denominator_of_sum(fracs: Sequence[Fraction]) -> int:
-    """Denominator of sum a_i/b_i in lowest terms (probe for the coprime case)."""
-    return sum(fracs, Fraction(0)).denominator

@@ -45,7 +45,6 @@ from .core import (
 from .expsum import HIT_DENSITY, BoxTooLargeError, density_gate
 from .latgeom import NoShortVector, PrecisionError, quasi_orthogonal_generators
 from .reduction import (
-    C_CFG,
     TERMINAL_EXHAUSTED,
     TERMINAL_FOUND,
     Certificate,
@@ -108,7 +107,6 @@ class SolveStats:
     fourier_branches: List[str] = field(default_factory=list)
     fallbacks: List[str] = field(default_factory=list)
     density_reports: List[dict] = field(default_factory=list)
-    delta_gate: List[bool] = field(default_factory=list)
     wall_time: float = 0.0
 
     def to_dict(self) -> dict:
@@ -175,10 +173,6 @@ def _scanned(state: SystemState, stats: SolveStats, n: Optional[int], reason: st
 def _solve_level(state: SystemState, config: SolverConfig, stats: SolveStats,
                  depth: int):
     stats.max_depth_reached = max(stats.max_depth_reached, depth)
-    # record whether the analytic argument's hypothesis held at this level:
-    # Delta^-1 <= x^(2/C)  <=>  x^2 Delta^C >= 1 (exact rational comparison)
-    stats.delta_gate.append(
-        state.y ** 2 * state.eps.delta_product ** C_CFG >= 1)
     if horizon_count(state.y) <= config.brute_force_threshold:
         return _scan_level(state, config, stats, "below brute-force threshold")
 
@@ -267,16 +261,15 @@ class ExperimentRow:
 CSV_COLUMNS = ["k", "d", "x", "trial_id", "seed", "min_max_dist", "fitted_exponent"]
 
 
-def _counter_uniform(seed: int, trial: int, index: int,
-                     bits: int = DEFAULT_PRECISION_BITS) -> Fraction:
-    """Deterministic uniform draw in [0,1): a keyed counter hashed to bits."""
+def _counter_uniform(seed: int, trial: int, index: int) -> Fraction:
+    """Deterministic uniform draw in [0,1): a keyed counter hashed to
+    DEFAULT_PRECISION_BITS bits."""
     digest = hashlib.sha256(f"{seed}:{trial}:{index}".encode()).digest()
-    value = int.from_bytes(digest, "big") >> (256 - bits)
-    return Fraction(value, 1 << bits)
+    value = int.from_bytes(digest, "big") >> (256 - DEFAULT_PRECISION_BITS)
+    return Fraction(value, 1 << DEFAULT_PRECISION_BITS)
 
 
-def draw_system(generator_spec: str, k: int, d: int, seed: int, trial: int,
-                bits: int = DEFAULT_PRECISION_BITS) -> PolySystem:
+def draw_system(generator_spec: str, k: int, d: int, seed: int, trial: int) -> PolySystem:
     if generator_spec not in GENERATOR_SPECS:
         raise ValueError(f"unknown generator spec {generator_spec!r}")
     polys = []
@@ -289,7 +282,7 @@ def draw_system(generator_spec: str, k: int, d: int, seed: int, trial: int,
             elif generator_spec == "monomial" and j < d:
                 coeffs.append(Real(Fraction(0)))
             else:
-                coeffs.append(Real(_counter_uniform(seed, trial, index, bits)))
+                coeffs.append(Real(_counter_uniform(seed, trial, index)))
             index += 1
         polys.append(Poly(tuple(coeffs)))
     return PolySystem(tuple(polys))

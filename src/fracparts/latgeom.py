@@ -5,7 +5,8 @@ determinant identity.
 Reduction quality constants are explicit: LLL at delta = 0.99 with the
 transform retained, successive minima estimated by reduced-basis sup norms,
 and an exact shortest-vector enumeration available in small dimensions to
-validate those estimates.
+validate those estimates.  The residue-counting oracles that cross-check the
+determinant identity by enumeration are part of the tests.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .core import PolySystem, coefficient_sums
 from .intlinalg import (
@@ -130,8 +129,9 @@ def _gram_schmidt(basis):
     return ortho, mu, norms
 
 
-def reduce_basis(basis: LatticeBasis, delta: Fraction = LLL_DELTA) -> LatticeBasis:
-    """LLL reduction with exact rational arithmetic; same lattice, transform kept."""
+def reduce_basis(basis: LatticeBasis) -> LatticeBasis:
+    """LLL reduction at LLL_DELTA with exact rational arithmetic; same lattice,
+    transform kept."""
     vecs = [list(row) for row in basis.vectors]
     n = len(vecs)
     U = [list(row) for row in (basis.transform or identity(n))]
@@ -146,7 +146,7 @@ def reduce_basis(basis: LatticeBasis, delta: Fraction = LLL_DELTA) -> LatticeBas
                 for t in range(j):
                     mu[kk][t] -= r * mu[j][t]
                 mu[kk][j] -= r
-        if norms[kk] >= (delta - mu[kk][kk - 1] ** 2) * norms[kk - 1]:
+        if norms[kk] >= (LLL_DELTA - mu[kk][kk - 1] ** 2) * norms[kk - 1]:
             kk += 1
         else:
             vecs[kk], vecs[kk - 1] = vecs[kk - 1], vecs[kk]
@@ -405,114 +405,3 @@ def sublattice_determinants(H1: Sequence[Sequence[int]],
         raise ArithmeticError(
             f"determinant identity failed: {det1} != {det2} * {det3}")
     return SublatticeReport(det1=det1, det2=det2, det3=det3, identity_holds=ok)
-
-
-# ---------------------------------------------------------------------------
-# Residue-enumeration oracles (used by tests to cross-check the determinants).
-# ---------------------------------------------------------------------------
-
-
-def _encode(coords: np.ndarray, D: int) -> np.ndarray:
-    out = np.zeros(coords.shape[0], dtype=np.int64)
-    for c in range(coords.shape[1]):
-        out = out * D + coords[:, c]
-    return out
-
-
-def _decode(idx: np.ndarray, D: int, r: int) -> np.ndarray:
-    out = np.empty((idx.shape[0], r), dtype=np.int64)
-    rem = idx.copy()
-    for c in range(r - 1, -1, -1):
-        out[:, c] = rem % D
-        rem //= D
-    return out
-
-
-def _subgroup_closure(generators: List[List[int]], D: int, r: int) -> np.ndarray:
-    """Sorted encoded elements of the subgroup of (Z/D)^r the generators span.
-
-    Cosets of the running subgroup are disjoint, so each generator g only
-    needs its multiplier m (smallest m >= 1 with m g inside) and then m-1
-    whole-coset appends.
-    """
-    S = np.array([0], dtype=np.int64)
-    for g in generators:
-        gv = np.array([x % D for x in g], dtype=np.int64)
-        if not gv.any():
-            continue
-        m = 1
-        acc = gv.copy()
-        while True:
-            code = int(_encode(acc[None, :], D)[0])
-            pos = int(np.searchsorted(S, code))
-            if pos < S.size and S[pos] == code:
-                break
-            m += 1
-            acc = (acc + gv) % D
-        if m == 1:
-            continue
-        coords = _decode(S, D, r)
-        blocks = [S]
-        for t in range(1, m):
-            blocks.append(_encode((coords + t * gv) % D, D))
-        S = np.sort(np.concatenate(blocks))
-    return S
-
-
-def _member(code_coords: np.ndarray, S1: np.ndarray, extra, D: int) -> bool:
-    """Membership of one residue in S1 extended by the coset generators in extra."""
-    import itertools as _it
-    for combo in _it.product(*[range(m) for _g, m in extra]):
-        w = code_coords.copy()
-        for (g, _m), t in zip(extra, combo):
-            if t:
-                w = (w - t * g) % D
-        code = int(_encode(w[None, :], D)[0])
-        pos = int(np.searchsorted(S1, code))
-        if pos < S1.size and S1[pos] == code:
-            return True
-    return False
-
-
-def lambda2_residue_count(H1, H2, D: int) -> int:
-    """#{z in [0,D)^r reachable as H1 x + H2 y mod D}.
-
-    The H1 subgroup is enumerated outright; each H2 column then contributes
-    its coset multiplier, and the count is the product (cosets of a subgroup
-    partition it, so no residue is double-counted).
-    """
-    r = len(H1)
-    gens1 = [[H1[i][j] for i in range(r)] for j in range(len(H1[0]))]
-    S1 = _subgroup_closure(gens1, D, r)
-    extra: List[Tuple[np.ndarray, int]] = []
-    count = S1.size
-    for j in range(len(H2[0])):
-        g = np.array([H2[i][j] % D for i in range(r)], dtype=np.int64)
-        if not g.any():
-            continue
-        m = 1
-        while not _member((m * g) % D, S1, extra, D):
-            m += 1
-        if m > 1:
-            extra.append((g, m))
-            count *= m
-    return int(count)
-
-
-def lambda3_residue_count(H1, H2, D: int, chunk: int = 1 << 20) -> int:
-    """#{y in [0,D)^l : H1 x = H2 y mod D solvable} by direct enumeration."""
-    r = len(H1)
-    ell = len(H2[0])
-    gens1 = [[H1[i][j] for i in range(r)] for j in range(len(H1[0]))]
-    S1 = _subgroup_closure(gens1, D, r)
-    member = np.zeros(D ** r, dtype=bool)
-    member[S1] = True
-    H2a = np.array(H2, dtype=np.int64)
-    total = D ** ell
-    count = 0
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        ys = _decode(idx, D, ell)
-        codes = _encode((ys @ H2a.T) % D, D)
-        count += int(np.count_nonzero(member[codes]))
-    return count

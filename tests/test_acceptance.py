@@ -22,25 +22,21 @@ from fracparts.core import (
     hit_count,
 )
 from fracparts.denomstruct import rfold_sum_count
-from fracparts.diophantine import RelationTriple, best_rational
-from fracparts.driver import SolverConfig, measure_exponent, solve
-from fracparts.expsum import (
-    HIT_DENSITY,
-    LARGE_COEFFICIENTS,
+from fracparts.diophantine import (
+    RelationTriple,
     _abs_sum_exact_phase,
     _phase_coefficients,
-    frequency_caps,
+    best_rational,
     large_coefficients,
     smoothed_count,
 )
+from fracparts.driver import SolverConfig, measure_exponent, solve
+from fracparts.expsum import HIT_DENSITY, LARGE_COEFFICIENTS, frequency_caps
 from fracparts.intlinalg import det_bareiss
-from fracparts.latgeom import (
-    lambda2_residue_count,
-    lambda3_residue_count,
-    sublattice_determinants,
-)
+from fracparts.latgeom import sublattice_determinants
 from fracparts.reduction import verify_certificate
 from fracparts.serialize import certificate_bytes
+from residue_oracles import lambda2_residue_count, lambda3_residue_count
 
 
 def report(criterion: int, passed: bool, detail: str):

@@ -140,6 +140,24 @@ class TestPipelineCommands:
         assert main(["relations", path]) == EXIT_ERROR
         assert "missing field 'dichotomy'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data, field", [
+        ({}, "missing field 'relations'"),
+        ([], "missing field 'relations'"),
+        ({"relations": 5}, "field 'relations'"),
+        ({"relations": [{"a": [1], "h": [1], "residuals": ["0"]}]},
+         "'relations[0]': missing key 'q'"),
+        ({"relations": [{"a": [1], "q": [2], "h": [1], "residuals": ["1/0"]}]},
+         "'relations[0]'"),
+        ({"relations": [{"a": [1], "q": [2], "h": [1], "residuals": ["0"]},
+                        {"a": [1, 0], "q": [2, 1], "h": [1], "residuals": ["0", "0"]}]},
+         "'relations[1]': 2 slots"),
+    ])
+    def test_denom_analyze_malformed_exit_1(self, tmp_path, data, field, capsys):
+        path = write(tmp_path, "rels.json", data)
+        assert main(["denom-analyze", path]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
     def test_fourier_scan_has_no_precision_option(self, dup_system, capsys):
         assert main(["fourier-scan", dup_system, "--precision", "64"]) == EXIT_ERROR
         capsys.readouterr()

@@ -9,7 +9,6 @@ from fracparts.denomstruct import (
     cluster_by_denominator,
     dominant_divisor_filter,
     gcd_graph,
-    reduced_denominator_of_sum,
     rfold_sum_count,
 )
 from fracparts.diophantine import RelationTriple
@@ -152,10 +151,3 @@ class TestRfoldSums:
         rels = triples_from_fracs([Fraction(1, p) for p in (2, 3, 5, 7, 11)])
         with pytest.raises(OverflowError):
             rfold_sum_count(rels, 4, 1, cap=10)
-
-    def test_coprime_denominator_product(self):
-        # reduced denominator of a coprime-denominator sum is the product
-        fracs = [Fraction(1, 3), Fraction(2, 5), Fraction(3, 7)]
-        assert reduced_denominator_of_sum(fracs) == 105
-        fracs = [Fraction(5, 8), Fraction(2, 9), Fraction(4, 25)]
-        assert reduced_denominator_of_sum(fracs) == 8 * 9 * 25

@@ -8,14 +8,12 @@ import pytest
 from fracparts.core import Epsilons, Poly, PolySystem
 from fracparts.diophantine import (
     RelationTriple,
-    ShapeMismatchError,
     best_rational,
     build_relations,
     default_q_rel,
-    relation_residual,
+    large_coefficients,
     sigma_vector,
 )
-from fracparts.expsum import large_coefficients
 
 
 def sys1(*coeff_lists):
@@ -153,35 +151,6 @@ class TestBuildRelations:
 
 
 class TestRelationResidual:
-    def test_recompute_matches(self):
-        s = sys1(["3/7"])
-        t = RelationTriple(a=(3,), q=(7,), h=(1,), residuals=(Fraction(0),))
-        assert relation_residual(t, s) == [Fraction(0)]
-
-    def test_mismatch_detected(self):
-        s = sys1(["3/7"])
-        t = RelationTriple(a=(3,), q=(7,), h=(1,), residuals=(Fraction(1, 2),))
-        with pytest.raises(ShapeMismatchError):
-            relation_residual(t, s)
-
-    def test_shape_mismatch(self):
-        s = sys1(["3/7"])
-        t = RelationTriple(a=(3, 0), q=(7, 1), h=(1, 0), residuals=(Fraction(0), Fraction(0)))
-        with pytest.raises(ShapeMismatchError):
-            relation_residual(t, s)
-
-    def test_random_triples_recompute(self):
-        rng = random.Random(21)
-        for _ in range(20):
-            s = sys1([str(Fraction(rng.getrandbits(24), 2 ** 24))])
-            h = (rng.randint(-5, 5),)
-            sig = sigma_vector(s, h)[0]
-            a, q = best_rational(sig, 20)
-            t = RelationTriple(a=(a,), q=(q,), h=h,
-                               residuals=(abs(sig - Fraction(a, q)),))
-            fresh = relation_residual(t, s)
-            assert fresh == list(t.residuals)
-
     def test_reduced_fraction_enforced(self):
         with pytest.raises(ValueError):
             RelationTriple(a=(2,), q=(4,), h=(1,), residuals=(Fraction(0),))

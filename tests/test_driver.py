@@ -146,7 +146,7 @@ class TestSolve:
         def unreachable(*_args, **_kwargs):
             raise AssertionError("off the solve path")
 
-        monkeypatch.setattr("fracparts.expsum._half_box", unreachable)
+        monkeypatch.setattr("fracparts.diophantine._half_box", unreachable)
         monkeypatch.setattr("fracparts.diophantine.build_relations", unreachable)
         monkeypatch.setattr("fracparts.diophantine.best_rational", unreachable)
         out = solve(dup_sqrt2_state(10 ** 5), FORCED)

@@ -13,20 +13,20 @@ from fracparts.core import (
     PolySystem,
     hit_count,
 )
+from fracparts.diophantine import (
+    _abs_sum_exact_phase,
+    _phase_coefficients,
+    large_coefficients,
+    phi,
+    smoothed_count,
+    weyl_sum,
+)
 from fracparts.expsum import (
     HIT_DENSITY,
     LARGE_COEFFICIENTS,
     BoxTooLargeError,
     FourierDichotomy,
-    InvalidApproximationError,
-    SmoothingKernel,
-    _abs_sum_exact_phase,
-    _phase_coefficients,
     frequency_caps,
-    large_coefficients,
-    smoothed_count,
-    verify_weyl_bound,
-    weyl_sum,
 )
 
 
@@ -36,28 +36,25 @@ def sys1(*coeff_lists):
 
 class TestKernel:
     def test_plateau_support_range(self):
-        K = SmoothingKernel()
-        assert K.phi(Fraction(2, 5)) == 1
-        assert K.phi(Fraction(1, 2)) == 1
-        assert K.phi(1) == 0
-        assert K.phi(Fraction(-3, 8)) == 1
+        assert phi(Fraction(2, 5)) == 1
+        assert phi(Fraction(1, 2)) == 1
+        assert phi(1) == 0
+        assert phi(Fraction(-3, 8)) == 1
         rng = random.Random(3)
         for _ in range(300):
             u = Fraction(rng.randint(-2000, 2000), 1000)
-            v = K.phi(u)
+            v = phi(u)
             assert 0 <= v <= 1
-            assert v == K.phi(-u)
+            assert v == phi(-u)
 
     def test_transition_is_c2(self):
         # one-sided second-difference quotients at each knot must agree up to
         # O(h) (a merely C^1 spline would show an O(1) jump there)
-        K = SmoothingKernel()
-
         def second_jump(h: Fraction) -> Fraction:
             worst = Fraction(0)
             for knot in (Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), Fraction(1)):
-                left = (K.phi(knot) - 2 * K.phi(knot - h) + K.phi(knot - 2 * h)) / h ** 2
-                right = (K.phi(knot + 2 * h) - 2 * K.phi(knot + h) + K.phi(knot)) / h ** 2
+                left = (phi(knot) - 2 * phi(knot - h) + phi(knot - 2 * h)) / h ** 2
+                right = (phi(knot + 2 * h) - 2 * phi(knot + h) + phi(knot)) / h ** 2
                 worst = max(worst, abs(left - right))
             return worst
 
@@ -65,23 +62,6 @@ class TestKernel:
         big, small = second_jump(h), second_jump(h / 10)
         assert big < Fraction(1, 10 ** 3)
         assert small * 5 < big  # shrinks linearly in h, so phi'' is continuous
-
-    def test_periodization_is_periodic(self):
-        K = SmoothingKernel()
-        rng = random.Random(5)
-        for _ in range(100):
-            t = Fraction(rng.randint(-500, 500), 97)
-            e = Fraction(rng.randint(1, 50), 100)
-            assert K.periodized(t, e) == K.periodized(t + 3, e)
-
-    def test_fourier_series_reconstructs(self):
-        K = SmoothingKernel()
-        eps = Fraction(1, 4)
-        coeffs = {h: K.fourier_coefficient(eps, h) for h in range(-24, 25)}
-        for t in [Fraction(0), Fraction(1, 10), Fraction(1, 5), Fraction(3, 7)]:
-            series = sum(coeffs[h] * math.cos(2 * math.pi * h * float(t))
-                         for h in coeffs)
-            assert abs(series - float(K.periodized(t, eps))) < 1e-3
 
 
 class TestWeylSum:
@@ -250,49 +230,3 @@ class TestLargeCoefficients:
         again = FourierDichotomy.from_dict(dich.to_dict())
         assert again.witnesses == dich.witnesses
         assert again.Q == dich.Q
-
-
-class TestWeylBoundProbe:
-    def test_half_alternation_cancels(self):
-        rep = verify_weyl_bound(Poly.from_strings(["0", "1"]), Fraction(1, 2),
-                                1, 2, Q=2, x=100, c_d=0.5, C_check=10)
-        assert rep.lhs < 1e-9
-        assert rep.passed
-
-    def test_zero_alpha_trivial(self):
-        rep = verify_weyl_bound(Poly.from_strings(["0", "1"]), Fraction(0),
-                                0, 1, Q=1, x=100, c_d=0.5, C_check=1.0)
-        assert rep.lhs == pytest.approx(100)
-        assert rep.rhs >= 100
-        assert rep.passed
-
-    def test_random_rational_alphas_all_pass(self):
-        rng = random.Random(31)
-        poly = Poly.from_strings(["0", "1"])
-        for _ in range(100):
-            q = rng.randint(2, 100)
-            while True:
-                a = rng.randint(1, q)
-                if math.gcd(a, q) == 1:
-                    break
-            rep = verify_weyl_bound(poly, Fraction(a, q), a, q, Q=q, x=10 ** 4,
-                                    c_d=0.5, C_check=10)
-            assert rep.passed
-
-    def test_bad_approximation_rejected(self):
-        poly = Poly.from_strings(["0", "1"])
-        with pytest.raises(InvalidApproximationError):
-            # |9/10 - 1/2| = 2/5 > 1/(qQ) = 1/4
-            verify_weyl_bound(poly, Fraction(9, 10), 1, 2, Q=2, x=100,
-                              c_d=0.5, C_check=10)
-        with pytest.raises(InvalidApproximationError):
-            verify_weyl_bound(poly, Fraction(1, 2), 2, 4, Q=4, x=100,
-                              c_d=0.5, C_check=10)
-        with pytest.raises(InvalidApproximationError):
-            verify_weyl_bound(poly, Fraction(1, 2), 1, 2, Q=1, x=100,
-                              c_d=0.5, C_check=10)
-
-    def test_requires_monic(self):
-        with pytest.raises(ValueError):
-            verify_weyl_bound(Poly.from_strings(["0", "2"]), Fraction(1, 2),
-                              1, 2, Q=2, x=100, c_d=0.5, C_check=10)

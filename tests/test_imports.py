@@ -1,7 +1,11 @@
 """Every imported name is used, and every module-level function and class of
-the package is used somewhere else: no dead import, no dead definition."""
+the package is used somewhere else: no dead import, no dead definition.  The
+solver's modules load neither numpy nor the analytic toolkit of the CLI chain."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +71,28 @@ def test_scan_finds_an_orphaned_definition():
     sources = {"a.py": "def used():\n    pass\n\n\ndef orphan(n):\n    return orphan(n)\n",
                "b.py": "from a import used\nused()\n"}
     assert orphaned_definitions(sources, {"a.py"}) == [("a.py", "orphan")]
+
+
+# what solve, replay, serialization and the exponent harness import
+SOLVER = ["fracparts." + m for m in
+          ("core", "intlinalg", "latgeom", "reduction", "expsum", "driver", "serialize")]
+OFF_LIMITS = ["numpy", "fracparts.diophantine", "fracparts.denomstruct", "fracparts.cli"]
+
+
+def loaded_off_limits(modules) -> list:
+    """The OFF_LIMITS modules loaded by importing `modules` in a fresh interpreter."""
+    code = ("import importlib, sys\n"
+            f"for m in {modules!r}: importlib.import_module(m)\n"
+            f"print(*[m for m in {OFF_LIMITS!r} if m in sys.modules])")
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    return run.stdout.split()
+
+
+def test_solver_loads_no_toolkit():
+    assert loaded_off_limits(SOLVER) == []
+
+
+def test_guard_flags_the_cli():
+    assert loaded_off_limits(["fracparts.cli"]) == OFF_LIMITS

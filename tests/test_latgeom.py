@@ -16,8 +16,6 @@ from fracparts.latgeom import (
     _linf,
     build_relation_lattice,
     decisively_in_region,
-    lambda2_residue_count,
-    lambda3_residue_count,
     quasi_orthogonal_generators,
     reduce_basis,
     shortest_vector,
@@ -27,6 +25,7 @@ from fracparts.latgeom import (
     wedge_norm,
     wedge_norm_sq,
 )
+from residue_oracles import lambda2_residue_count, lambda3_residue_count
 
 
 def sys1(*coeff_lists):

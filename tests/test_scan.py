@@ -1,6 +1,6 @@
 """Differential tests of the scan reducers against a per-n reference.
 
-Every scan in `core` and `expsum` reduces the chunked residue stream.  The
+Every scan in `core` and `diophantine` reduces the chunked residue stream.  The
 reference here evaluates each n on its own: `Poly.eval` (Horner on exact
 Fractions) and `frac_dist` for the distances, and integer Horner mod D for
 the phase sums, with no forward differences.  Horizons sit on and around
@@ -29,10 +29,10 @@ from fracparts.core import (
     hit_count,
     parse_scalar,
 )
-from fracparts.expsum import (
-    SmoothingKernel,
+from fracparts.diophantine import (
     _abs_sum_exact_phase,
     _phase_coefficients,
+    phi,
     smoothed_count,
     weyl_sum,
 )
@@ -110,12 +110,11 @@ def test_reducers_match_per_n_reference(case):
         len(hits), hits[0] if hits else None)
     assert first_hit(system, eps, last + 1) == (hits[0] if hits else None)
 
-    kernel = SmoothingKernel()
     smoothed = Fraction(0)
     for row in dists:
         prod = Fraction(1)
         for dv, e in zip(row, eps.eps):
-            prod *= kernel.phi(dv / e)
+            prod *= phi(dv / e)
         smoothed += prod
     assert smoothed_count(system, eps, last) == smoothed
 
