@@ -134,7 +134,12 @@ def cmd_relations(args) -> int:
         if not isinstance(payload, dict) or key not in payload:
             raise SystemFileError(f"{args.scan}: missing field {key!r}")
     state = state_from_dict(payload["system"])
-    dich = FourierDichotomy.from_dict(payload["dichotomy"])
+    try:
+        dich = FourierDichotomy.from_dict(payload["dichotomy"])
+    except KeyError as exc:
+        raise SystemFileError(f"{args.scan}: field 'dichotomy': missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SystemFileError(f"{args.scan}: field 'dichotomy': {exc}") from exc
     x = Fraction(payload["x"])
     q_rel = args.q_rel or default_q_rel(state.eps)
     rels = build_relations(state.system, state.eps, x, dich, Q_rel=q_rel)

@@ -1,12 +1,13 @@
-"""Geometry of numbers: the scaled relation lattice, LLL reduction with exact
-rationals, quasi-orthogonal generator extraction, and the sublattice
-determinant identity.
+"""Geometry of numbers: the scaled relation lattice, LLL reduction, quasi-
+orthogonal generator extraction, and the sublattice determinant identity.
 
-Reduction quality constants are explicit: LLL at delta = 0.99 with the
-transform retained, successive minima estimated by reduced-basis sup norms,
-and an exact shortest-vector enumeration available in small dimensions to
-validate those estimates.  The residue-counting oracles that cross-check the
-determinant identity by enumeration are part of the tests.
+The LLL is the integral LLL (Cohen Alg. 2.6.7), updated in place: exact,
+with integer Gram determinants that each swap updates rather than
+recomputes.  Reduction quality constants are explicit: LLL at delta = 0.99
+with the transform retained, successive minima estimated by reduced-basis
+sup norms, and an exact shortest-vector enumeration available in small
+dimensions to validate those estimates.  The residue-counting oracles that
+cross-check the determinant identity by enumeration are part of the tests.
 """
 
 from __future__ import annotations
@@ -110,51 +111,81 @@ def build_relation_lattice(system: PolySystem, B: Sequence, eta) -> LatticeBasis
     return LatticeBasis(vectors=rows, transform=identity(dim))
 
 
-def _gram_schmidt(basis):
-    n = len(basis)
-    ortho = []
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    norms = []
+def _integral_rows(rows) -> Tuple[int, List[List[int]]]:
+    """(L, L * rows) with L the common denominator of the entries."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    L = math.lcm(*(x.denominator for row in rows for x in row))
+    return L, [[int(x * L) for x in row] for row in rows]
+
+
+def _integral_gram(rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]]]:
+    """Gram determinants d and lambda of integer rows, all integers.
+
+    d[0] = 1 and d[i+1] is the Gram determinant of rows 0..i, so the squared
+    Gram-Schmidt norm of row i is d[i+1] / d[i]; lambda[i][j] = d[j+1] mu_ij
+    for j < i.  Raises DependenceError when the rows are dependent.
+    """
+    n = len(rows)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
     for i in range(n):
-        v = [Fraction(x) for x in basis[i]]
-        for j in range(i):
-            if norms[j] == 0:
-                raise DependenceError("input vectors are linearly dependent")
-            mu[i][j] = _dot(basis[i], ortho[j]) / norms[j]
-            v = [a - mu[i][j] * b for a, b in zip(v, ortho[j])]
-        ortho.append(v)
-        norms.append(_dot(v, v))
-    if any(nsq == 0 for nsq in norms):
-        raise DependenceError("input vectors are linearly dependent")
-    return ortho, mu, norms
+        for j in range(i + 1):
+            u = sum(a * b for a, b in zip(rows[i], rows[j]))
+            for t in range(j):
+                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
+            if j < i:
+                lam[i][j] = u
+            else:
+                d[i + 1] = u
+        if d[i + 1] == 0:
+            raise DependenceError("input vectors are linearly dependent")
+    return d, lam
 
 
 def reduce_basis(basis: LatticeBasis) -> LatticeBasis:
-    """LLL reduction at LLL_DELTA with exact rational arithmetic; same lattice,
-    transform kept."""
-    vecs = [list(row) for row in basis.vectors]
+    """LLL reduction at LLL_DELTA; same lattice, transform kept.
+
+    Integral LLL (Cohen Alg. 2.6.7), updated in place: on the rows scaled by
+    their common denominator L, the Gram determinants d and lambda = d mu
+    stay integers and each swap updates them in O(n).  The steps are those
+    of rational LLL with full size reduction before each Lovasz test, mu
+    rounded half to even.
+    """
+    L, vecs = _integral_rows(basis.vectors)
     n = len(vecs)
     U = [list(row) for row in (basis.transform or identity(n))]
-    ortho, mu, norms = _gram_schmidt(vecs)
+    d, lam = _integral_gram(vecs)
+    num, den = LLL_DELTA.numerator, LLL_DELTA.denominator
     kk = 1
     while kk < n:
+        lk = lam[kk]
         for j in range(kk - 1, -1, -1):
-            r = round(mu[kk][j])
+            r = round(Fraction(lk[j], d[j + 1]))
             if r:
                 vecs[kk] = [a - r * b for a, b in zip(vecs[kk], vecs[j])]
                 U[kk] = [a - r * b for a, b in zip(U[kk], U[j])]
+                lj = lam[j]
                 for t in range(j):
-                    mu[kk][t] -= r * mu[j][t]
-                mu[kk][j] -= r
-        if norms[kk] >= (LLL_DELTA - mu[kk][kk - 1] ** 2) * norms[kk - 1]:
+                    lk[t] -= r * lj[t]
+                lk[j] -= r * d[j + 1]
+        # B_kk >= (delta - mu^2) B_{kk-1}, times den * d[kk] * d[kk-1] > 0
+        lk1 = lk[kk - 1]
+        if den * (d[kk + 1] * d[kk - 1] + lk1 * lk1) >= num * d[kk] ** 2:
             kk += 1
-        else:
-            vecs[kk], vecs[kk - 1] = vecs[kk - 1], vecs[kk]
-            U[kk], U[kk - 1] = U[kk - 1], U[kk]
-            ortho, mu, norms = _gram_schmidt(vecs)
-            kk = max(kk - 1, 1)
-    estimates = sorted(_linf(v) for v in vecs)
-    return LatticeBasis(vectors=vecs, reduced_flag=True, minima_estimates=estimates,
+            continue
+        vecs[kk], vecs[kk - 1] = vecs[kk - 1], vecs[kk]
+        U[kk], U[kk - 1] = U[kk - 1], U[kk]
+        lam[kk][:kk - 1], lam[kk - 1][:kk - 1] = lam[kk - 1][:kk - 1], lam[kk][:kk - 1]
+        B = (d[kk - 1] * d[kk + 1] + lk1 * lk1) // d[kk]
+        for li in lam[kk + 1:]:
+            t = li[kk]
+            li[kk] = (d[kk + 1] * li[kk - 1] - lk1 * t) // d[kk]
+            li[kk - 1] = (B * t + lk1 * li[kk]) // d[kk + 1]
+        d[kk] = B
+        kk = max(kk - 1, 1)
+    vectors = [[Fraction(x, L) for x in row] for row in vecs]
+    estimates = sorted(_linf(v) for v in vectors)
+    return LatticeBasis(vectors=vectors, reduced_flag=True, minima_estimates=estimates,
                         transform=U)
 
 
@@ -168,7 +199,10 @@ def shortest_vector(basis: LatticeBasis) -> Tuple[List[Fraction], Fraction]:
     n = len(vecs)
     if n > 8:
         raise ValueError("exact enumeration is limited to dimension <= 8")
-    ortho, mu, norms = _gram_schmidt(vecs)
+    L, rows = _integral_rows(vecs)
+    d, lam = _integral_gram(rows)
+    mu = [[Fraction(lam[i][j], d[j + 1]) for j in range(i)] for i in range(n)]
+    norms = [Fraction(d[i + 1], d[i] * L * L) for i in range(n)]
     best_sq = min(_dot(v, v) for v in vecs)
     best_x = None
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import mpmath
-
 from .core import Epsilons, Poly, PolySystem, Real, SystemState, eval_system
 from .expsum import _delta_scaled_caps
 from .intlinalg import det_bareiss, frac_inverse, lattice_det_from_columns, solve_integer
@@ -302,19 +300,19 @@ def density_invariant(parent: SystemState, step: ReductionStep) -> DensityReport
     C2 = Fraction(C) ** 2
     E_new = 3 * C2 - C2 / kp ** 3
     E_old = 3 * C2 - C2 / k ** 3 - C2 / k ** 4
-    with mpmath.workprec(128):
-        def logf(fr: Fraction):
-            return mpmath.log(mpmath.mpf(fr.numerator)) - mpmath.log(mpmath.mpf(fr.denominator))
 
-        log_bp = sum(logf(b) for b in step.B_prime)
-        log_b = sum(logf(Fraction(b)) for b in region(parent)[0])
-        llhs = logf(step.y) - float(E_new) * log_bp
-        lrhs = logf(parent.y) - float(E_old) * log_b
-        lratio = llhs - lrhs
-        ratio = float(mpmath.exp(lratio)) if lratio < 700 else math.inf
-        lhs_s = mpmath.nstr(mpmath.exp(llhs), 8) if abs(llhs) < 700 else f"exp({mpmath.nstr(llhs, 8)})"
-        rhs_s = mpmath.nstr(mpmath.exp(lrhs), 8) if abs(lrhs) < 700 else f"exp({mpmath.nstr(lrhs, 8)})"
-        log10r = float(lratio / mpmath.log(10))
+    def logf(fr: Fraction) -> float:
+        return math.log(fr.numerator) - math.log(fr.denominator)
+
+    log_bp = sum(logf(b) for b in step.B_prime)
+    log_b = sum(logf(Fraction(b)) for b in region(parent)[0])
+    llhs = logf(step.y) - float(E_new) * log_bp
+    lrhs = logf(parent.y) - float(E_old) * log_b
+    lratio = llhs - lrhs
+    ratio = math.exp(lratio) if lratio < 700 else math.inf
+    lhs_s = f"{math.exp(llhs):.8g}" if abs(llhs) < 700 else f"exp({llhs:.8g})"
+    rhs_s = f"{math.exp(lrhs):.8g}" if abs(lrhs) < 700 else f"exp({lrhs:.8g})"
+    log10r = lratio / math.log(10)
     log10_C = implementation_constant(step)
     C_impl_val = 10.0 ** log10_C if log10_C < 308 else math.inf
     passed = log10r >= -log10_C - 1e-9

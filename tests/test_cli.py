@@ -140,6 +140,20 @@ class TestPipelineCommands:
         assert main(["relations", path]) == EXIT_ERROR
         assert "missing field 'dichotomy'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dichotomy, field", [
+        ({}, "field 'dichotomy': missing key 'branch'"),
+        ([], "field 'dichotomy'"),
+        ({"branch": "large-coefficients", "x_floor": 2, "h_caps": 3}, "field 'dichotomy'"),
+    ])
+    def test_relations_on_malformed_dichotomy_exit_1(self, tmp_path, dup_system, dichotomy,
+                                                     field, capsys):
+        assert main(["fourier-scan", dup_system]) == EXIT_OK
+        scan = json.loads(capsys.readouterr().out)
+        path = write(tmp_path, "scan.json", {**scan, "dichotomy": dichotomy})
+        assert main(["relations", path]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
     @pytest.mark.parametrize("data, field", [
         ({}, "missing field 'relations'"),
         ([], "missing field 'relations'"),

@@ -26,6 +26,7 @@ from fracparts.expsum import (
     LARGE_COEFFICIENTS,
     BoxTooLargeError,
     FourierDichotomy,
+    _delta_scaled_caps,
     frequency_caps,
 )
 
@@ -222,6 +223,28 @@ class TestLargeCoefficients:
         # Delta = 1/100, (2k)^4 = 256: cap = floor(10 * 100^(1/256))
         expected = int(10 * 100 ** (1 / 256))
         assert caps == (expected, expected)
+
+    def test_caps_exact_at_integer_boundary(self):
+        # eps^-1 Delta^(-1/16) is exactly 2 * 2^16 and 3 * 3^16
+        assert frequency_caps(Epsilons((Fraction(1, 2 ** 16),))) == (131072,)
+        assert _delta_scaled_caps(Epsilons((Fraction(1, 3 ** 16),)), Fraction(1, 16)) == [3 ** 17]
+
+    def test_caps_are_exact_floors(self):
+        # cap c is the largest with (c eps)^q Delta^p <= 1, exponent p/q
+        rng = random.Random(29)
+        cases = [(Epsilons((Fraction(1, m ** 16 + t),)), Fraction(1, 16))
+                 for m in (2, 3, 5) for t in (-1, 0, 1)]
+        cases.append((Epsilons((Fraction(1, 10 ** 400), Fraction(1, 3))), Fraction(1, 256)))
+        for _ in range(200):
+            k = rng.randint(1, 4)
+            eps = Epsilons(tuple(Fraction(rng.randint(1, 50), rng.randint(100, 10 ** 6))
+                                 for _ in range(k)))
+            cases.append((eps, Fraction(rng.randint(1, 2), (2 * k) ** 4)))
+        for eps, exponent in cases:
+            p, q = exponent.numerator, exponent.denominator
+            delta = eps.delta_product
+            for e, c in zip(eps.eps, _delta_scaled_caps(eps, exponent)):
+                assert (c * e) ** q * delta ** p <= 1 < ((c + 1) * e) ** q * delta ** p
 
     def test_roundtrip_dict(self):
         s = sys1(["0", "sqrt(2)"], ["0", "sqrt(2)"])

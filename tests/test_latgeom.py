@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fracparts.core import Poly, PolySystem, parse_scalar
 from fracparts.intlinalg import det_bareiss, mat_mul
@@ -25,6 +27,7 @@ from fracparts.latgeom import (
     wedge_norm,
     wedge_norm_sq,
 )
+from lll_oracle import reduce_basis_reference
 from residue_oracles import lambda2_residue_count, lambda3_residue_count
 
 
@@ -139,6 +142,14 @@ class TestReduceBasis:
         assert red.minima_estimates == sorted(red.minima_estimates)
         assert set(red.minima_estimates) == {_linf(v) for v in red.vectors}
 
+    def test_tie_and_lovasz_equality(self):
+        # mu = 1/2 rounds to 0, and B_1 = 74 = (99/100 - 1/4) * 100 exactly: no swap
+        basis = LatticeBasis(vectors=[[Fraction(10), Fraction(0), Fraction(0)],
+                                      [Fraction(5), Fraction(7), Fraction(5)]])
+        red = reduce_basis(basis)
+        assert red.vectors == basis.vectors == reduce_basis_reference(basis).vectors
+        assert red.transform == [[1, 0], [0, 1]]
+
     def test_dependence_rejected(self):
         with pytest.raises(DependenceError):
             reduce_basis(LatticeBasis(vectors=[[Fraction(1), Fraction(2)],
@@ -155,6 +166,48 @@ class TestReduceBasis:
             _vec, best_sq = shortest_vector(red)
             first_sq = _dot(red.vectors[0], red.vectors[0])
             assert best_sq <= first_sq <= Fraction(2) ** (n - 1) * best_sq
+
+
+_entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+_positive = st.builds(Fraction, st.integers(1, 9), st.integers(1, 3))
+
+
+@st.composite
+def lll_bases(draw):
+    """Rational bases of dimension <= 7: random rows, or rows over an
+    orthogonal basis with half-integer mu (ties for round); sometimes with a
+    row repeated."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(n, 7))
+    if draw(st.booleans()):
+        rows = [[draw(_entry) for _ in range(m)] for _ in range(n)]
+    else:
+        scale = [draw(_positive) for _ in range(n)]
+        rows = [[Fraction(2 * draw(st.integers(-3, 3)) + 1, 2) * scale[j] if j < i
+                 else scale[i] if j == i else Fraction(0) for j in range(m)]
+                for i in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, n - 2))
+        rows[i] = list(rows[j + (j >= i)])
+    return rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(lll_bases())
+def test_reduce_basis_matches_rational_reference(rows):
+    basis = LatticeBasis(vectors=rows)
+    try:
+        ref = reduce_basis_reference(basis)
+    except DependenceError:
+        with pytest.raises(DependenceError):
+            reduce_basis(basis)
+        return
+    red = reduce_basis(basis)
+    assert red.vectors == ref.vectors
+    assert red.transform == ref.transform
+    assert red.minima_estimates == ref.minima_estimates
 
 
 class TestQuasiOrthogonal:
