@@ -17,7 +17,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, compress, repeat
+from operator import add, and_, gt, mod
 from typing import List, Optional, Sequence, Tuple
 
 DEFAULT_PRECISION_BITS = 192
@@ -276,12 +277,23 @@ class SystemState:
 # integer comparison.  `_residue_stream` is the one place that advances the
 # forward-difference tables, a chunk of points at a time: each column over
 # a chunk is the prefix sums (`itertools.accumulate`) of the column above it,
-# in exact ints, and only the residues are reduced mod D.  Chunks start small
-# and double, so a scan that stops at an early hit stays cheap.  The scans
-# (running minimum with checkpoints, hit offsets, and the smoothed and phase
-# sums in `diophantine`) are reducers over the chunks.  Ranges could be
-# partitioned and merged (min with smallest-n tiebreak / sum); the
-# sequential order here is the reference semantics.
+# in exact ints, and the tables are reduced mod D only at chunk ends.  Chunks
+# start small and double, so a scan that stops at an early hit stays cheap.
+#
+# The scans (running minimum with checkpoints, hit offsets, and the smoothed
+# and phase sums in `diophantine`) are reducers over the chunks, and the
+# stream hands them each polynomial's values unreduced: reducing mod D is
+# the costly step, so the reducers sieve and reduce a point only while it
+# can still count.  `_hits` tests the tightest threshold on the whole chunk,
+# then each further polynomial only at the points left, in C-level pipelines
+# (`map` over `operator` functions, `itertools.compress`); a power-of-two D
+# reduces with a mask.  The running minimum keeps only a chunk's points with
+# every distance below the best at the chunk's start (no other point can
+# replace it) and takes those few in order of n, so the minimum and its
+# smallest-n tie-break stay exact.  The phase sums need every value and
+# reduce them all.  Ranges could be partitioned and merged (min with
+# smallest-n tiebreak / sum); the sequential order here is the reference
+# semantics.
 # ---------------------------------------------------------------------------
 
 _CHUNK_FIRST = 64    # points in a scan's first chunk
@@ -317,10 +329,12 @@ def _diff_state(nums: Sequence[int], D: int, start: int):
 
 
 def _residue_stream(tables, D: int, last: int):
-    """Yield (n0, cols) with cols[i][t] = N_i(n0 + t) mod D, covering n = 1..last.
+    """Yield (n0, cols) with cols[i][t] = N_i(n0 + t) (mod D), covering n = 1..last.
 
-    ``tables[i]`` is polynomial i's forward-difference table at n = 1, as
-    `_diff_state` builds it; the stream advances the tables in place.
+    The columns are exact ints that are not reduced mod D, so a reducer
+    reduces only the points it still needs.  ``tables[i]`` is polynomial i's
+    forward-difference table at n = 1, as `_diff_state` builds it; the stream
+    advances the tables in place and reduces them mod D at chunk ends.
     """
     n0, size = 1, _CHUNK_FIRST
     while n0 <= last:
@@ -330,13 +344,10 @@ def _residue_stream(tables, D: int, last: int):
             # Delta^i N at n0..n0+L is Delta^i N(n0) followed by the prefix
             # sums of Delta^(i+1) N at n0..n0+L-1; Delta^d N is constant
             col = repeat(diffs[-1], L)
-            for i in range(len(diffs) - 2, 0, -1):
-                vals = list(accumulate(col, initial=diffs[i]))
-                diffs[i] = vals[L] % D
-                col = islice(vals, L)
-            residues = [v % D for v in accumulate(col, initial=diffs[0])]
-            diffs[0] = residues.pop()
-            cols.append(residues)
+            for i in range(len(diffs) - 2, -1, -1):
+                col = list(accumulate(col, initial=diffs[i]))
+                diffs[i] = col.pop() % D
+            cols.append(col)
         yield n0, cols
         n0 += L
         size = min(2 * size, _CHUNK_MAX)
@@ -350,19 +361,34 @@ def _residues(system: PolySystem, last: int):
     return D, _residue_stream(tables, D, last)
 
 
-def _max_dist(cols, D: int):
-    """Per point of a chunk, D * max_i frac_dist(f_i(n))."""
-    half = D // 2
-    dists = [[r if r <= half else D - r for r in col] for col in cols]
-    return dists[0] if len(dists) == 1 else list(map(max, *dists))
+def _near(values, D: int, t: int):
+    """Selectors for D * frac_dist <= t, one per unreduced residue in ``values``.
+
+    min(r, D - r) <= t  <=>  (r + t) mod D < 2t + 1, for 0 <= t < D and r = v mod D.
+    A power-of-two D (every dyadic system) reduces with a mask, not a division.
+    """
+    shifted = map(add, values, repeat(t))
+    if D & (D - 1):
+        reduced = map(mod, shifted, repeat(D))
+    else:
+        reduced = map(and_, shifted, repeat(D - 1))
+    return map(gt, repeat(2 * t + 1), reduced)
 
 
 def _hits(cols, D: int, thresholds):
-    """Offsets of a chunk's points with D * frac_dist(f_i(n)) <= thresholds[i] for all i."""
-    hits = range(len(cols[0]))
-    for col, t in zip(cols, thresholds):
-        far = D - t  # min(r, D - r) <= t  <=>  r <= t or r >= D - t
-        hits = [j for j in hits if col[j] <= t or col[j] >= far]
+    """Offsets of a chunk's points with D * frac_dist(f_i(n)) <= thresholds[i] for all i.
+
+    The tightest threshold sieves the whole chunk; each further column is
+    reduced only at the points that are still left.
+    """
+    order = sorted(range(len(cols)), key=thresholds.__getitem__)
+    col, t = cols[order[0]], thresholds[order[0]]
+    hits = list(compress(range(len(col)), _near(col, D, t)))
+    for i in order[1:]:
+        if not hits:
+            break
+        col, t = cols[i], thresholds[i]
+        hits = list(compress(hits, _near(map(col.__getitem__, hits), D, t)))
     return hits
 
 
@@ -409,17 +435,17 @@ def _checkpointed_min(system: PolySystem, checkpoints: Sequence[int],
     out = []
     best_n, best = 0, D  # every distance is at most D/2, so n = 1 replaces this
     for n0, cols in chunks:
-        worst = _max_dist(cols, D)
-        lo = 0
-        while lo < len(worst):
-            # the segment ends where the chunk ends or the next checkpoint starts
-            hi = min(len(worst), cps[len(out)] - n0)
-            m = min(worst[lo:hi])
-            if m < best:
-                best, best_n = m, n0 + worst.index(m, lo, hi)
-            if n0 + hi == cps[len(out)]:
+        # only a point with every distance below the best at the chunk's
+        # start can replace it; the survivors are then taken in order of n
+        for j in _hits(cols, D, [best - 1] * len(cols)):
+            while cps[len(out)] <= n0 + j:  # checkpoints that end before n
                 out.append((best_n, Fraction(best, D)))
-            lo = hi
+            m = max(min(r, D - r) for r in (col[j] % D for col in cols))
+            if m < best:
+                best, best_n = m, n0 + j
+        end = n0 + len(cols[0])
+        while len(out) < len(cps) and cps[len(out)] <= end:
+            out.append((best_n, Fraction(best, D)))
         if best == 0:  # no later n can do better
             break
     return out + [(best_n, Fraction(best, D))] * (len(cps) - len(out))

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from operator import add, mod
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath
@@ -126,7 +126,7 @@ def weyl_sum(system: PolySystem, h: Sequence[int], x,
         cache = {}
         total = mpmath.mpc(0)
         for _n0, (col,) in chunks:
-            for r in col:
+            for r in map(mod, col, itertools.repeat(D)):
                 val = cache.get(r)
                 if val is None:
                     val = mpmath.expjpi(mpmath.mpf(2 * r) / D)
@@ -152,7 +152,7 @@ def _abs_sum_exact_phase(sigma: Sequence[Fraction], last: int) -> float:
     tau = 2 * math.pi
     invD = 1.0 / D
     for _n0, (col,) in chunks:
-        angles = [tau * (r * invD) for r in col]
+        angles = [tau * (r * invD) for r in map(mod, col, itertools.repeat(D))]
         re = reduce(add, map(math.cos, angles), re)
         im = reduce(add, map(math.sin, angles), im)
     return math.hypot(re, im)
@@ -183,7 +183,8 @@ def smoothed_count(system: PolySystem, eps: Epsilons, x,
         for j in _hits(cols, D, support):
             prod = Fraction(1)
             for col, e, flat in zip(cols, eps.eps, plateau):
-                m = min(col[j], D - col[j])
+                r = col[j] % D
+                m = min(r, D - r)
                 if m > flat:  # transition band
                     prod *= _transition(2 * Fraction(m, D) / e - 1)
             total += prod

@@ -59,12 +59,30 @@ class FourierDichotomy:
 
     @staticmethod
     def from_dict(d: dict) -> "FourierDichotomy":
+        """Inverse of `to_dict`; raises TypeError on a field of the wrong type."""
+        branch, x_floor = d["branch"], d["x_floor"]
+        h_caps = _int_tuple(d["h_caps"], "h_caps")
+        if not _is_int(x_floor):
+            raise TypeError("x_floor must be an integer")
+        witnesses = [(_int_tuple(h, "a witness vector"), s) for h, s in d.get("witnesses", [])]
+        if not all(isinstance(s, float) or _is_int(s) for _h, s in witnesses):
+            raise TypeError("a witness score must be a number")
         return FourierDichotomy(
-            branch=d["branch"], x_floor=d["x_floor"], h_caps=tuple(d["h_caps"]),
+            branch=branch, x_floor=x_floor, h_caps=h_caps,
             density_count=d.get("density_count"),
             density_threshold=d.get("density_threshold"), Q=d.get("Q"),
-            witnesses=[(tuple(h), s) for h, s in d.get("witnesses", [])],
+            witnesses=witnesses,
             flagged=d.get("flagged", False), flag_reason=d.get("flag_reason", ""))
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _int_tuple(values, name: str) -> Tuple[int, ...]:
+    if not isinstance(values, list) or not all(map(_is_int, values)):
+        raise TypeError(f"{name} must be a list of integers")
+    return tuple(values)
 
 
 def _delta_scaled_caps(eps: Epsilons, exponent: Fraction) -> List[int]:

@@ -144,6 +144,8 @@ class TestPipelineCommands:
         ({}, "field 'dichotomy': missing key 'branch'"),
         ([], "field 'dichotomy'"),
         ({"branch": "large-coefficients", "x_floor": 2, "h_caps": 3}, "field 'dichotomy'"),
+        ({"branch": "large-coefficients", "x_floor": 2, "h_caps": [3, 3],
+          "witnesses": [[[1, "x"], 1]]}, "field 'dichotomy'"),
     ])
     def test_relations_on_malformed_dichotomy_exit_1(self, tmp_path, dup_system, dichotomy,
                                                      field, capsys):

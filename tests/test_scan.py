@@ -4,7 +4,9 @@ Every scan in `core` and `diophantine` reduces the chunked residue stream.  The
 reference here evaluates each n on its own: `Poly.eval` (Horner on exact
 Fractions) and `frac_dist` for the distances, and integer Horner mod D for
 the phase sums, with no forward differences.  Horizons sit on and around
-the stream's chunk boundaries, and one spans several full chunks.
+the stream's chunk boundaries, and one spans several full chunks.  Besides
+random systems, the cases force what a sieve can get wrong: distances equal
+to a tolerance exactly, and running minima that tie or improve within a chunk.
 """
 
 import math
@@ -63,16 +65,43 @@ _coeff = st.one_of(
 )
 
 
+# moduli p for systems of monomials a * n^j / p: every distance repeats at
+# n and p - n, so the running minimum ties.  For p = 61 both lie in the first
+# chunk; for p = 127 they lie on either side of its end (unless n is 63 or
+# 64); for the others it depends on n
+TIE_MODULI = (61, 67, 127, 193, 257)
+
+
 @st.composite
 def scan_cases(draw):
+    kind = draw(st.sampled_from(["random", "threshold", "ties"]))
     k = draw(st.integers(1, 3))
     d = draw(st.integers(1, 3))
-    system = PolySystem(tuple(Poly(tuple(draw(_coeff) for _ in range(d)))
-                              for _ in range(k)))
-    eps = Epsilons(tuple(Fraction(1, draw(st.integers(2, 40))) for _ in range(k)))
+    h = tuple(draw(st.integers(-3, 3)) for _ in range(k))
+    if kind == "random":
+        system = PolySystem(tuple(Poly(tuple(draw(_coeff) for _ in range(d)))
+                                  for _ in range(k)))
+        eps = Epsilons(tuple(Fraction(1, draw(st.integers(2, 40))) for _ in range(k)))
+    elif kind == "threshold":
+        # distances are multiples of 1/q_i, so many equal eps_i = m_i/q_i exactly
+        polys, eps = [], []
+        for _ in range(k):
+            q = draw(st.integers(2, 40))
+            polys.append(Poly(tuple(Fraction(draw(st.integers(-40, 40)), q)
+                                    for _ in range(d))))
+            eps.append(Fraction(draw(st.integers(1, q // 2)), q))
+        system, eps = PolySystem(tuple(polys)), Epsilons(tuple(eps))
+    else:
+        p = draw(st.sampled_from(TIE_MODULI))
+        system = PolySystem(tuple(
+            Poly((0,) * (j - 1) + (Fraction(draw(st.integers(1, p - 1)), p),) + (0,) * (d - j))
+            for j in (draw(st.integers(1, d)) for _ in range(k))))
+        eps = Epsilons(tuple(Fraction(1, draw(st.integers(2, 40))) for _ in range(k)))
+        # n = p would give 0; every horizon is a checkpoint, so each
+        # improvement of the minimum, mid-chunk ones too, is reported
+        return system, eps, p - 1, list(range(2, p + 1)), h
     last = draw(st.sampled_from(HORIZONS))
     checkpoints = draw(st.lists(st.integers(2, last + 1), max_size=3)) + [last + 1]
-    h = tuple(draw(st.integers(-3, 3)) for _ in range(k))
     return system, eps, last, checkpoints, h
 
 
@@ -86,7 +115,7 @@ def _phase_residues(sigma, last):
         yield (acc * n) % D, D
 
 
-@settings(max_examples=40, deadline=None, derandomize=True,
+@settings(max_examples=90, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(scan_cases())
 def test_reducers_match_per_n_reference(case):
@@ -96,13 +125,16 @@ def test_reducers_match_per_n_reference(case):
     hits = [n for n, row in enumerate(dists, 1)
             if all(dv < e for dv, e in zip(row, eps.eps))]
 
-    def running_min(c):  # over n < c, smallest n on ties
-        n_star = min(range(1, c), key=lambda n: (worst[n - 1], n))
-        return n_star, worst[n_star - 1]
+    running_min = {}  # horizon c -> (argmin, min) over n < c, smallest n on ties
+    n_star = 1
+    for n in range(1, last + 1):
+        if worst[n - 1] < worst[n_star - 1]:
+            n_star = n
+        running_min[n + 1] = (n_star, worst[n_star - 1])
 
     assert _checkpointed_min(system, checkpoints) == [
-        running_min(c) for c in sorted(set(checkpoints))]
-    assert brute_force_min(system, last + 1) == running_min(last + 1)
+        running_min[c] for c in sorted(set(checkpoints))]
+    assert brute_force_min(system, last + 1) == running_min[last + 1]
     # one pass counts n <= x and finds the smallest hit n < x
     below = [n for n in hits if n < last]
     assert hit_count(system, eps, last) == (len(hits), below[0] if below else None)
