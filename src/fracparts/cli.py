@@ -57,14 +57,26 @@ def _emit(obj):
     sys.stdout.write("\n")
 
 
-def _parse_matrix(text: str):
+def _json_matrix(text: str, name: str) -> list:
+    """A JSON matrix: a nonempty list of nonempty lists of one length."""
     rows = json.loads(text)
-    return [[Fraction(str(v)) for v in row] for row in rows]
+    if (not isinstance(rows, list) or not rows
+            or not all(isinstance(row, list) and row for row in rows)):
+        raise ValueError(f"{name}: need a nonempty list of nonempty rows")
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError(f"{name}: rows of unequal length")
+    return rows
 
 
-def _parse_int_matrix(text: str):
-    rows = json.loads(text)
-    return [[int(v) for v in row] for row in rows]
+def _parse_matrix(text: str, name: str):
+    return [[Fraction(str(v)) for v in row] for row in _json_matrix(text, name)]
+
+
+def _parse_int_matrix(text: str, name: str):
+    rows = _json_matrix(text, name)
+    if not all(type(v) is int for row in rows for v in row):
+        raise ValueError(f"{name}: entries must be integers")
+    return rows
 
 
 def cmd_solve(args) -> int:
@@ -195,11 +207,11 @@ def cmd_denom_analyze(args) -> int:
 
 def cmd_lattice(args) -> int:
     if args.wedge:
-        vectors = _parse_matrix(args.wedge)
+        vectors = _parse_matrix(args.wedge, "--wedge")
         _emit({"wedge_norm": wedge_norm(vectors)})
         return EXIT_OK
     if args.reduce:
-        vectors = _parse_matrix(args.reduce)
+        vectors = _parse_matrix(args.reduce, "--reduce")
         red = reduce_basis(LatticeBasis(vectors=vectors))
         _emit({"vectors": [[str(v) for v in row] for row in red.vectors],
                "transform": red.transform,
@@ -209,8 +221,12 @@ def cmd_lattice(args) -> int:
         if not (args.h1 and args.h2):
             print("--det-identity needs --h1 and --h2", file=sys.stderr)
             return EXIT_ERROR
-        rep = sublattice_determinants(_parse_int_matrix(args.h1),
-                                      _parse_int_matrix(args.h2))
+        H1 = _parse_int_matrix(args.h1, "--h1")
+        H2 = _parse_int_matrix(args.h2, "--h2")
+        if len(H1[0]) != len(H1) or len(H2) != len(H1):
+            raise ValueError(f"--h1 must be square with as many rows as --h2: got "
+                             f"{len(H1)}x{len(H1[0])} and {len(H2)}x{len(H2[0])}")
+        rep = sublattice_determinants(H1, H2)
         _emit(rep.to_dict())
         return EXIT_OK
     if args.generators:
@@ -225,7 +241,7 @@ def cmd_lattice(args) -> int:
         if isinstance(gens, NoShortVector):
             _emit({"outcome": "no-short-vector", "reason": gens.reason})
             return EXIT_NOT_FOUND
-        ratio_sq, tilde_product = subset_measures(gens.h_tilde(B))
+        ratio_sq, tilde_product = subset_measures(gens.h_vecs, B)
         _emit({"outcome": "generators", "r": gens.r, **gens.to_dict(),
                "orth_ratio_sq": str(ratio_sq), "tilde_product": str(tilde_product)})
         return EXIT_OK

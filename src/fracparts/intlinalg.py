@@ -1,13 +1,12 @@
-"""Exact linear algebra over Z and Q used by the lattice machinery.
+"""Exact linear algebra over Z used by the lattice machinery.
 
-Everything here is deterministic pure-Python big-int / Fraction arithmetic:
-column echelon forms with unimodular transforms, determinants, integer
-solves and kernels, and Fraction matrix inverses.
+Everything here is deterministic pure-Python big-int arithmetic: column
+echelon forms with unimodular transforms, fraction-free determinants and
+adjugates, integer solves and kernels.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 Matrix = List[List[int]]
@@ -15,16 +14,6 @@ Matrix = List[List[int]]
 
 def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    return [[sum(A[i][t] * B[t][j] for t in range(inner)) for j in range(cols)]
-            for i in range(rows)]
-
-
-def mat_vec(A: Sequence[Sequence], v: Sequence):
-    return [sum(A[i][t] * v[t] for t in range(len(v))) for i in range(len(A))]
 
 
 def det_bareiss(M: Sequence[Sequence[int]]) -> int:
@@ -49,26 +38,13 @@ def det_bareiss(M: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def det_fraction(M: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a square Fraction matrix by Gaussian elimination."""
+def adjugate(M: Sequence[Sequence[int]]) -> Matrix:
+    """adj(M) of a square integer matrix, from its cofactors: M adj(M) =
+    det(M) I, so adj(M) / det(M) is the inverse when det(M) != 0."""
     n = len(M)
-    a = [[Fraction(x) for x in row] for row in M]
-    det = Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                factor = a[i][k] * inv
-                for j in range(k, n):
-                    a[i][j] -= factor * a[k][j]
-    return det
+    return [[(-1) ** (i + j) * det_bareiss([[*row[:i], *row[i + 1:]]
+                                            for t, row in enumerate(M) if t != j])
+             for j in range(n)] for i in range(n)]
 
 
 def column_echelon(A: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, int]:
@@ -171,30 +147,3 @@ def kernel_columns(A: Sequence[Sequence[int]]) -> List[List[int]]:
     E, U, rank = column_echelon(A)
     cols = len(A[0])
     return [[U[i][j] for i in range(cols)] for j in range(rank, cols)]
-
-
-def frac_inverse(M: Sequence[Sequence]) -> List[List[Fraction]]:
-    """Exact inverse of a square matrix over Q."""
-    n = len(M)
-    a = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        a[k], a[pivot] = a[pivot], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [row[n:] for row in a]
-
-
-def gram_det(vectors: Sequence[Sequence[Fraction]]) -> Fraction:
-    """det(G^T G) for the matrix with the given rows; 0 iff dependent."""
-    r = len(vectors)
-    G = [[sum(Fraction(a) * Fraction(b) for a, b in zip(vectors[i], vectors[j]))
-          for j in range(r)] for i in range(r)]
-    return det_fraction(G)

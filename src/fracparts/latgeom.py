@@ -1,13 +1,19 @@
 """Geometry of numbers: the scaled relation lattice, LLL reduction, quasi-
 orthogonal generator extraction, and the sublattice determinant identity.
 
-The LLL is the integral LLL (Cohen Alg. 2.6.7), updated in place: exact,
-with integer Gram determinants that each swap updates rather than
-recomputes.  Reduction quality constants are explicit: LLL at delta = 0.99
-with the transform retained, successive minima estimated by reduced-basis
-sup norms, and an exact shortest-vector enumeration available in small
-dimensions to validate those estimates.  The residue-counting oracles that
-cross-check the determinant identity by enumeration are part of the tests.
+The lattice path runs in exact integers from end to end.  The LLL is the
+integral LLL (Cohen Alg. 2.6.7), updated in place: the rows are scaled by
+their common denominator, the Gram determinants stay integers that each swap
+updates rather than recomputes, and mu is rounded half to even from an
+integer divmod.  The generator search scores subsets on the integer rows
+h_i (M / B_i), M the lcm of the B_i, with fraction-free determinants;
+region membership is tested over each slot's common denominator.
+Reduction quality constants are explicit: LLL at delta = 0.99 with the
+transform retained, successive minima estimated by reduced-basis sup norms,
+and an exact shortest-vector enumeration available in small dimensions to
+validate those estimates.  The Fraction-based search the integer one
+replaced, the rational LLL and the residue-counting oracles that cross-check
+the determinant identity are part of the tests.
 """
 
 from __future__ import annotations
@@ -16,18 +22,16 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-from .core import PolySystem, coefficient_sums
+from .core import PolySystem
 from .intlinalg import (
+    adjugate,
     det_bareiss,
-    det_fraction,
-    frac_inverse,
-    gram_det,
     identity,
     kernel_columns,
     lattice_det_from_columns,
-    mat_mul,
 )
 
 LLL_DELTA = Fraction(99, 100)
@@ -45,17 +49,19 @@ class PrecisionError(ValueError):
     pass
 
 
-def _linf(v: Sequence[Fraction]) -> Fraction:
-    return max((abs(Fraction(x)) for x in v), default=Fraction(0))
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
 
 
-def _dot(u, v) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+def _gram_det(rows: Sequence[Sequence[int]]) -> int:
+    """Gram determinant (squared r-volume) of integer rows; 0 iff dependent."""
+    return det_bareiss([[_dot(u, v) for v in rows] for u in rows])
 
 
 def wedge_norm_sq(vectors: Sequence[Sequence[Fraction]]) -> Fraction:
     """Squared r-volume of the parallelepiped (Gram determinant), exact."""
-    return gram_det(vectors)
+    L, rows = _integral_rows(vectors)
+    return Fraction(_gram_det(rows), L ** (2 * len(rows)))
 
 
 def wedge_norm(vectors: Sequence[Sequence[Fraction]]) -> float:
@@ -112,10 +118,13 @@ def build_relation_lattice(system: PolySystem, B: Sequence, eta) -> LatticeBasis
 
 
 def _integral_rows(rows) -> Tuple[int, List[List[int]]]:
-    """(L, L * rows) with L the common denominator of the entries."""
+    """(L, L * rows) with L the common denominator of the entries; rows of
+    unequal length raise ValueError."""
     rows = [[Fraction(x) for x in row] for row in rows]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("rows must all have the same length")
     L = math.lcm(*(x.denominator for row in rows for x in row))
-    return L, [[int(x * L) for x in row] for row in rows]
+    return L, [[x.numerator * (L // x.denominator) for x in row] for row in rows]
 
 
 def _integral_gram(rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]]]:
@@ -130,7 +139,7 @@ def _integral_gram(rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[
     lam = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
-            u = sum(a * b for a, b in zip(rows[i], rows[j]))
+            u = _dot(rows[i], rows[j])
             for t in range(j):
                 u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
             if j < i:
@@ -149,7 +158,8 @@ def reduce_basis(basis: LatticeBasis) -> LatticeBasis:
     their common denominator L, the Gram determinants d and lambda = d mu
     stay integers and each swap updates them in O(n).  The steps are those
     of rational LLL with full size reduction before each Lovasz test, mu
-    rounded half to even.
+    rounded half to even.  Integer rows (L = 1) come back as integers,
+    others as Fractions; the minima estimates are max|row| / L.
     """
     L, vecs = _integral_rows(basis.vectors)
     n = len(vecs)
@@ -160,31 +170,38 @@ def reduce_basis(basis: LatticeBasis) -> LatticeBasis:
     while kk < n:
         lk = lam[kk]
         for j in range(kk - 1, -1, -1):
-            r = round(Fraction(lk[j], d[j + 1]))
-            if r:
-                vecs[kk] = [a - r * b for a, b in zip(vecs[kk], vecs[j])]
-                U[kk] = [a - r * b for a, b in zip(U[kk], U[j])]
-                lj = lam[j]
-                for t in range(j):
-                    lk[t] -= r * lj[t]
-                lk[j] -= r * d[j + 1]
-        # B_kk >= (delta - mu^2) B_{kk-1}, times den * d[kk] * d[kk-1] > 0
+            dj = d[j + 1]
+            if 2 * abs(lk[j]) <= dj:  # |mu| <= 1/2 rounds to 0
+                continue
+            # r = floor(mu + 1/2), a tie going to the even neighbour
+            r, rem = divmod(2 * lk[j] + dj, 2 * dj)
+            if not rem and r & 1:
+                r -= 1
+            vecs[kk] = [a - r * b for a, b in zip(vecs[kk], vecs[j])]
+            U[kk] = [a - r * b for a, b in zip(U[kk], U[j])]
+            lj = lam[j]
+            for t in range(j):
+                lk[t] -= r * lj[t]
+            lk[j] -= r * dj
+        # B_kk >= (delta - mu^2) B_{kk-1}, times den * d[kk] * d[kk-1] > 0;
+        # d[kk-1] d[kk+1] + lambda^2 is also d[kk] times the swap's new d[kk]
         lk1 = lk[kk - 1]
-        if den * (d[kk + 1] * d[kk - 1] + lk1 * lk1) >= num * d[kk] ** 2:
+        B = d[kk - 1] * d[kk + 1] + lk1 * lk1
+        if den * B >= num * d[kk] ** 2:
             kk += 1
             continue
         vecs[kk], vecs[kk - 1] = vecs[kk - 1], vecs[kk]
         U[kk], U[kk - 1] = U[kk - 1], U[kk]
         lam[kk][:kk - 1], lam[kk - 1][:kk - 1] = lam[kk - 1][:kk - 1], lam[kk][:kk - 1]
-        B = (d[kk - 1] * d[kk + 1] + lk1 * lk1) // d[kk]
+        B //= d[kk]
         for li in lam[kk + 1:]:
             t = li[kk]
             li[kk] = (d[kk + 1] * li[kk - 1] - lk1 * t) // d[kk]
             li[kk - 1] = (B * t + lk1 * li[kk]) // d[kk + 1]
         d[kk] = B
         kk = max(kk - 1, 1)
-    vectors = [[Fraction(x, L) for x in row] for row in vecs]
-    estimates = sorted(_linf(v) for v in vectors)
+    estimates = sorted(Fraction(max(map(abs, row), default=0), L) for row in vecs)
+    vectors = vecs if L == 1 else [[Fraction(x, L) for x in row] for row in vecs]
     return LatticeBasis(vectors=vectors, reduced_flag=True, minima_estimates=estimates,
                         transform=U)
 
@@ -193,6 +210,7 @@ def shortest_vector(basis: LatticeBasis) -> Tuple[List[Fraction], Fraction]:
     """Exact shortest nonzero lattice vector (l2) by depth-first enumeration.
 
     Intended for validating reduced-basis estimates in dimension <= 8.
+    Enumerates on the rows scaled by their common denominator L.
     """
     red = basis if basis.reduced_flag else reduce_basis(basis)
     vecs = red.vectors
@@ -202,8 +220,8 @@ def shortest_vector(basis: LatticeBasis) -> Tuple[List[Fraction], Fraction]:
     L, rows = _integral_rows(vecs)
     d, lam = _integral_gram(rows)
     mu = [[Fraction(lam[i][j], d[j + 1]) for j in range(i)] for i in range(n)]
-    norms = [Fraction(d[i + 1], d[i] * L * L) for i in range(n)]
-    best_sq = min(_dot(v, v) for v in vecs)
+    norms = [Fraction(d[i + 1], d[i]) for i in range(n)]
+    best_sq = min(_dot(v, v) for v in rows)
     best_x = None
 
     def recurse(i, partial, coeffs):
@@ -233,9 +251,9 @@ def shortest_vector(basis: LatticeBasis) -> Tuple[List[Fraction], Fraction]:
     recurse(n - 1, Fraction(0), [0] * n)
     if best_x is None:  # b_1 itself is the minimum
         best_x = [1] + [0] * (n - 1)
-        best_sq = _dot(vecs[0], vecs[0])
+        best_sq = _dot(rows[0], rows[0])
     vec = [sum(best_x[j] * vecs[j][t] for j in range(n)) for t in range(len(vecs[0]))]
-    return vec, best_sq
+    return vec, Fraction(best_sq, L * L)
 
 
 @dataclass
@@ -254,10 +272,6 @@ class GeneratorSet:
     def r(self) -> int:
         return len(self.h_vecs)
 
-    def h_tilde(self, B: Sequence) -> List[List[Fraction]]:
-        """The rows h_i / B_i."""
-        return [[Fraction(h) / b for h, b in zip(hv, B)] for hv in self.h_vecs]
-
     def to_dict(self) -> dict:
         return {"h_vecs": [list(h) for h in self.h_vecs],
                 "a_vecs": [list(a) for a in self.a_vecs]}
@@ -275,44 +289,74 @@ class NoShortVector:
     reason: str
 
 
-def membership_residuals(system: PolySystem, h: Sequence[int], a: Sequence[int]):
-    """Centers and interval radii of |sum_i h_i beta_ij - a_j| per slot j."""
-    sums = coefficient_sums(system, h)
-    return ([abs(s.value - a_j) for s, a_j in zip(sums, a)],
-            [s.err for s in sums])
-
-
 def decisively_in_region(system: PolySystem, h: Sequence[int], a: Sequence[int],
                          B: Sequence[Fraction], eta: Fraction) -> bool:
     """True when (h, a) is in the region R with the coefficient error interval
-    decisively inside (no false positives from rounded coefficients)."""
+    decisively inside (no false positives from rounded coefficients):
+    |h_i| <= B_i and |sum_i h_i f_{i,j} - a_j| + sum_i |h_i| err_{i,j} <= eta^j.
+    Each slot j is tested in integers over its common denominator."""
     if any(abs(hi) > b for hi, b in zip(h, B)):
         return False
-    centers, slacks = membership_residuals(system, h, a)
-    return all(c + s <= eta ** j for j, (c, s) in enumerate(zip(centers, slacks), start=1))
+    if len(h) != system.k:
+        raise ValueError("frequency vector length must equal k")
+    eta = Fraction(eta)
+    for j, a_j in zip(range(system.d), a):
+        # eta^(j+1) = p/q in lowest terms
+        p, q = eta.numerator ** (j + 1), eta.denominator ** (j + 1)
+        terms = [(hi, c.value, c.err) for hi, c in
+                 zip(h, (poly.coeffs[j] for poly in system.polys)) if hi]
+        D = math.lcm(q, *(v.denominator for _hi, v, _e in terms),
+                     *(e.denominator for _hi, _v, e in terms))
+        center = sum(hi * v.numerator * (D // v.denominator) for hi, v, _e in terms)
+        slack = sum(abs(hi) * e.numerator * (D // e.denominator) for hi, _v, e in terms)
+        if abs(center - a_j * D) + slack > p * (D // q):
+            return False
+    return True
 
 
-def max_minor(rows: Sequence[Sequence[Fraction]]) -> Tuple[Fraction, Tuple[int, ...]]:
-    """Largest |det| over the r x r minors of r rows, and the lexicographically
-    first columns that attain it."""
+def max_minor(rows: Sequence[Sequence[int]]) -> Tuple[int, Tuple[int, ...]]:
+    """Largest |det| over the r x r minors of r integer rows, and the
+    lexicographically first columns that attain it."""
     best_val, best_cols = None, None
     for cols in combinations(range(len(rows[0])), len(rows)):
-        val = abs(det_fraction([[row[c] for c in cols] for row in rows]))
+        val = abs(det_bareiss([[row[c] for c in cols] for row in rows]))
         if best_val is None or val > best_val:
             best_val, best_cols = val, cols
     return best_val, best_cols
 
 
-def subset_measures(rows: Sequence[Sequence[Fraction]]) -> Tuple[Fraction, Fraction]:
-    """The generator search's measures of rescaled rows h~: the exact
-    orthogonality ratio squared wedge^2 / prod ||v||_2^2 (0 for dependent
-    rows) and the sup-norm product prod ||v||_inf."""
-    wsq = wedge_norm_sq(rows)
-    l2sq = tp = Fraction(1)
+def scaled_h_rows(h_vecs: Sequence[Sequence[int]],
+                  B: Sequence) -> Tuple[int, List[List[int]]]:
+    """(M, rows): M the lcm of the numerators of the B_i, and the integer rows
+    h_i (M / B_i), which are M times the rescaled rows h~ = h_i / B_i.
+
+    Every measure of h~ the reduction compares is scale-free or scales alike
+    for rows of one count: the orthogonality ratio is unchanged, and r x r
+    minors and sup-norm products of r rows gain M^r.
+    """
+    B = [Fraction(b) for b in B]
+    M = math.lcm(*(b.numerator for b in B))
+    w = [M // b.numerator * b.denominator for b in B]
+    return M, [[h_i * w_i for h_i, w_i in zip(h, w)] for h in h_vecs]
+
+
+def _measures(rows: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
+    """(wedge^2, prod ||v||_2^2, prod ||v||_inf) of integer rows."""
+    l2sq = tp = 1
     for v in rows:
         l2sq *= _dot(v, v)
-        tp *= _linf(v)
-    return (wsq / l2sq if wsq else Fraction(0)), tp
+        tp *= max(map(abs, v))
+    return _gram_det(rows), l2sq, tp
+
+
+def subset_measures(h_vecs: Sequence[Sequence[int]],
+                    B: Sequence) -> Tuple[Fraction, Fraction]:
+    """The generator search's measures of the rescaled rows h~ = h_i / B_i:
+    the exact orthogonality ratio squared wedge^2 / prod ||v||_2^2 (0 for
+    dependent rows) and the sup-norm product prod ||v||_inf."""
+    M, rows = scaled_h_rows(h_vecs, B)
+    wsq, l2sq, tp = _measures(rows)
+    return (Fraction(wsq, l2sq) if wsq else Fraction(0)), Fraction(tp, M ** len(rows))
 
 
 def quasi_orthogonal_generators(system: PolySystem, B: Sequence, eta,
@@ -328,7 +372,8 @@ def quasi_orthogonal_generators(system: PolySystem, B: Sequence, eta,
     size, the one with the largest maximal r x r minor wins, ties
     lexicographic.  Returns NoShortVector when nothing qualifies.  ``max_r``
     caps the subset size (a caller that must leave at least one polynomial
-    behind passes k - 1).
+    behind passes k - 1).  Subsets are scored on the integer rows of
+    `scaled_h_rows`, which decide every comparison as h~ would.
     """
     if N_target < 2:
         raise ValueError("N_target must be at least 2")
@@ -339,7 +384,7 @@ def quasi_orthogonal_generators(system: PolySystem, B: Sequence, eta,
 
     prefix = []  # (h, a) integer pairs for the usable prefix
     for row, coeffs in zip(red.vectors, red.transform):
-        if _linf(row) > 1:
+        if max(map(abs, row)) > 1:
             break
         h = tuple(coeffs[:k])
         a = tuple(coeffs[k:])
@@ -351,19 +396,19 @@ def quasi_orthogonal_generators(system: PolySystem, B: Sequence, eta,
         return NoShortVector("no reduced basis vector fits in the unit box")
 
     c_orth_sq = Fraction(c_orth) ** 2
-    # tilde_product^(d+1) <= (2^(k+d))^(d+1) / N_target, compared exactly
-    prod_bound_pow = Fraction(2 ** (k + d)) ** (d + 1) / N_target
-
-    htils = [[Fraction(h_i) / b for h_i, b in zip(h, Bv)] for h, _a in prefix]
+    num, den = c_orth_sq.numerator, c_orth_sq.denominator
+    M, rows = scaled_h_rows([h for h, _a in prefix], Bv)
     r_hi = min(J, k if max_r is None else max_r)
     for r in range(r_hi, 0, -1):
+        # tilde_product^(d+1) <= (2^(k+d))^(d+1) / N_target, on rows M h~
+        cap = 2 ** ((k + d) * (d + 1)) * M ** (r * (d + 1))
         best = None  # (max_minor_abs, subset)
         for subset in combinations(range(J), r):
-            rows = [htils[i] for i in subset]
-            ratio_sq, tp = subset_measures(rows)
-            if ratio_sq == 0 or ratio_sq < c_orth_sq or tp ** (d + 1) > prod_bound_pow:
+            sub = [rows[i] for i in subset]
+            wsq, l2sq, tp = _measures(sub)
+            if not wsq or wsq * den < num * l2sq or tp ** (d + 1) * N_target > cap:
                 continue
-            minor, _cols = max_minor(rows)
+            minor, _cols = max_minor(sub)
             if best is None or minor > best[0]:
                 best = (minor, subset)
         if best is not None:
@@ -396,20 +441,16 @@ def solution_lattice_basis(H1: Sequence[Sequence[int]],
     """Column basis of {y in Z^l : H1 x = H2 y solvable in integers x}.
 
     Computed as the projection of the integer kernel of [M | det(H1) I] with
-    M = det(H1) H1^{-1} H2 (an integer matrix).
+    M = det(H1) H1^{-1} H2 = adj(H1) H2, an integer matrix.
     """
     r = len(H1)
     ell = len(H2[0])
     D = det_bareiss(H1)
     if D == 0:
         raise SingularH1Error("H1 must be invertible")
-    H1inv = frac_inverse(H1)
-    A = mat_mul(H1inv, H2)
-    M = [[int(D * A[i][j]) for j in range(ell)] for i in range(r)]
-    for i in range(r):
-        for j in range(ell):
-            if D * A[i][j] != M[i][j]:
-                raise ArithmeticError("adjugate product was not integral")
+    adj = adjugate(H1)
+    M = [[sum(adj[i][t] * H2[t][j] for t in range(r)) for j in range(ell)]
+         for i in range(r)]
     stacked = [[M[i][j] for j in range(ell)] + [D * int(i == t) for t in range(r)]
                for i in range(r)]
     ker = kernel_columns(stacked)

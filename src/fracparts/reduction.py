@@ -15,13 +15,14 @@ from typing import List, Optional, Sequence, Tuple
 
 from .core import Epsilons, Poly, PolySystem, Real, SystemState, eval_system
 from .expsum import _delta_scaled_caps
-from .intlinalg import det_bareiss, frac_inverse, lattice_det_from_columns, solve_integer
+from .intlinalg import adjugate, det_bareiss, lattice_det_from_columns, solve_integer
 from .latgeom import (
     GeneratorSet,
     LatticeBasis,
     decisively_in_region,
     max_minor,
     reduce_basis,
+    scaled_h_rows,
     solution_lattice_basis,
 )
 
@@ -147,8 +148,8 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
             raise ReductionPreconditionError(
                 f"generator {ell} is not in the region |h| <= B, residual_j <= eta^j")
 
-    h_tilde = gens.h_tilde(B)
-    minor, lead = max_minor(h_tilde)
+    M, h_rows = scaled_h_rows(gens.h_vecs, B)  # M times h~ = h_i / B_i
+    minor, lead = max_minor(h_rows)
     if minor == 0:
         raise ReductionPreconditionError("generator h vectors are rank deficient")
     perm = tuple(list(lead) + [c for c in range(k) if c not in lead])
@@ -161,10 +162,10 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
     Z_cols = solution_lattice_basis(H1, H2)  # (k-r) x (k-r), columns generate
     # LLL-reduce the solution lattice (rows of the transpose are the columns);
     # LLL is unimodular, so the check below is the identity D1 = D2 * det3
-    rows = [[Fraction(Z_cols[i][j]) for i in range(k - r)] for j in range(k - r)]
-    red = reduce_basis(LatticeBasis(vectors=rows))
-    Z = [[int(red.vectors[j][i]) for j in range(k - r)] for i in range(k - r)]
-    if abs(det_bareiss(Z)) * D2 != D1:
+    red = reduce_basis(LatticeBasis(vectors=[list(col) for col in zip(*Z_cols)]))
+    Z = [list(row) for row in zip(*red.vectors)]
+    det3 = det_bareiss(Z)
+    if abs(det3) * D2 != D1:
         raise ArithmeticError("solution lattice determinant mismatch")
 
     # b' tables: H1 u_j - H2 w_j = D2^j a_j, solved exactly over Z
@@ -193,13 +194,13 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
             coeffs.append(Real(val, err))
         ftil.append(coeffs)
 
-    Zinv = frac_inverse(Z)
+    Zadj = adjugate(Z)  # Z^-1 = Zadj / det3
     g_polys = []
     for m in range(k - r):
         coeffs = []
         for j in range(d):
-            val = sum(Zinv[m][p] * ftil[p][j].value for p in range(k - r))
-            err = sum(abs(Zinv[m][p]) * ftil[p][j].err for p in range(k - r))
+            val = sum(Zadj[m][p] * ftil[p][j].value for p in range(k - r)) / det3
+            err = sum(abs(Zadj[m][p]) * ftil[p][j].err for p in range(k - r)) / abs(det3)
             coeffs.append(Real(val, err))
         g_polys.append(Poly(tuple(coeffs)))
     g = PolySystem(tuple(g_polys))
@@ -209,7 +210,7 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
                     for i in range(k - r))
     eps_prime = Epsilons(tuple(1 / b for b in B_prime))
 
-    min_h = min(max(abs(v) for v in h_tilde[ell]) for ell in range(r))
+    min_h = Fraction(min(max(map(abs, row)) for row in h_rows), M)
     y_new = delta * x * min_h / D2
     if y_new <= 1:
         raise DegenerateHorizonError(f"reduced horizon {y_new} <= 1")

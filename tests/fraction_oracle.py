@@ -1,0 +1,146 @@
+"""Rational linear algebra and the Fraction-based generator search.
+
+`latgeom.quasi_orthogonal_generators` and `reduction.reduce_dimension` score
+generator subsets on integer rows h_i (M / B_i) with fraction-free
+determinants, and test region membership in integers.  This is the rational
+code they replaced: the same search on the rows h~ = h_i / B_i, kept as the
+reference that must decide alike, GeneratorSet or NoShortVector, and the
+same leading columns.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+from fracparts.core import coefficient_sums
+from fracparts.latgeom import (
+    GeneratorSet,
+    NoShortVector,
+    build_relation_lattice,
+    reduce_basis,
+)
+
+
+def mat_mul(A, B):
+    rows, inner, cols = len(A), len(B), len(B[0])
+    return [[sum(A[i][t] * B[t][j] for t in range(inner)) for j in range(cols)]
+            for i in range(rows)]
+
+
+def mat_vec(A, v):
+    return [sum(A[i][t] * v[t] for t in range(len(v))) for i in range(len(A))]
+
+
+def _linf(v) -> Fraction:
+    return max((abs(Fraction(x)) for x in v), default=Fraction(0))
+
+
+def _dot(u, v) -> Fraction:
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+
+
+def det_fraction(M) -> Fraction:
+    """Exact determinant of a square Fraction matrix by Gaussian elimination."""
+    n = len(M)
+    a = [[Fraction(x) for x in row] for row in M]
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        inv = 1 / a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                factor = a[i][k] * inv
+                for j in range(k, n):
+                    a[i][j] -= factor * a[k][j]
+    return det
+
+
+def gram_det(vectors) -> Fraction:
+    """det(G^T G) for the matrix with the given rows; 0 iff dependent."""
+    r = len(vectors)
+    return det_fraction([[_dot(vectors[i], vectors[j]) for j in range(r)]
+                         for i in range(r)])
+
+
+def h_tilde(h_vecs, B):
+    """The rows h_i / B_i."""
+    return [[Fraction(h) / b for h, b in zip(hv, B)] for hv in h_vecs]
+
+
+def subset_measures(rows):
+    """(wedge^2 / prod ||v||_2^2, or 0 for dependent rows; prod ||v||_inf)."""
+    wsq = gram_det(rows)
+    l2sq = tp = Fraction(1)
+    for v in rows:
+        l2sq *= _dot(v, v)
+        tp *= _linf(v)
+    return (wsq / l2sq if wsq else Fraction(0)), tp
+
+
+def max_minor(rows):
+    """Largest |det| over the r x r minors, and the first columns attaining it."""
+    best_val, best_cols = None, None
+    for cols in combinations(range(len(rows[0])), len(rows)):
+        val = abs(det_fraction([[row[c] for c in cols] for row in rows]))
+        if best_val is None or val > best_val:
+            best_val, best_cols = val, cols
+    return best_val, best_cols
+
+
+def leading_perm(h_vecs, B, k):
+    """reduce_dimension's perm: the max-minor columns of h~ first."""
+    _minor, lead = max_minor(h_tilde(h_vecs, B))
+    return tuple(list(lead) + [c for c in range(k) if c not in lead])
+
+
+def decisively_in_region(system, h, a, B, eta) -> bool:
+    if any(abs(hi) > b for hi, b in zip(h, B)):
+        return False
+    sums = coefficient_sums(system, h)
+    return all(abs(s.value - a_j) + s.err <= Fraction(eta) ** j
+               for j, (s, a_j) in enumerate(zip(sums, a), start=1))
+
+
+def quasi_orthogonal_generators(system, B, eta, N_target, c_orth, max_r=None):
+    """The generator search on Fraction rows h~, as it was before the integer one."""
+    if N_target < 2:
+        raise ValueError("N_target must be at least 2")
+    k, d = system.k, system.d
+    Bv = tuple(Fraction(b) for b in B)
+    ev = Fraction(eta)
+    red = reduce_basis(build_relation_lattice(system, Bv, ev))
+    prefix = []
+    for row, coeffs in zip(red.vectors, red.transform):
+        if _linf(row) > 1:
+            break
+        h, a = tuple(coeffs[:k]), tuple(coeffs[k:])
+        if not decisively_in_region(system, h, a, Bv, ev):
+            break
+        prefix.append((h, a))
+    J = len(prefix)
+    if J == 0:
+        return NoShortVector("no reduced basis vector fits in the unit box")
+    c_orth_sq = Fraction(c_orth) ** 2
+    prod_bound_pow = Fraction(2 ** (k + d)) ** (d + 1) / N_target
+    htils = h_tilde([h for h, _a in prefix], Bv)
+    for r in range(min(J, k if max_r is None else max_r), 0, -1):
+        best = None
+        for subset in combinations(range(J), r):
+            rows = [htils[i] for i in subset]
+            ratio_sq, tp = subset_measures(rows)
+            if ratio_sq == 0 or ratio_sq < c_orth_sq or tp ** (d + 1) > prod_bound_pow:
+                continue
+            minor, _cols = max_minor(rows)
+            if best is None or minor > best[0]:
+                best = (minor, subset)
+        if best is not None:
+            _minor, subset = best
+            return GeneratorSet(h_vecs=tuple(prefix[i][0] for i in subset),
+                                a_vecs=tuple(prefix[i][1] for i in subset))
+    return NoShortVector(
+        f"no subset of the {J}-vector prefix met the orthogonality/product bounds")

@@ -9,7 +9,8 @@ minima estimates, or DependenceError on the same inputs.
 from fractions import Fraction
 
 from fracparts.intlinalg import identity
-from fracparts.latgeom import LLL_DELTA, DependenceError, LatticeBasis, _dot, _linf
+from fracparts.latgeom import LLL_DELTA, DependenceError, LatticeBasis
+from fraction_oracle import _dot, _linf
 
 
 def gram_schmidt(basis):

@@ -5,6 +5,7 @@ per criterion.  Criteria 2, 3 and 8 share one planted-system batch (the
 session fixture below) so the reductions they examine are the same ones.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -190,6 +191,22 @@ def test_criterion_8_certificate_replay(planted_batch):
     report(8, replay_fail == 0 and byte_mismatch == 0,
            f"replayed {len(results)} certs ({replay_fail} failures), "
            f"{10 - byte_mismatch}/10 byte-identical reruns")
+
+
+# SHA-256 over each planted solve's status, n and certificate bytes, in order.
+# A change meant to keep outcomes leaves it as it is; a change of outcomes on
+# purpose re-pins it and says why.
+PLANTED_OUTCOMES_SHA256 = "1791258d9c62890908311dd124952fef445913af25c9f65dfb28abdb81f031f8"
+
+
+def test_planted_outcomes_pinned(planted_batch):
+    results, _elapsed = planted_batch
+    digest = hashlib.sha256()
+    for _state, out in results:
+        digest.update(f"{out.status} {out.n}\n".encode())
+        digest.update(certificate_bytes(out.certificate))
+        digest.update(b"\n")
+    assert digest.hexdigest() == PLANTED_OUTCOMES_SHA256
 
 
 # ---------------------------------------------------------------------------

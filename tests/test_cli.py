@@ -212,6 +212,21 @@ class TestLatticeCommand:
     def test_mode_required(self, capsys):
         assert main(["lattice"]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("argv", [
+        ["--reduce", "[[1,2],[3]]"],
+        ["--wedge", "[[1,2],[3]]"],
+        ["--reduce", "[1,2]"],
+        ["--det-identity", "--h1", "[[1,2],[3]]", "--h2", "[[1],[1]]"],
+        ["--det-identity", "--h1", "[[2]]", "--h2", "[[1],[1]]"],
+        ["--det-identity", "--h1", "[[1,2]]", "--h2", "[[1]]"],
+        ["--det-identity", "--h1", "[[2]]", "--h2", "[[0.5]]"],
+    ], ids=["ragged-reduce", "ragged-wedge", "flat-reduce", "ragged-h1",
+            "h2-rows", "nonsquare-h1", "float-h2"])
+    def test_malformed_matrix_exit_1(self, argv, capsys):
+        assert main(["lattice", *argv]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
 
 class TestExponentCommand:
     def test_csv_written(self, tmp_path, capsys):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fracparts.core import Poly, PolySystem, parse_scalar
-from fracparts.intlinalg import det_bareiss, mat_mul
+from fracparts.core import Epsilons, Poly, PolySystem, Real, SystemState, parse_scalar
+from fracparts.intlinalg import det_bareiss
 from fracparts.latgeom import (
     DependenceError,
     GeneratorSet,
@@ -14,12 +14,12 @@ from fracparts.latgeom import (
     NoShortVector,
     PrecisionError,
     SingularH1Error,
-    _dot,
-    _linf,
     build_relation_lattice,
     decisively_in_region,
+    max_minor,
     quasi_orthogonal_generators,
     reduce_basis,
+    scaled_h_rows,
     shortest_vector,
     solution_lattice_basis,
     subset_measures,
@@ -27,6 +27,14 @@ from fracparts.latgeom import (
     wedge_norm,
     wedge_norm_sq,
 )
+from fracparts.reduction import (
+    DegenerateHorizonError,
+    IntegralityError,
+    reduce_dimension,
+    region,
+)
+import fraction_oracle
+from fraction_oracle import _dot, _linf, mat_mul, mat_vec
 from lll_oracle import reduce_basis_reference
 from residue_oracles import lambda2_residue_count, lambda3_residue_count
 
@@ -150,6 +158,24 @@ class TestReduceBasis:
         assert red.vectors == basis.vectors == reduce_basis_reference(basis).vectors
         assert red.transform == [[1, 0], [0, 1]]
 
+    @pytest.mark.parametrize("rows, expected", [
+        # mu = -1/2 rounds to 0, mu = -3/2 to -2 (half to even); no swap follows
+        ([[2, 0], [-1, 10]], [[2, 0], [-1, 10]]),
+        ([[2, 0], [-3, 10]], [[2, 0], [1, 10]]),
+    ])
+    def test_negative_half_integer_mu(self, rows, expected):
+        basis = LatticeBasis(vectors=[[Fraction(v) for v in row] for row in rows])
+        red = reduce_basis(basis)
+        ref = reduce_basis_reference(basis)
+        assert red.vectors == ref.vectors == expected
+        assert red.transform == ref.transform
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValueError, match="same length"):
+            reduce_basis(LatticeBasis(vectors=[[Fraction(1), Fraction(2)], [Fraction(3)]]))
+        with pytest.raises(ValueError, match="same length"):
+            wedge_norm([[1, 2], [3]])
+
     def test_dependence_rejected(self):
         with pytest.raises(DependenceError):
             reduce_basis(LatticeBasis(vectors=[[Fraction(1), Fraction(2)],
@@ -227,7 +253,7 @@ class TestQuasiOrthogonal:
         (h,) = g.h_vecs
         assert sorted(h) == [-1, 1]
         assert g.a_vecs == ((0, 0),)
-        ratio_sq, tilde_product = subset_measures(g.h_tilde([4, 4]))
+        ratio_sq, tilde_product = subset_measures(g.h_vecs, [4, 4])
         assert ratio_sq == 1 and tilde_product == Fraction(1, 4)
 
     def test_membership_reverified_random_rational(self):
@@ -258,7 +284,63 @@ class TestQuasiOrthogonal:
         g = quasi_orthogonal_generators(s, [4, 4], Fraction(1, 200),
                                         N_target=9, c_orth=0.5)
         if isinstance(g, GeneratorSet):
-            assert subset_measures(g.h_tilde([4, 4]))[0] >= Fraction(1, 4)
+            assert subset_measures(g.h_vecs, [4, 4])[0] >= Fraction(1, 4)
+
+
+_COEFF = {"rational": lambda draw: str(Fraction(draw(st.integers(0, 20)),
+                                                 draw(st.integers(1, 20)))),
+          "sqrt": lambda draw: (f"sqrt({draw(st.sampled_from([2, 3, 5, 7]))})"
+                                f"/{draw(st.integers(1, 6))}")}
+
+
+@st.composite
+def generator_cases(draw):
+    """Small systems with rational or sqrt coefficients, sometimes with a
+    duplicated row (its relations tie the minors), searched either in a
+    level's own region (`reduction.region` of a drawn state, which
+    `reduce_dimension` then uses) or under a free B with unequal, possibly
+    fractional entries."""
+    k = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 2))
+    coeff = _COEFF[draw(st.sampled_from(sorted(_COEFF)))]
+    rows = [[coeff(draw) for _ in range(d)] for _ in range(k)]
+    if k > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, k - 1))
+        j = draw(st.integers(0, k - 2))
+        rows[i] = list(rows[j + (j >= i)])
+    system = sys1(*rows)
+    if draw(st.booleans()):
+        eps = Epsilons(tuple(Fraction(1, draw(st.sampled_from([5, 9, 20, 50])))
+                             for _ in range(k)))
+        state = SystemState(system, eps, Real(Fraction(draw(st.integers(200, 5000)))))
+        return system, *region(state), 3, 0.05, k - 1, state
+    B = [Fraction(draw(st.integers(2, 24)), draw(st.integers(1, 2))) for _ in range(k)]
+    eta = Fraction(1, draw(st.sampled_from([3, 10, 50, 200, 1000])))
+    return (system, B, eta, draw(st.integers(2, 9)),
+            draw(st.sampled_from([0.0, 0.05, 0.3, 0.7])),
+            draw(st.sampled_from([None] + list(range(1, k + 1)))), None)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(generator_cases())
+def test_generator_search_matches_fraction_reference(case):
+    """The integer search picks what the Fraction search picks, and the
+    reduction leads with the same columns."""
+    system, B, eta, n_target, c_orth, max_r, state = case
+    got = quasi_orthogonal_generators(system, B, eta, N_target=n_target,
+                                      c_orth=c_orth, max_r=max_r)
+    assert got == fraction_oracle.quasi_orthogonal_generators(
+        system, B, eta, n_target, c_orth, max_r)
+    if isinstance(got, NoShortVector):
+        return
+    perm = fraction_oracle.leading_perm(got.h_vecs, B, system.k)
+    assert max_minor(scaled_h_rows(got.h_vecs, B)[1])[1] == perm[:got.r]
+    if state is not None:
+        try:
+            assert reduce_dimension(state, got).perm == perm
+        except (IntegralityError, DegenerateHorizonError):
+            pass
 
 
 class TestSublattice:
@@ -305,7 +387,7 @@ class TestSublattice:
                     break
             H2 = [[rng.randint(-4, 4) for _ in range(ell)] for _ in range(r)]
             Z = solution_lattice_basis(H1, H2)
-            from fracparts.intlinalg import mat_vec, solve_integer
+            from fracparts.intlinalg import solve_integer
             for col in range(ell):
                 y = [Z[i][col] for i in range(ell)]
                 t = mat_vec(H2, y)

@@ -16,7 +16,7 @@ from fracparts.core import (
     first_hit,
 )
 from fracparts.driver import solve
-from fracparts.intlinalg import det_bareiss, mat_vec
+from fracparts.intlinalg import det_bareiss
 from fracparts.latgeom import GeneratorSet, quasi_orthogonal_generators
 from fracparts.reduction import (
     Certificate,
@@ -30,6 +30,7 @@ from fracparts.reduction import (
     region,
     verify_certificate,
 )
+from fraction_oracle import mat_vec
 from test_acceptance import PLANT_CONFIG, PLANT_SEED, planted_state
 
 
