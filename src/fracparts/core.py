@@ -13,12 +13,13 @@ rational inputs" literally true.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
-from operator import add, and_, gt, mod
+from operator import add, and_, gt, mod, mul, sub
 from typing import List, Optional, Sequence, Tuple
 
 DEFAULT_PRECISION_BITS = 192
@@ -274,26 +275,34 @@ class SystemState:
 # Every scan runs over n = 1, 2, ... with exact fractional parts: all
 # polynomials are lifted to one common denominator D, so f_i(n) mod 1 is
 # N_i(n)/D for the integer residue N_i(n) mod D, and every comparison is an
-# integer comparison.  `_residue_stream` is the one place that advances the
-# forward-difference tables, a chunk of points at a time: each column over
-# a chunk is the prefix sums (`itertools.accumulate`) of the column above it,
-# in exact ints, and the tables are reduced mod D only at chunk ends.  Chunks
-# start small and double, so a scan that stops at an early hit stays cheap.
+# integer comparison.  Each polynomial carries its forward-difference table,
+# reduced mod D, and the scan moves over n a chunk of points at a time;
+# chunks start small and double, so a scan that stops at an early hit stays
+# cheap.  `_column` is the one place that builds a polynomial's values over
+# a chunk: each column is the prefix sums (`itertools.accumulate`) of the
+# column above it, in exact ints, and the table is reduced mod D at the
+# chunk's end.
 #
-# The scans (running minimum with checkpoints, hit offsets, and the smoothed
-# and phase sums in `diophantine`) are reducers over the chunks, and the
-# stream hands them each polynomial's values unreduced: reducing mod D is
-# the costly step, so the reducers sieve and reduce a point only while it
-# can still count.  `_hits` tests the tightest threshold on the whole chunk,
-# then each further polynomial only at the points left, in C-level pipelines
-# (`map` over `operator` functions, `itertools.compress`); a power-of-two D
-# reduces with a mask.  The running minimum keeps only a chunk's points with
-# every distance below the best at the chunk's start (no other point can
-# replace it) and takes those few in order of n, so the minimum and its
-# smallest-n tie-break stay exact.  The phase sums need every value and
-# reduce them all.  Ranges could be partitioned and merged (min with
-# smallest-n tiebreak / sum); the sequential order here is the reference
-# semantics.
+# The phase sums in `diophantine` need every value, so `_residues` builds
+# every polynomial's whole column.  The other scans (hit counts, the first
+# hit, the running minimum with checkpoints, the smoothed count) need only
+# the points where every distance is under a threshold, and `_sieved` builds
+# one column per chunk: that of the polynomial with the tightest threshold.
+# Its threshold t is folded into the table's 0th difference, so the column
+# holds N + t, and min(r, D - r) <= t becomes (N + t) mod D <= 2t.  Each
+# other polynomial is evaluated only at the points left, from its table at
+# the chunk's start: N(n0 + j) = sum_m C(j, m) Delta^m N(n0) (Newton's
+# forward-difference formula; Knuth, TAOCP vol. 2, 4.6.4), with the
+# binomials read from a table built once per degree.  Its table then moves
+# to the next chunk in closed form, Delta^i N(n0 + L) = sum_m C(L, m)
+# Delta^(i+m) N(n0) mod D, whether or not any point was left.  The sieves
+# are C-level pipelines (`map` over `operator` functions,
+# `itertools.compress`), and a power-of-two D reduces with a mask.  The
+# running minimum keeps only a chunk's points with every distance below the
+# best at the chunk's start (no other point can replace it) and takes those
+# few in order of n, so the minimum and its smallest-n tie-break stay exact.
+# Ranges could be partitioned and merged (min with smallest-n tiebreak /
+# sum); the sequential order here is the reference semantics.
 # ---------------------------------------------------------------------------
 
 _CHUNK_FIRST = 64    # points in a scan's first chunk
@@ -328,68 +337,120 @@ def _diff_state(nums: Sequence[int], D: int, start: int):
     return diffs  # diffs[i] = Delta^i N at n=start, all reduced mod D
 
 
-def _residue_stream(tables, D: int, last: int):
-    """Yield (n0, cols) with cols[i][t] = N_i(n0 + t) (mod D), covering n = 1..last.
+def _tables(system: PolySystem):
+    """Common denominator D and each polynomial's difference table at n = 1."""
+    D = _common_denominator(system)
+    return D, [_diff_state([int(c.value * D) for c in p.coeffs], D, 1)
+               for p in system.polys]
 
-    The columns are exact ints that are not reduced mod D, so a reducer
-    reduces only the points it still needs.  ``tables[i]`` is polynomial i's
-    forward-difference table at n = 1, as `_diff_state` builds it; the stream
-    advances the tables in place and reduces them mod D at chunk ends.
-    """
+
+def _chunks(last: int):
+    """(n0, L) for the chunks n0, ..., n0 + L - 1 that cover n = 1..last."""
     n0, size = 1, _CHUNK_FIRST
     while n0 <= last:
         L = min(size, last - n0 + 1)
-        cols = []
-        for diffs in tables:
-            # Delta^i N at n0..n0+L is Delta^i N(n0) followed by the prefix
-            # sums of Delta^(i+1) N at n0..n0+L-1; Delta^d N is constant
-            col = repeat(diffs[-1], L)
-            for i in range(len(diffs) - 2, -1, -1):
-                col = list(accumulate(col, initial=diffs[i]))
-                diffs[i] = col.pop() % D
-            cols.append(col)
-        yield n0, cols
+        yield n0, L
         n0 += L
         size = min(2 * size, _CHUNK_MAX)
 
 
+def _column(diffs, L: int, D: int):
+    """N(n0), ..., N(n0 + L - 1) as exact ints not reduced mod D, from the
+    table ``diffs`` at n0, which moves to n0 + L (reduced mod D)."""
+    # Delta^i N at n0..n0+L is Delta^i N(n0) followed by the prefix sums of
+    # Delta^(i+1) N at n0..n0+L-1; Delta^d N is constant
+    col = repeat(diffs[-1], L)
+    for i in range(len(diffs) - 2, -1, -1):
+        col = list(accumulate(col, initial=diffs[i]))
+        diffs[i] = col.pop() % D
+    return col
+
+
 def _residues(system: PolySystem, last: int):
-    """Common denominator D and the residue stream of ``system`` over n = 1..last."""
-    D = _common_denominator(system)
-    tables = [_diff_state([int(c.value * D) for c in p.coeffs], D, 1)
-              for p in system.polys]
-    return D, _residue_stream(tables, D, last)
+    """D and the stream of (n0, cols) with cols[i][j] = N_i(n0 + j) (mod D),
+    every polynomial's whole column, covering n = 1..last."""
+    D, tables = _tables(system)
+    return D, ((n0, [_column(diffs, L, D) for diffs in tables])
+               for n0, L in _chunks(last))
 
 
-def _near(values, D: int, t: int):
-    """Selectors for D * frac_dist <= t, one per unreduced residue in ``values``.
+@functools.lru_cache(maxsize=8)  # one entry per degree bound in use
+def _binomials(d: int):
+    """Rows C(j, m) for j = 0.._CHUNK_MAX, one row for each m = 2..d
+    (C(j, 0) = 1 and C(j, 1) = j need none)."""
+    return tuple(tuple(math.comb(j, m) for j in range(_CHUNK_MAX + 1))
+                 for m in range(2, d + 1))
 
-    min(r, D - r) <= t  <=>  (r + t) mod D < 2t + 1, for 0 <= t < D and r = v mod D.
-    A power-of-two D (every dyadic system) reduces with a mask, not a division.
-    """
-    shifted = map(add, values, repeat(t))
+
+def _at(diffs, offsets, binoms):
+    """N(n0 + j) = sum_m C(j, m) Delta^m N(n0) for j in ``offsets``, unreduced."""
+    values = map(add, repeat(diffs[0]), map(mul, offsets, repeat(diffs[1])))
+    for c, row in zip(diffs[2:], binoms):
+        values = map(add, values, map(mul, map(row.__getitem__, offsets), repeat(c)))
+    return values
+
+
+def _advance(diffs, L: int, binoms, D: int):
+    """Move the table ``diffs`` on by L points, mod D, in closed form."""
+    c = [1, L] + [row[L] for row in binoms]  # C(L, m)
+    diffs[:] = [sum(map(mul, c, diffs[i:])) % D for i in range(len(diffs))]
+
+
+def _reduce(values, D: int):
+    """Each value mod D; a power-of-two D (every dyadic system) masks, not divides."""
     if D & (D - 1):
-        reduced = map(mod, shifted, repeat(D))
-    else:
-        reduced = map(and_, shifted, repeat(D - 1))
-    return map(gt, repeat(2 * t + 1), reduced)
+        return map(mod, values, repeat(D))
+    return map(and_, values, repeat(D - 1))
 
 
-def _hits(cols, D: int, thresholds):
-    """Offsets of a chunk's points with D * frac_dist(f_i(n)) <= thresholds[i] for all i.
+def _hits(col, tables, order, D: int, thresholds, binoms):
+    """Offsets of a chunk's points with D * frac_dist(f_i(n)) <= thresholds[i]
+    for all i, and an iterator over their rows of distances D * frac_dist.
 
-    The tightest threshold sieves the whole chunk; each further column is
-    reduced only at the points that are still left.
+    Every value v holds its threshold t, folded into the table, so it
+    passes when v mod D <= 2t, and its distance is then |v mod D - t|
+    (0 <= t <= D/2).  ``col`` is the column of polynomial ``order[0]``; each
+    further one is evaluated from its table only at the points still left.
     """
-    order = sorted(range(len(cols)), key=thresholds.__getitem__)
-    col, t = cols[order[0]], thresholds[order[0]]
-    hits = list(compress(range(len(col)), _near(col, D, t)))
+    s = order[0]
+    t = thresholds[s]
+    hits = list(compress(range(len(col)),
+                         map(gt, repeat(2 * t + 1), _reduce(col, D))))
     for i in order[1:]:
         if not hits:
-            break
-        col, t = cols[i], thresholds[i]
-        hits = list(compress(hits, _near(map(col.__getitem__, hits), D, t)))
-    return hits
+            return hits, iter(())
+        t = thresholds[i]
+        hits = list(compress(hits, map(gt, repeat(2 * t + 1),
+                                       _reduce(_at(tables[i], hits, binoms), D))))
+    values = [map(col.__getitem__, hits) if i == s else _at(diffs, hits, binoms)
+              for i, diffs in enumerate(tables)]
+    return hits, zip(*(map(abs, map(sub, _reduce(v, D), repeat(t)))
+                       for v, t in zip(values, thresholds)))
+
+
+def _sieved(D: int, tables, last: int, thresholds):
+    """Yield (n0, offsets, rows) for the chunks of n = 1..last, as `_hits`
+    gives them for the chunk at n0.
+
+    ``tables`` are the polynomials' difference tables at n = 1 (see
+    `_tables`), and the scan moves them on.  ``thresholds`` is read at each
+    chunk's start, so a reducer may lower its entries between chunks; every
+    entry must lie in [0, D/2].
+    """
+    k = len(tables)
+    binoms = _binomials(len(tables[0]) - 1)
+    folded = [0] * k
+    for n0, L in _chunks(last):
+        for i, t in enumerate(thresholds):
+            if t != folded[i]:
+                tables[i][0] = (tables[i][0] + t - folded[i]) % D
+                folded[i] = t
+        # the tightest threshold sieves; of equal ones, the later polynomial
+        order = sorted(range(k - 1, -1, -1), key=thresholds.__getitem__)
+        col = _column(tables[order[0]], L, D)
+        yield (n0,) + _hits(col, tables, order, D, thresholds, binoms)
+        for i in order[1:]:
+            _advance(tables[i], L, binoms, D)
 
 
 def _check_cap(last: int, k: int, enum_cap: int):
@@ -431,23 +492,23 @@ def _checkpointed_min(system: PolySystem, checkpoints: Sequence[int],
         raise ValueError("every horizon must be at least 2, so that n = 1 < x")
     last = cps[-1] - 1
     _check_cap(last, system.k, enum_cap)
-    D, chunks = _residues(system, last)
+    D, tables = _tables(system)
     out = []
     best_n, best = 0, D  # every distance is at most D/2, so n = 1 replaces this
-    for n0, cols in chunks:
-        # only a point with every distance below the best at the chunk's
-        # start can replace it; the survivors are then taken in order of n
-        for j in _hits(cols, D, [best - 1] * len(cols)):
+    # only a point with every distance below the best at the chunk's start
+    # can replace it; the survivors are then taken in order of n.  No
+    # distance exceeds D/2, so the first chunk lets every point through
+    thresholds = [D // 2] * system.k
+    for n0, hits, rows in _sieved(D, tables, last, thresholds):
+        for j, dists in zip(hits, rows):
             while cps[len(out)] <= n0 + j:  # checkpoints that end before n
                 out.append((best_n, Fraction(best, D)))
-            m = max(min(r, D - r) for r in (col[j] % D for col in cols))
+            m = max(dists)
             if m < best:
                 best, best_n = m, n0 + j
-        end = n0 + len(cols[0])
-        while len(out) < len(cps) and cps[len(out)] <= end:
-            out.append((best_n, Fraction(best, D)))
         if best == 0:  # no later n can do better
             break
+        thresholds[:] = [best - 1] * system.k
     return out + [(best_n, Fraction(best, D))] * (len(cps) - len(out))
 
 
@@ -459,9 +520,9 @@ def _strict_thresholds(eps: Epsilons, D: int):
 def _hit_chunks(system: PolySystem, eps: Epsilons, last: int, enum_cap: int):
     """(n0, offsets of the strict hits in the chunk at n0) over n = 1..last."""
     _check_cap(last, system.k, enum_cap)
-    D, chunks = _residues(system, last)
-    thresholds = _strict_thresholds(eps, D)
-    return ((n0, _hits(cols, D, thresholds)) for n0, cols in chunks)
+    D, tables = _tables(system)
+    chunks = _sieved(D, tables, last, _strict_thresholds(eps, D))
+    return ((n0, hits) for n0, hits, _rows in chunks)
 
 
 def hit_count(system: PolySystem, eps: Epsilons, x,

@@ -35,9 +35,10 @@ from .core import (
     Poly,
     PolySystem,
     _check_cap,
-    _hits,
     _residues,
+    _sieved,
     _strict_thresholds,
+    _tables,
     coefficient_sums,
 )
 from .expsum import (
@@ -173,18 +174,16 @@ def smoothed_count(system: PolySystem, eps: Epsilons, x,
     """
     last = math.floor(x)
     _check_cap(last, system.k, enum_cap)
-    D, chunks = _residues(system, last)
+    D, tables = _tables(system)
     # in D * frac_dist units: the support is the strict hit region, and the
     # plateau is 2*m*den <= num*D
     support = _strict_thresholds(eps, D)
     plateau = [e.numerator * D // (2 * e.denominator) for e in eps.eps]
     total = Fraction(0)
-    for _n0, cols in chunks:
-        for j in _hits(cols, D, support):
+    for _n0, _offsets, rows in _sieved(D, tables, last, support):
+        for dists in rows:
             prod = Fraction(1)
-            for col, e, flat in zip(cols, eps.eps, plateau):
-                r = col[j] % D
-                m = min(r, D - r)
+            for m, e, flat in zip(dists, eps.eps, plateau):
                 if m > flat:  # transition band
                     prod *= _transition(2 * Fraction(m, D) / e - 1)
             total += prod

@@ -221,8 +221,10 @@ def shortest_vector(basis: LatticeBasis) -> Tuple[List[Fraction], Fraction]:
     d, lam = _integral_gram(rows)
     mu = [[Fraction(lam[i][j], d[j + 1]) for j in range(i)] for i in range(n)]
     norms = [Fraction(d[i + 1], d[i]) for i in range(n)]
-    best_sq = min(_dot(v, v) for v in rows)
-    best_x = None
+    # the shortest basis row stands until enumeration finds a shorter vector
+    first = min(range(n), key=lambda i: _dot(rows[i], rows[i]))
+    best_sq = _dot(rows[first], rows[first])
+    best_x = [int(i == first) for i in range(n)]
 
     def recurse(i, partial, coeffs):
         nonlocal best_sq, best_x
@@ -249,9 +251,6 @@ def shortest_vector(basis: LatticeBasis) -> Tuple[List[Fraction], Fraction]:
             step += 1
 
     recurse(n - 1, Fraction(0), [0] * n)
-    if best_x is None:  # b_1 itself is the minimum
-        best_x = [1] + [0] * (n - 1)
-        best_sq = _dot(rows[0], rows[0])
     vec = [sum(best_x[j] * vecs[j][t] for j in range(n)) for t in range(len(vecs[0]))]
     return vec, Fraction(best_sq, L * L)
 

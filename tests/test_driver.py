@@ -356,6 +356,43 @@ class TestMeasureExponent:
             measure_exponent("monomial", 1, 2, [1, 100, 1000], trials=1)
 
 
+_sign = strategies.sampled_from(["", "-", "+"])
+_coeff_strings = strategies.one_of(
+    strategies.builds("{}{}.{}".format, _sign, strategies.integers(0, 99),
+                      strategies.from_regex(r"\A[0-9]{1,3}\Z")),
+    strategies.builds("{}{}".format, _sign, strategies.integers(0, 10 ** 6)),
+    strategies.builds("{}{}/{}".format, _sign, strategies.integers(0, 999),
+                      strategies.integers(1, 999)),
+    strategies.builds("{}sqrt({}){}".format, _sign, strategies.integers(0, 50),
+                      strategies.sampled_from(["", "/1", "/3", "/8", "/12"])),
+)
+# tolerances in (0, 1/2] and horizons above 1, as decimals or p/q
+_eps_strings = strategies.one_of(
+    strategies.builds(lambda q, p: f"{p}/{q}", strategies.integers(2, 999),
+                      strategies.integers(1, 499)).filter(
+        lambda s: Fraction(s) <= Fraction(1, 2)),
+    strategies.builds("0.{:03d}".format, strategies.integers(1, 500)),
+)
+_x_strings = strategies.one_of(
+    strategies.builds(str, strategies.integers(2, 10 ** 9)),
+    strategies.builds("{}/{}".format, strategies.integers(2, 10 ** 6),
+                      strategies.integers(1, 7)).filter(lambda s: Fraction(s) > 1),
+    strategies.builds("{}.{}".format, strategies.integers(1, 9999),
+                      strategies.integers(1, 99)),
+)
+
+
+@strategies.composite
+def system_dicts(draw):
+    """System files over the whole coefficient grammar."""
+    d = draw(strategies.integers(1, 3))
+    k = draw(strategies.integers(1, 4))
+    return {"d": d,
+            "polys": [[draw(_coeff_strings) for _ in range(d)] for _ in range(k)],
+            "eps": [draw(_eps_strings) for _ in range(k)],
+            "x": draw(_x_strings)}
+
+
 class TestSystemFiles:
     def test_roundtrip_idempotent(self, tmp_path):
         p1 = tmp_path / "a.json"
@@ -370,6 +407,19 @@ class TestSystemFiles:
         p3 = tmp_path / "c.json"
         emit_system(st2, p3)
         assert p2.read_text() == p3.read_text()
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(system_dicts())
+    def test_roundtrip_property(self, tmp_path, data):
+        p1, p2, p3 = (tmp_path / name for name in ("a.json", "b.json", "c.json"))
+        p1.write_text(json.dumps(data))
+        st1 = parse_system_file(p1)
+        emit_system(st1, p2)
+        st2 = parse_system_file(p2)
+        assert st1 == st2 and st1.to_dict() == st2.to_dict()
+        emit_system(st2, p3)
+        assert p2.read_bytes() == p3.read_bytes()
 
     def test_minimal_valid(self, tmp_path):
         p = tmp_path / "m.json"

@@ -181,6 +181,13 @@ class TestReduceBasis:
             reduce_basis(LatticeBasis(vectors=[[Fraction(1), Fraction(2)],
                                                [Fraction(2), Fraction(4)]]))
 
+    def test_svp_starts_from_the_shortest_row(self):
+        # reduced, and no vector is shorter than the second row (5, 7, 5)
+        basis = LatticeBasis(vectors=[[Fraction(10), Fraction(0), Fraction(0)],
+                                      [Fraction(5), Fraction(7), Fraction(5)]])
+        vec, best_sq = shortest_vector(reduce_basis(basis))
+        assert (vec, best_sq) == ([5, 7, 5], 99)
+
     def test_svp_validates_first_minimum(self):
         # ||b_1|| <= 2^((n-1)/2) lambda_1 for LLL at delta ~ 1; enumeration
         # provides the exact lambda_1

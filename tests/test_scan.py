@@ -10,6 +10,7 @@ to a tolerance exactly, and running minima that tie or improve within a chunk.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -24,7 +25,10 @@ from fracparts.core import (
     Epsilons,
     Poly,
     PolySystem,
+    _advance,
+    _binomials,
     _checkpointed_min,
+    _diff_state,
     brute_force_min,
     first_hit,
     frac_dist,
@@ -115,23 +119,24 @@ def _phase_residues(sigma, last):
         yield (acc * n) % D, D
 
 
-@settings(max_examples=90, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(scan_cases())
-def test_reducers_match_per_n_reference(case):
-    system, eps, last, checkpoints, h = case
+def _reference(system, eps, last):
+    """Per n <= last: the distances, the hits, and the running minimum as a
+    map from horizon c to (argmin, min) over n < c, smallest n on ties."""
     dists = [[frac_dist(p.eval(n)) for p in system.polys] for n in range(1, last + 1)]
     worst = [max(row) for row in dists]
     hits = [n for n, row in enumerate(dists, 1)
             if all(dv < e for dv, e in zip(row, eps.eps))]
-
-    running_min = {}  # horizon c -> (argmin, min) over n < c, smallest n on ties
+    running_min = {}
     n_star = 1
     for n in range(1, last + 1):
         if worst[n - 1] < worst[n_star - 1]:
             n_star = n
         running_min[n + 1] = (n_star, worst[n_star - 1])
+    return dists, hits, running_min
 
+
+def _assert_hits_and_minima(system, eps, last, checkpoints):
+    dists, hits, running_min = _reference(system, eps, last)
     assert _checkpointed_min(system, checkpoints) == [
         running_min[c] for c in sorted(set(checkpoints))]
     assert brute_force_min(system, last + 1) == running_min[last + 1]
@@ -141,6 +146,15 @@ def test_reducers_match_per_n_reference(case):
     assert hit_count(system, eps, last + Fraction(1, 2)) == (
         len(hits), hits[0] if hits else None)
     assert first_hit(system, eps, last + 1) == (hits[0] if hits else None)
+    return dists, hits
+
+
+@settings(max_examples=90, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scan_cases())
+def test_reducers_match_per_n_reference(case):
+    system, eps, last, checkpoints, h = case
+    dists, _ = _assert_hits_and_minima(system, eps, last, checkpoints)
 
     smoothed = Fraction(0)
     for row in dists:
@@ -176,3 +190,42 @@ def test_empty_horizons():
             _checkpointed_min(system, checkpoints)
     with pytest.raises(ValueError):
         brute_force_min(system, 1)
+
+
+# sieving polynomials f_1 = n/p: a distance under eps_1 = 1/m needs n mod p
+# within p/m of 0, so chunks 5 to 7 (n = 961..4032) leave no survivor.  f_0
+# is read only near multiples of p, after those chunks: its table must have
+# moved on through them in closed form.  The hit scans sieve with f_1, the
+# tighter tolerance; the running minimum has one threshold for both and
+# sieves with the later polynomial, f_1 again.  p = 4096 gives a power-of-two
+# D, p = 5000 a D of 625 * 2^193.
+@pytest.mark.parametrize("p, m", [(4096, 1024), (5000, 1000)])
+def test_closed_form_tables_cross_chunks_without_survivors(p, m):
+    system = PolySystem((Poly((parse_scalar("sqrt(2)"), parse_scalar("sqrt(5)/2"))),
+                         Poly((Fraction(1, p), Fraction(0)))))
+    eps = Epsilons((Fraction(1, 4), Fraction(1, m)))
+    last = 2 * p + 500
+    assert all(n % p <= 4 or n % p >= p - 4 for n in range(1, last + 1)
+               if frac_dist(Fraction(n, p)) < eps.eps[1])
+    assert _ENDS[4] == 1984 and _ENDS[6] == 4032 < p - 4
+    dists, hits = _assert_hits_and_minima(system, eps, last,
+                                          list(range(500, last + 2, 500)))
+    # every hit, the first too, lies past the survivor-free chunks
+    assert hits and hits[0] > p - 4
+    assert smoothed_count(system, eps, last) == sum(
+        phi(row[0] / eps.eps[0]) * phi(row[1] / eps.eps[1]) for row in dists)
+
+
+@pytest.mark.parametrize("D", [2 ** 64, 3 * 2 ** 192])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_closed_form_advance_matches_single_steps(d, D):
+    rng = random.Random(d * D)
+    binoms = _binomials(d)
+    for L in (1, 63, 64, _CHUNK_MAX):
+        nums = [rng.randrange(-D, D) for _ in range(d)]
+        diffs = _diff_state(nums, D, 1)
+        stepped = list(diffs)
+        for _ in range(L):  # Delta^i N(n + 1) = Delta^i N(n) + Delta^(i+1) N(n)
+            stepped = [(a + b) % D for a, b in zip(stepped, stepped[1:])] + stepped[-1:]
+        _advance(diffs, L, binoms, D)
+        assert diffs == stepped == _diff_state(nums, D, 1 + L)
