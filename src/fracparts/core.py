@@ -128,12 +128,6 @@ def parse_scalar(text: str, bits: int = DEFAULT_PRECISION_BITS) -> Real:
                 source=text)
 
 
-def frac_dist(t) -> Fraction:
-    """Distance from t to the nearest integer, as an exact Fraction in [0, 1/2]."""
-    r = Fraction(t) % 1
-    return min(r, 1 - r)
-
-
 @dataclass(frozen=True)
 class Poly:
     """Polynomial sum_{j=1..d} coeffs[j-1] * X^j; the constant term is structurally 0."""
@@ -149,13 +143,6 @@ class Poly:
     @property
     def d(self) -> int:
         return len(self.coeffs)
-
-    def eval(self, n: int) -> Fraction:
-        # Horner on X * (c_1 + X * (c_2 + ...))
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * n + c.value
-        return acc * n
 
     @staticmethod
     def from_strings(strings: Sequence[str], bits: int = DEFAULT_PRECISION_BITS) -> "Poly":
@@ -319,17 +306,24 @@ def _common_denominator(system: PolySystem) -> int:
     return D
 
 
+def _numerators(system: PolySystem, D: int):
+    """Each polynomial's coefficients times D, as ints."""
+    return [[c.value.numerator * (D // c.value.denominator) for c in p.coeffs]
+            for p in system.polys]
+
+
+def _residue(nums: Sequence[int], n: int, D: int) -> int:
+    """N(n) = sum nums[j-1] n^j mod D, by Horner."""
+    acc = 0
+    for c in reversed(nums):
+        acc = acc * n + c
+    return acc * n % D
+
+
 def _diff_state(nums: Sequence[int], D: int, start: int):
     """Forward differences of N(n) = sum nums[j-1] n^j at n = start, mod D."""
-
-    def N(n: int) -> int:
-        acc = 0
-        for c in reversed(nums):
-            acc = acc * n + c
-        return (acc * n) % D
-
     d = len(nums)
-    row = [N(start + i) for i in range(d + 1)]
+    row = [_residue(nums, start + i, D) for i in range(d + 1)]
     diffs = []
     for _ in range(d + 1):
         diffs.append(row[0])
@@ -340,8 +334,7 @@ def _diff_state(nums: Sequence[int], D: int, start: int):
 def _tables(system: PolySystem):
     """Common denominator D and each polynomial's difference table at n = 1."""
     D = _common_denominator(system)
-    return D, [_diff_state([int(c.value * D) for c in p.coeffs], D, 1)
-               for p in system.polys]
+    return D, [_diff_state(nums, D, 1) for nums in _numerators(system, D)]
 
 
 def _chunks(last: int):
@@ -404,8 +397,8 @@ def _reduce(values, D: int):
 
 
 def _hits(col, tables, order, D: int, thresholds, binoms):
-    """Offsets of a chunk's points with D * frac_dist(f_i(n)) <= thresholds[i]
-    for all i, and an iterator over their rows of distances D * frac_dist.
+    """Offsets of a chunk's points with D * ||f_i(n)|| <= thresholds[i]
+    for all i, and an iterator over their rows of distances D * ||f_i(n)||.
 
     Every value v holds its threshold t, folded into the table, so it
     passes when v mod D <= 2t, and its distance is then |v mod D - t|
@@ -464,15 +457,21 @@ def horizon_count(x) -> int:
     return max(math.ceil(x) - 1, 0)
 
 
-def eval_system(system: PolySystem, n: int):
-    """Fractional-part distances (frac_dist(f_1(n)), ..., frac_dist(f_k(n)))."""
+def eval_system(system: PolySystem, n: int) -> List[Fraction]:
+    """Each ||f_i(n)||, the distance from f_i(n) to the nearest integer, as an
+    exact Fraction in [0, 1/2]: min(r, D - r) / D for r = N_i(n) mod D."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    return [frac_dist(p.eval(n)) for p in system.polys]
+    D = _common_denominator(system)
+    dists = []
+    for nums in _numerators(system, D):
+        r = _residue(nums, n, D)
+        dists.append(Fraction(min(r, D - r), D))
+    return dists
 
 
 def brute_force_min(system: PolySystem, x, enum_cap: int = DEFAULT_ENUM_CAP):
-    """Smallest n < x minimizing max_i frac_dist(f_i(n)), with that minimum.
+    """Smallest n < x minimizing max_i ||f_i(n)||, with that minimum.
 
     Ties break toward the smallest n.  Exact for rational coefficients.
     """
@@ -481,7 +480,7 @@ def brute_force_min(system: PolySystem, x, enum_cap: int = DEFAULT_ENUM_CAP):
 
 def _checkpointed_min(system: PolySystem, checkpoints: Sequence[int],
                       enum_cap: int = DEFAULT_ENUM_CAP):
-    """Running (argmin, min) of max_i frac_dist(f_i(n)) at each horizon.
+    """Running (argmin, min) of max_i ||f_i(n)|| at each horizon.
 
     Checkpoint c reports the scan over n in {1, ..., c-1}; one pass serves a
     whole ascending grid of horizons.  Returns a list of (n_star, Fraction).
@@ -527,7 +526,7 @@ def _hit_chunks(system: PolySystem, eps: Epsilons, last: int, enum_cap: int):
 
 def hit_count(system: PolySystem, eps: Epsilons, x,
               enum_cap: int = DEFAULT_ENUM_CAP) -> Tuple[int, Optional[int]]:
-    """#{n <= x : frac_dist(f_i(n)) < eps_i for all i} (strict inequalities),
+    """#{n <= x : ||f_i(n)|| < eps_i for all i} (strict inequalities),
     and the smallest such n < x (what `first_hit` returns), from one pass."""
     count, first = 0, None
     for n0, hits in _hit_chunks(system, eps, math.floor(x), enum_cap):
@@ -539,6 +538,6 @@ def hit_count(system: PolySystem, eps: Epsilons, x,
 
 def first_hit(system: PolySystem, eps: Epsilons, x,
               enum_cap: int = DEFAULT_ENUM_CAP) -> Optional[int]:
-    """Smallest n < x with frac_dist(f_i(n)) < eps_i for all i, or None."""
+    """Smallest n < x with ||f_i(n)|| < eps_i for all i, or None."""
     chunks = _hit_chunks(system, eps, horizon_count(x), enum_cap)
     return next((n0 + hits[0] for n0, hits in chunks if hits), None)

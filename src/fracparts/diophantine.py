@@ -167,7 +167,7 @@ def _abs_sum_exact_phase(sigma: Sequence[Fraction], last: int) -> float:
 def smoothed_count(system: PolySystem, eps: Epsilons, x,
                    enum_cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     """sum_{n <= x} prod_i Phi_i(f_i(n)), exactly, with Phi_i(t) =
-    phi(frac_dist(t) / eps_i).
+    phi(||t|| / eps_i), ||t|| the distance from t to the nearest integer.
 
     Sandwiched between the strict hit counts at eps/2 and eps because the
     kernel's plateau covers |u| <= 1/2 and its support is |u| < 1.
@@ -175,7 +175,7 @@ def smoothed_count(system: PolySystem, eps: Epsilons, x,
     last = math.floor(x)
     _check_cap(last, system.k, enum_cap)
     D, tables = _tables(system)
-    # in D * frac_dist units: the support is the strict hit region, and the
+    # in units of 1/D: the support is the strict hit region, and the
     # plateau is 2*m*den <= num*D
     support = _strict_thresholds(eps, D)
     plateau = [e.numerator * D // (2 * e.denominator) for e in eps.eps]
@@ -230,7 +230,7 @@ def large_coefficients(system: PolySystem, eps: Epsilons, x, c_hit: float = 0.05
     sqrt(Q) vectors wins.  If no class qualifies, the most populated one is
     returned with a diagnostic flag.
     """
-    gate, _first = density_gate(system, eps, x, c_hit=c_hit, max_box=max_box)
+    gate, _counted = density_gate(system, eps, x, c_hit=c_hit, max_box=max_box)
     if gate.branch == HIT_DENSITY:
         return gate
     N, caps = gate.x_floor, gate.h_caps

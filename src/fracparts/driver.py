@@ -7,13 +7,16 @@ the relation lattice over q0 = 1, searched in the level's own region
 (`reduction.region`, which `reduce_dimension` checks them against), and
 recurses on the smaller child.  The lattice is built from the coefficients
 themselves, so the Fourier box scan, relation reconstruction and
-denominator clustering serve only the CLI chain.
+denominator clustering serve only the CLI chain.  When c_hit * Delta > 1
+(the acceptance suite's c_hit = 1e9) the gate's branch is decided without
+a count, and the level scans only if the reduction path gives no hit.
 
 Fallback ladder (the analytic argument's dichotomies need not fire at desk
-scale): the gate, then the reduction branch, then the gate's smallest hit.
-A level whose gate does not run scans with `first_hit` within the
-enumeration cap, else is inconclusive.  Every fallback is recorded in the
-run stats.
+scale): the gate, then the reduction branch, then the level's smallest
+hit: the gate's, where it counted, else one `first_hit` scan.  A level
+whose gate does not run scans with `first_hit` within the enumeration cap,
+else is inconclusive.  Every fallback is recorded in the run stats, and a
+level scans its horizon at most once.
 
 A level returns plain values: status, n, n's distances if a lift checked
 them, the chain of reduction steps below it and, unless found, the reason.
@@ -177,8 +180,8 @@ def _solve_level(state: SystemState, config: SolverConfig, stats: SolveStats,
         return _scan_level(state, config, stats, "below brute-force threshold")
 
     try:
-        gate, hit = density_gate(state.system, state.eps, state.y,
-                                 c_hit=config.c_hit, enum_cap=config.enum_cap)
+        gate, counted = density_gate(state.system, state.eps, state.y,
+                                     c_hit=config.c_hit, enum_cap=config.enum_cap)
     except (BoxTooLargeError, ValueError, HorizonCapError) as exc:
         stats.fallbacks.append(f"fourier:{exc}")
         return _scan_level(state, config, stats, "fourier unavailable")
@@ -186,7 +189,7 @@ def _solve_level(state: SystemState, config: SolverConfig, stats: SolveStats,
 
     if gate.branch == HIT_DENSITY:
         # the gate's count scanned the whole horizon; return its smallest hit
-        return _scanned(state, stats, hit, "hit-density scan")
+        return _scanned(state, stats, counted[1], "hit-density scan")
 
     if state.k == 1:
         # a reduction leaves at least one polynomial behind, so none exists
@@ -196,6 +199,10 @@ def _solve_level(state: SystemState, config: SolverConfig, stats: SolveStats,
         if found is not None:
             return found
         stats.fallbacks.append("reduction-path-exhausted")
+    if counted is None:  # the gate made no count; its cap check covers this scan
+        hit = first_hit(state.system, state.eps, state.y, enum_cap=config.enum_cap)
+    else:
+        hit = counted[1]
     return _scanned(state, stats, hit, "reduction path exhausted")
 
 

@@ -4,7 +4,9 @@ solver runs.
 `density_gate` checks the dichotomy's preconditions, sizes its frequency box
 and counts the strict hits in one pass.  Dense hits take the hit-density
 branch; otherwise the large-coefficients branch is left for the box scan,
-`diophantine.large_coefficients`, which finds its witnesses.
+`diophantine.large_coefficients`, which finds its witnesses.  When
+c_hit * Delta > 1 no count of n <= x can reach the threshold, so the gate
+takes the large-coefficients branch without counting.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .core import DEFAULT_ENUM_CAP, Epsilons, PolySystem, hit_count
+from .core import DEFAULT_ENUM_CAP, Epsilons, PolySystem, _check_cap, hit_count
 
 DEFAULT_MAX_BOX = 20000
 
@@ -125,15 +127,18 @@ def frequency_caps(eps: Epsilons) -> Tuple[int, ...]:
 
 
 def density_gate(system: PolySystem, eps: Epsilons, x, c_hit: float = 0.05,
-                 max_box: int = DEFAULT_MAX_BOX,
-                 enum_cap: int = DEFAULT_ENUM_CAP) -> Tuple[FourierDichotomy, Optional[int]]:
+                 max_box: int = DEFAULT_MAX_BOX, enum_cap: int = DEFAULT_ENUM_CAP
+                 ) -> Tuple[FourierDichotomy, Optional[Tuple[int, Optional[int]]]]:
     """The dichotomy's preconditions and its hit-density test.
 
-    Raises ValueError unless Delta <= 1/4 and floor(x) >= 2, and
-    BoxTooLargeError when the frequency box exceeds ``max_box``.  The branch
-    is HIT_DENSITY when the strict hit count reaches c_hit * Delta * floor(x),
-    else LARGE_COEFFICIENTS with Q and witnesses left for the box scan.
-    The count's pass also returns the smallest hit n < x, or None.
+    Raises ValueError unless Delta <= 1/4 and floor(x) >= 2,
+    BoxTooLargeError when the frequency box exceeds ``max_box``, and
+    HorizonCapError when a scan of floor(x) points would exceed
+    ``enum_cap``.  The branch is HIT_DENSITY when the strict hit count
+    reaches c_hit * Delta * floor(x), else LARGE_COEFFICIENTS with Q and
+    witnesses left for the box scan.  Returns the dichotomy and
+    `hit_count`'s (count, smallest hit n < x), or None in its place when
+    c_hit * Delta > 1: no count could reach the threshold, so none is made.
     """
     delta = eps.delta_product
     if delta > Fraction(1, 4):
@@ -147,9 +152,13 @@ def density_gate(system: PolySystem, eps: Epsilons, x, c_hit: float = 0.05,
     if box > max_box:
         raise BoxTooLargeError(f"frequency box {box} exceeds cap {max_box}")
 
-    hits, first = hit_count(system, eps, x, enum_cap=enum_cap)
     threshold = Fraction(c_hit) * delta * N
-    if hits < threshold:
-        return FourierDichotomy(branch=LARGE_COEFFICIENTS, x_floor=N, h_caps=caps), first
-    return FourierDichotomy(branch=HIT_DENSITY, x_floor=N, h_caps=caps, density_count=hits,
-                            density_threshold=float(threshold)), first
+    if threshold > N:
+        # the count could not reach it; the cap is checked as the count would
+        _check_cap(N, system.k, enum_cap)
+        return FourierDichotomy(branch=LARGE_COEFFICIENTS, x_floor=N, h_caps=caps), None
+    counted = hit_count(system, eps, x, enum_cap=enum_cap)
+    if counted[0] < threshold:
+        return FourierDichotomy(branch=LARGE_COEFFICIENTS, x_floor=N, h_caps=caps), counted
+    return FourierDichotomy(branch=HIT_DENSITY, x_floor=N, h_caps=caps, density_count=counted[0],
+                            density_threshold=float(threshold)), counted

@@ -1,4 +1,5 @@
-"""Rational linear algebra and the Fraction-based generator search.
+"""Rational linear algebra, the Fraction-based generator search, and
+polynomial values as Fractions.
 
 `latgeom.quasi_orthogonal_generators` and `reduction.reduce_dimension` score
 generator subsets on integer rows h_i (M / B_i) with fraction-free
@@ -6,6 +7,10 @@ determinants, and test region membership in integers.  This is the rational
 code they replaced: the same search on the rows h~ = h_i / B_i, kept as the
 reference that must decide alike, GeneratorSet or NoShortVector, and the
 same leading columns.
+
+`core.eval_system` computes each distance ||f_i(n)|| from an integer
+residue mod the system's common denominator; `poly_eval` and `frac_dist`
+are the Fraction arithmetic it replaced, the reference it must equal.
 """
 
 from fractions import Fraction
@@ -18,6 +23,20 @@ from fracparts.latgeom import (
     build_relation_lattice,
     reduce_basis,
 )
+
+
+def poly_eval(p, n) -> Fraction:
+    """p(n) as an exact Fraction: Horner on X * (c_1 + X * (c_2 + ...))."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * n + c.value
+    return acc * n
+
+
+def frac_dist(t) -> Fraction:
+    """Distance from t to the nearest integer, as an exact Fraction in [0, 1/2]."""
+    r = Fraction(t) % 1
+    return min(r, 1 - r)
 
 
 def mat_mul(A, B):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracparts.core import (
     Epsilons,
@@ -15,10 +17,10 @@ from fracparts.core import (
     coefficient_sums,
     eval_system,
     first_hit,
-    frac_dist,
     hit_count,
     parse_scalar,
 )
+from fraction_oracle import frac_dist, poly_eval
 
 
 def sys1(*coeff_lists):
@@ -81,6 +83,21 @@ class TestEvalSystem:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             eval_system(sys1(["1/3"]), 0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), k=st.integers(1, 3), d=st.integers(1, 4),
+           n=st.one_of(st.integers(1, 200), st.integers(1, 10 ** 30)))
+    def test_matches_fraction_reference(self, data, k, d, n):
+        # the integer residues mod the common denominator give the same
+        # Fractions as Horner on Fractions, for every coefficient form
+        sign = st.sampled_from(["", "-", "+"])
+        form = st.one_of(
+            st.builds("{}.{}".format, st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)),
+            st.builds("{}/{}".format, st.integers(0, 10 ** 9), st.integers(1, 10 ** 6)),
+            st.builds("sqrt({})/{}".format, st.integers(0, 1000), st.integers(1, 50)))
+        coeff = st.builds(str.__add__, sign, form)
+        system = sys1(*[data.draw(st.lists(coeff, min_size=d, max_size=d)) for _ in range(k)])
+        assert eval_system(system, n) == [frac_dist(poly_eval(p, n)) for p in system.polys]
 
 
 class TestCoefficientSums:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -155,24 +156,77 @@ class TestSolve:
         assert all(ok for _n, ok, _d in verify_certificate(out.certificate))
 
     def test_gate_pass_answers_the_level(self, monkeypatch):
-        # above the brute-force threshold the gate's own pass finds the
-        # smallest hit, both on the hit-density branch and after a failed
-        # reduction, so the level never scans again
+        # a level scans its horizon at most once.  Where the gate counts
+        # (the default c_hit), the count's pass finds the smallest hit; where
+        # its threshold is out of reach (FORCED's c_hit = 1e9), it counts
+        # nothing, and the level scans with first_hit once its reduction fails
         dense = state_of(sys1(["0", "sqrt(2)"]), [Fraction(1, 20)], 10 ** 4)
+        sparse = state_of(sys1(["1/2000"]), [Fraction(1, 5000)], 1000)
         failed = state_of(sys1(["sqrt(2)"], ["sqrt(3)"]), [Fraction(1, 20)] * 2, 1000)
         expected = [first_hit(st.system, st.eps, st.y) for st in (dense, failed)]
+        scans = []
 
-        def rescan(*_args, **_kwargs):
-            raise AssertionError("the level was scanned twice")
+        def logged(name, scan):
+            def wrapper(*args, **kwargs):
+                scans.append(name)
+                return scan(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr("fracparts.driver.first_hit", rescan)
+        monkeypatch.setattr("fracparts.expsum.hit_count", logged("hit_count", hit_count))
+        monkeypatch.setattr("fracparts.driver.first_hit", logged("first_hit", first_hit))
         out = solve(dense)
         assert out.stats.fourier_branches == ["hit-density"]
         assert (out.status, out.n) == (STATUS_FOUND, expected[0])
+        assert scans == ["hit_count"]
+        scans.clear()
+        # no hit below x: the gate counts none and takes the large-coefficients
+        # branch, and its count stands for the level's scan
+        out = solve(sparse)
+        assert out.stats.fallbacks == ["reduction:k=1"]
+        assert (out.status, out.n) == (STATUS_NOT_FOUND, None)
+        assert scans == ["hit_count"]
+        scans.clear()
         out = solve(failed, FORCED)
         assert "reduction-path-exhausted" in out.stats.fallbacks
         assert (out.status, out.n) == (STATUS_FOUND, expected[1])
         assert out.certificate.chain == []
+        assert scans == ["first_hit"]
+
+    def test_unreachable_threshold_skips_the_count(self, monkeypatch):
+        # under FORCED no count can reach c_hit * Delta * floor(x), so no gate
+        # counts, and a level whose chain lifts scans nothing itself
+        st = dup_sqrt2_state(10 ** 5)
+        scanned = []
+
+        def uncounted(*_args, **_kwargs):
+            raise AssertionError("the gate counted the hits")
+
+        def logged(system, *args, **kwargs):
+            scanned.append(system)
+            return first_hit(system, *args, **kwargs)
+
+        monkeypatch.setattr("fracparts.expsum.hit_count", uncounted)
+        monkeypatch.setattr("fracparts.driver.first_hit", logged)
+        out = solve(st, FORCED)
+        assert out.status == STATUS_FOUND and out.certificate.chain
+        assert out.stats.fourier_branches[0] == "large-coefficients"
+        assert st.system not in scanned
+        assert all(ok for _n, ok, _d in verify_certificate(out.certificate))
+
+    @pytest.mark.parametrize("excess", [0, 1])
+    def test_skipped_count_keeps_the_cap_check(self, excess):
+        # the gate checks the cap on the floor(x) points its count would
+        # scan, not on the ceil(x) - 1 a level's scan takes: with a cap in
+        # [(x - 1) k, x k) the gate gives way to the level's scan, which fits
+        x, k = 1000, 2
+        cap = x * k - 1 - excess
+        st = dup_sqrt2_state(x)
+        out = solve(st, dataclasses.replace(FORCED, enum_cap=cap))
+        assert out.stats.fallbacks == [f"fourier:scan of {x} points x {k} polys exceeds cap {cap}"]
+        assert out.stats.fourier_branches == []
+        assert (out.status, out.n) == (STATUS_FOUND, first_hit(st.system, st.eps, st.y))
+        assert out.certificate.chain == []
+        assert out.stats.evaluations == out.n
 
     def test_gate_counts_the_horizon_but_returns_hits_below_it(self):
         # f = X/100 hits only at n = 100 = x: the gate counts it, so the level

@@ -1,7 +1,7 @@
 """Differential tests of the scan reducers against a per-n reference.
 
 Every scan in `core` and `diophantine` reduces the chunked residue stream.  The
-reference here evaluates each n on its own: `Poly.eval` (Horner on exact
+reference here evaluates each n on its own: `poly_eval` (Horner on exact
 Fractions) and `frac_dist` for the distances, and integer Horner mod D for
 the phase sums, with no forward differences.  Horizons sit on and around
 the stream's chunk boundaries, and one spans several full chunks.  Besides
@@ -31,7 +31,6 @@ from fracparts.core import (
     _diff_state,
     brute_force_min,
     first_hit,
-    frac_dist,
     hit_count,
     parse_scalar,
 )
@@ -42,6 +41,7 @@ from fracparts.diophantine import (
     smoothed_count,
     weyl_sum,
 )
+from fraction_oracle import frac_dist, poly_eval
 
 
 def _chunk_ends(count):
@@ -122,7 +122,7 @@ def _phase_residues(sigma, last):
 def _reference(system, eps, last):
     """Per n <= last: the distances, the hits, and the running minimum as a
     map from horizon c to (argmin, min) over n < c, smallest n on ties."""
-    dists = [[frac_dist(p.eval(n)) for p in system.polys] for n in range(1, last + 1)]
+    dists = [[frac_dist(poly_eval(p, n)) for p in system.polys] for n in range(1, last + 1)]
     worst = [max(row) for row in dists]
     hits = [n for n, row in enumerate(dists, 1)
             if all(dv < e for dv, e in zip(row, eps.eps))]
