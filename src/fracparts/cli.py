@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .core import HorizonCapError, brute_force_min
+from .core import DEFAULT_ENUM_CAP, HorizonCapError, brute_force_min
 from .denomstruct import (
     DEFAULT_FILTER_DELTA,
     cluster_by_denominator,
@@ -24,12 +24,13 @@ from .denomstruct import (
 from .diophantine import RelationTriple, build_relations, default_q_rel, large_coefficients
 from .driver import (
     CSV_COLUMNS,
+    C_ORTH,
     STATUS_FOUND,
     SolverConfig,
     measure_exponent,
     solve,
 )
-from .expsum import BoxTooLargeError, FourierDichotomy
+from .expsum import DEFAULT_MAX_BOX, BoxTooLargeError, FourierDichotomy
 from .latgeom import (
     LatticeBasis,
     NoShortVector,
@@ -103,7 +104,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_exponent(args) -> int:
-    grid = [int(float(tok)) for tok in args.x.split(",")]
+    grid = [Fraction(tok) for tok in args.x.split(",")]  # exact: 1e30 stays 10^30
+    if any(x.denominator != 1 for x in grid):
+        raise ValueError(f"--x: every horizon must be an integer, got {args.x!r}")
+    grid = [int(x) for x in grid]
     config = SolverConfig(seed=args.seed, enum_cap=args.enum_cap)
     rows, summary = measure_exponent(args.generator, args.k, args.d, grid,
                                      args.trials, config)
@@ -263,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive ground-truth minimum")
     p.add_argument("system")
-    p.add_argument("--enum-cap", type=int, default=10 ** 8)
+    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("exponent", help="seeded exponent-measurement experiment")
@@ -275,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generator", default="monomial",
                    choices=["monomial", "full", "zero"])
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--enum-cap", type=int, default=10 ** 8)
+    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
     p.set_defaults(func=cmd_exponent)
 
     p = sub.add_parser("verify-cert", help="replay a certificate's invariants")
@@ -285,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fourier-scan", help="equidistribution dichotomy")
     p.add_argument("system")
     p.add_argument("--x", help="override the file's horizon")
-    p.add_argument("--c-hit", type=float, default=0.05)
-    p.add_argument("--max-box", type=int, default=20000)
+    p.add_argument("--c-hit", type=float, default=SolverConfig.c_hit)
+    p.add_argument("--max-box", type=int, default=DEFAULT_MAX_BOX)
     p.set_defaults(func=cmd_fourier_scan)
 
     p = sub.add_parser("relations", help="rational relations from a fourier scan")
@@ -309,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", help="comma list of box bounds B_i")
     p.add_argument("--eta", help="region thickness eta")
     p.add_argument("--n-target", type=int, default=2)
-    p.add_argument("--c-orth", type=float, default=0.05)
+    p.add_argument("--c-orth", type=float, default=C_ORTH)
     p.set_defaults(func=cmd_lattice)
     return ap
 

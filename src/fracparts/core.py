@@ -13,7 +13,6 @@ rational inputs" literally true.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -262,34 +261,31 @@ class SystemState:
 # Every scan runs over n = 1, 2, ... with exact fractional parts: all
 # polynomials are lifted to one common denominator D, so f_i(n) mod 1 is
 # N_i(n)/D for the integer residue N_i(n) mod D, and every comparison is an
-# integer comparison.  Each polynomial carries its forward-difference table,
-# reduced mod D, and the scan moves over n a chunk of points at a time;
+# integer comparison.  A scan moves over n a chunk of points at a time;
 # chunks start small and double, so a scan that stops at an early hit stays
 # cheap.  `_column` is the one place that builds a polynomial's values over
-# a chunk: each column is the prefix sums (`itertools.accumulate`) of the
-# column above it, in exact ints, and the table is reduced mod D at the
-# chunk's end.
+# a chunk, from its forward-difference table reduced mod D (Knuth, TAOCP
+# vol. 2, 4.6.4): each column is the prefix sums (`itertools.accumulate`)
+# of the column above it, in exact ints, and the table is reduced mod D at
+# the chunk's end.  `_values` is the one place that evaluates a polynomial
+# at given points, by Horner's rule.
 #
 # The phase sums in `diophantine` need every value, so `_residues` builds
-# every polynomial's whole column.  The other scans (hit counts, the first
-# hit, the running minimum with checkpoints, the smoothed count) need only
-# the points where every distance is under a threshold, and `_sieved` builds
-# one column per chunk: that of the polynomial with the tightest threshold.
-# Its threshold t is folded into the table's 0th difference, so the column
-# holds N + t, and min(r, D - r) <= t becomes (N + t) mod D <= 2t.  Each
-# other polynomial is evaluated only at the points left, from its table at
-# the chunk's start: N(n0 + j) = sum_m C(j, m) Delta^m N(n0) (Newton's
-# forward-difference formula; Knuth, TAOCP vol. 2, 4.6.4), with the
-# binomials read from a table built once per degree.  Its table then moves
-# to the next chunk in closed form, Delta^i N(n0 + L) = sum_m C(L, m)
-# Delta^(i+m) N(n0) mod D, whether or not any point was left.  The sieves
-# are C-level pipelines (`map` over `operator` functions,
-# `itertools.compress`), and a power-of-two D reduces with a mask.  The
-# running minimum keeps only a chunk's points with every distance below the
-# best at the chunk's start (no other point can replace it) and takes those
-# few in order of n, so the minimum and its smallest-n tie-break stay exact.
-# Ranges could be partitioned and merged (min with smallest-n tiebreak /
-# sum); the sequential order here is the reference semantics.
+# the phase polynomial's whole column.  The other scans (hit counts, the
+# first hit, the running minimum with checkpoints, the smoothed count) need
+# only the points where every distance is under a threshold, and `_sieved`
+# keeps one difference table per scan: that of the polynomial with the
+# tightest threshold.  Its threshold t is folded into the table's 0th
+# difference, so the column holds N + t, and min(r, D - r) <= t becomes
+# (N + t) mod D <= 2t.  Each other polynomial is evaluated by Horner only at
+# the points left, from its numerators over D.  The sieves are C-level
+# pipelines (`map` over `operator` functions, `itertools.compress`), and a
+# power-of-two D reduces with a mask.  The running minimum keeps only a
+# chunk's points with every distance below the best at the chunk's start
+# (no other point can replace it) and takes those few in order of n, so the
+# minimum and its smallest-n tie-break stay exact.  Ranges could be
+# partitioned and merged (min with smallest-n tiebreak / sum); the
+# sequential order here is the reference semantics.
 # ---------------------------------------------------------------------------
 
 _CHUNK_FIRST = 64    # points in a scan's first chunk
@@ -298,43 +294,31 @@ _CHUNK_FIRST = 64    # points in a scan's first chunk
 _CHUNK_MAX = 1024
 
 
-def _common_denominator(system: PolySystem) -> int:
-    D = 1
-    for p in system.polys:
-        for c in p.coeffs:
-            D = D * c.value.denominator // math.gcd(D, c.value.denominator)
-    return D
+def _numerators(system: PolySystem):
+    """The common denominator D of the coefficients, and each polynomial's
+    coefficients times D, as ints."""
+    D = math.lcm(*(c.value.denominator for p in system.polys for c in p.coeffs))
+    return D, [[c.value.numerator * (D // c.value.denominator) for c in p.coeffs]
+               for p in system.polys]
 
 
-def _numerators(system: PolySystem, D: int):
-    """Each polynomial's coefficients times D, as ints."""
-    return [[c.value.numerator * (D // c.value.denominator) for c in p.coeffs]
-            for p in system.polys]
+def _values(nums: Sequence[int], ns: Sequence[int], shift: int = 0):
+    """N(n) + shift for each n in ``ns``, with N(n) = sum nums[j-1] n^j,
+    unreduced: Horner's rule as one C-level pipeline."""
+    acc = repeat(nums[-1])
+    for c in nums[-2::-1]:
+        acc = map(add, map(mul, acc, ns), repeat(c))
+    return map(add, map(mul, acc, ns), repeat(shift))
 
 
-def _residue(nums: Sequence[int], n: int, D: int) -> int:
-    """N(n) = sum nums[j-1] n^j mod D, by Horner."""
-    acc = 0
-    for c in reversed(nums):
-        acc = acc * n + c
-    return acc * n % D
-
-
-def _diff_state(nums: Sequence[int], D: int, start: int):
-    """Forward differences of N(n) = sum nums[j-1] n^j at n = start, mod D."""
-    d = len(nums)
-    row = [_residue(nums, start + i, D) for i in range(d + 1)]
+def _diff_state(nums: Sequence[int], D: int):
+    """Forward differences of N(n) = sum nums[j-1] n^j at n = 1, mod D."""
+    row = list(_values(nums, range(1, len(nums) + 2)))
     diffs = []
-    for _ in range(d + 1):
-        diffs.append(row[0])
-        row = [(row[i + 1] - row[i]) % D for i in range(len(row) - 1)]
-    return diffs  # diffs[i] = Delta^i N at n=start, all reduced mod D
-
-
-def _tables(system: PolySystem):
-    """Common denominator D and each polynomial's difference table at n = 1."""
-    D = _common_denominator(system)
-    return D, [_diff_state(nums, D, 1) for nums in _numerators(system, D)]
+    while row:
+        diffs.append(row[0] % D)
+        row = list(map(sub, row[1:], row))
+    return diffs  # diffs[i] = Delta^i N at n=1, all reduced mod D
 
 
 def _chunks(last: int):
@@ -360,33 +344,11 @@ def _column(diffs, L: int, D: int):
 
 
 def _residues(system: PolySystem, last: int):
-    """D and the stream of (n0, cols) with cols[i][j] = N_i(n0 + j) (mod D),
-    every polynomial's whole column, covering n = 1..last."""
-    D, tables = _tables(system)
-    return D, ((n0, [_column(diffs, L, D) for diffs in tables])
-               for n0, L in _chunks(last))
-
-
-@functools.lru_cache(maxsize=8)  # one entry per degree bound in use
-def _binomials(d: int):
-    """Rows C(j, m) for j = 0.._CHUNK_MAX, one row for each m = 2..d
-    (C(j, 0) = 1 and C(j, 1) = j need none)."""
-    return tuple(tuple(math.comb(j, m) for j in range(_CHUNK_MAX + 1))
-                 for m in range(2, d + 1))
-
-
-def _at(diffs, offsets, binoms):
-    """N(n0 + j) = sum_m C(j, m) Delta^m N(n0) for j in ``offsets``, unreduced."""
-    values = map(add, repeat(diffs[0]), map(mul, offsets, repeat(diffs[1])))
-    for c, row in zip(diffs[2:], binoms):
-        values = map(add, values, map(mul, map(row.__getitem__, offsets), repeat(c)))
-    return values
-
-
-def _advance(diffs, L: int, binoms, D: int):
-    """Move the table ``diffs`` on by L points, mod D, in closed form."""
-    c = [1, L] + [row[L] for row in binoms]  # C(L, m)
-    diffs[:] = [sum(map(mul, c, diffs[i:])) % D for i in range(len(diffs))]
+    """D and the stream of columns, one per chunk, of a one-polynomial
+    system's N(n) (not reduced mod D), covering n = 1..last."""
+    D, (nums,) = _numerators(system)
+    diffs = _diff_state(nums, D)
+    return D, (_column(diffs, L, D) for _n0, L in _chunks(last))
 
 
 def _reduce(values, D: int):
@@ -396,54 +358,51 @@ def _reduce(values, D: int):
     return map(and_, values, repeat(D - 1))
 
 
-def _hits(col, tables, order, D: int, thresholds, binoms):
-    """Offsets of a chunk's points with D * ||f_i(n)|| <= thresholds[i]
-    for all i, and an iterator over their rows of distances D * ||f_i(n)||.
+def _hits(col, n0: int, nums, order, D: int, thresholds):
+    """The n of the chunk at n0 with D * ||f_i(n)|| <= thresholds[i] for all
+    i, and an iterator over their rows of distances D * ||f_i(n)||.
 
-    Every value v holds its threshold t, folded into the table, so it
-    passes when v mod D <= 2t, and its distance is then |v mod D - t|
-    (0 <= t <= D/2).  ``col`` is the column of polynomial ``order[0]``; each
-    further one is evaluated from its table only at the points still left.
+    Every value v holds its threshold t, so it passes when v mod D <= 2t,
+    and its distance is then |v mod D - t| (0 <= t <= D/2).  ``col`` is the
+    column of polynomial ``order[0]``, t folded into its table; each further
+    one is evaluated by Horner, t as its constant term, only at the n still
+    left.
     """
     s = order[0]
     t = thresholds[s]
-    hits = list(compress(range(len(col)),
+    hits = list(compress(range(n0, n0 + len(col)),
                          map(gt, repeat(2 * t + 1), _reduce(col, D))))
     for i in order[1:]:
         if not hits:
             return hits, iter(())
         t = thresholds[i]
         hits = list(compress(hits, map(gt, repeat(2 * t + 1),
-                                       _reduce(_at(tables[i], hits, binoms), D))))
-    values = [map(col.__getitem__, hits) if i == s else _at(diffs, hits, binoms)
-              for i, diffs in enumerate(tables)]
+                                       _reduce(_values(nums[i], hits, t), D))))
+    values = [map(col.__getitem__, map(sub, hits, repeat(n0))) if i == s
+              else _values(nums[i], hits, t) for i, t in enumerate(thresholds)]
     return hits, zip(*(map(abs, map(sub, _reduce(v, D), repeat(t)))
                        for v, t in zip(values, thresholds)))
 
 
-def _sieved(D: int, tables, last: int, thresholds):
-    """Yield (n0, offsets, rows) for the chunks of n = 1..last, as `_hits`
-    gives them for the chunk at n0.
+def _sieved(D: int, nums, last: int, thresholds):
+    """Yield (hits, rows) for the chunks of n = 1..last, as `_hits` gives
+    them.
 
-    ``tables`` are the polynomials' difference tables at n = 1 (see
-    `_tables`), and the scan moves them on.  ``thresholds`` is read at each
-    chunk's start, so a reducer may lower its entries between chunks; every
-    entry must lie in [0, D/2].
+    ``nums`` are the polynomials' numerators over D (see `_numerators`).
+    The tightest threshold sieves, and of equal ones the later polynomial;
+    it is chosen once, at the scan's start.  ``thresholds`` is read at each
+    chunk's start, so a reducer may lower its entries between chunks (the
+    running minimum lowers them all together); every entry must lie in
+    [0, D/2].
     """
-    k = len(tables)
-    binoms = _binomials(len(tables[0]) - 1)
-    folded = [0] * k
+    order = sorted(range(len(nums) - 1, -1, -1), key=thresholds.__getitem__)
+    diffs = _diff_state(nums[order[0]], D)
+    folded = 0
     for n0, L in _chunks(last):
-        for i, t in enumerate(thresholds):
-            if t != folded[i]:
-                tables[i][0] = (tables[i][0] + t - folded[i]) % D
-                folded[i] = t
-        # the tightest threshold sieves; of equal ones, the later polynomial
-        order = sorted(range(k - 1, -1, -1), key=thresholds.__getitem__)
-        col = _column(tables[order[0]], L, D)
-        yield (n0,) + _hits(col, tables, order, D, thresholds, binoms)
-        for i in order[1:]:
-            _advance(tables[i], L, binoms, D)
+        t = thresholds[order[0]]
+        diffs[0] = (diffs[0] + t - folded) % D
+        folded = t
+        yield _hits(_column(diffs, L, D), n0, nums, order, D, thresholds)
 
 
 def _check_cap(last: int, k: int, enum_cap: int):
@@ -462,10 +421,10 @@ def eval_system(system: PolySystem, n: int) -> List[Fraction]:
     exact Fraction in [0, 1/2]: min(r, D - r) / D for r = N_i(n) mod D."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    D = _common_denominator(system)
+    D, nums = _numerators(system)
     dists = []
-    for nums in _numerators(system, D):
-        r = _residue(nums, n, D)
+    for c in nums:
+        r = next(_values(c, (n,))) % D
         dists.append(Fraction(min(r, D - r), D))
     return dists
 
@@ -491,20 +450,20 @@ def _checkpointed_min(system: PolySystem, checkpoints: Sequence[int],
         raise ValueError("every horizon must be at least 2, so that n = 1 < x")
     last = cps[-1] - 1
     _check_cap(last, system.k, enum_cap)
-    D, tables = _tables(system)
+    D, nums = _numerators(system)
     out = []
     best_n, best = 0, D  # every distance is at most D/2, so n = 1 replaces this
     # only a point with every distance below the best at the chunk's start
     # can replace it; the survivors are then taken in order of n.  No
     # distance exceeds D/2, so the first chunk lets every point through
     thresholds = [D // 2] * system.k
-    for n0, hits, rows in _sieved(D, tables, last, thresholds):
-        for j, dists in zip(hits, rows):
-            while cps[len(out)] <= n0 + j:  # checkpoints that end before n
+    for hits, rows in _sieved(D, nums, last, thresholds):
+        for n, dists in zip(hits, rows):
+            while cps[len(out)] <= n:  # checkpoints that end before n
                 out.append((best_n, Fraction(best, D)))
             m = max(dists)
             if m < best:
-                best, best_n = m, n0 + j
+                best, best_n = m, n
         if best == 0:  # no later n can do better
             break
         thresholds[:] = [best - 1] * system.k
@@ -517,11 +476,11 @@ def _strict_thresholds(eps: Epsilons, D: int):
 
 
 def _hit_chunks(system: PolySystem, eps: Epsilons, last: int, enum_cap: int):
-    """(n0, offsets of the strict hits in the chunk at n0) over n = 1..last."""
+    """The strict hits of each chunk of n = 1..last."""
     _check_cap(last, system.k, enum_cap)
-    D, tables = _tables(system)
-    chunks = _sieved(D, tables, last, _strict_thresholds(eps, D))
-    return ((n0, hits) for n0, hits, _rows in chunks)
+    D, nums = _numerators(system)
+    chunks = _sieved(D, nums, last, _strict_thresholds(eps, D))
+    return (hits for hits, _rows in chunks)
 
 
 def hit_count(system: PolySystem, eps: Epsilons, x,
@@ -529,9 +488,9 @@ def hit_count(system: PolySystem, eps: Epsilons, x,
     """#{n <= x : ||f_i(n)|| < eps_i for all i} (strict inequalities),
     and the smallest such n < x (what `first_hit` returns), from one pass."""
     count, first = 0, None
-    for n0, hits in _hit_chunks(system, eps, math.floor(x), enum_cap):
-        if first is None and hits and n0 + hits[0] < x:
-            first = n0 + hits[0]
+    for hits in _hit_chunks(system, eps, math.floor(x), enum_cap):
+        if first is None and hits and hits[0] < x:
+            first = hits[0]
         count += len(hits)
     return count, first
 
@@ -540,4 +499,4 @@ def first_hit(system: PolySystem, eps: Epsilons, x,
               enum_cap: int = DEFAULT_ENUM_CAP) -> Optional[int]:
     """Smallest n < x with ||f_i(n)|| < eps_i for all i, or None."""
     chunks = _hit_chunks(system, eps, horizon_count(x), enum_cap)
-    return next((n0 + hits[0] for n0, hits in chunks if hits), None)
+    return next((hits[0] for hits in chunks if hits), None)

@@ -35,10 +35,10 @@ from .core import (
     Poly,
     PolySystem,
     _check_cap,
+    _numerators,
     _residues,
     _sieved,
     _strict_thresholds,
-    _tables,
     coefficient_sums,
 )
 from .expsum import (
@@ -126,7 +126,7 @@ def weyl_sum(system: PolySystem, h: Sequence[int], x,
         D, chunks = _phase_residues(sigma, last)
         cache = {}
         total = mpmath.mpc(0)
-        for _n0, (col,) in chunks:
+        for col in chunks:
             for r in map(mod, col, itertools.repeat(D)):
                 val = cache.get(r)
                 if val is None:
@@ -152,7 +152,7 @@ def _abs_sum_exact_phase(sigma: Sequence[Fraction], last: int) -> float:
     im = 0.0
     tau = 2 * math.pi
     invD = 1.0 / D
-    for _n0, (col,) in chunks:
+    for col in chunks:
         angles = [tau * (r * invD) for r in map(mod, col, itertools.repeat(D))]
         re = reduce(add, map(math.cos, angles), re)
         im = reduce(add, map(math.sin, angles), im)
@@ -174,13 +174,13 @@ def smoothed_count(system: PolySystem, eps: Epsilons, x,
     """
     last = math.floor(x)
     _check_cap(last, system.k, enum_cap)
-    D, tables = _tables(system)
+    D, nums = _numerators(system)
     # in units of 1/D: the support is the strict hit region, and the
     # plateau is 2*m*den <= num*D
     support = _strict_thresholds(eps, D)
     plateau = [e.numerator * D // (2 * e.denominator) for e in eps.eps]
     total = Fraction(0)
-    for _n0, _offsets, rows in _sieved(D, tables, last, support):
+    for _hits, rows in _sieved(D, nums, last, support):
         for dists in rows:
             prod = Fraction(1)
             for m, e, flat in zip(dists, eps.eps, plateau):

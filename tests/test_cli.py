@@ -248,6 +248,26 @@ class TestExponentCommand:
         assert not out_csv.exists()
         capsys.readouterr()
 
+    def test_horizons_parse_exactly(self, tmp_path, capsys):
+        # the large horizon passes the cap, so its rows are flagged, but the
+        # CSV records it exactly; through a float it read 123456789012345680
+        out_csv = tmp_path / "rows.csv"
+        rc = main(["exponent", "--k", "1", "--d", "1", "--x", "1e2,123456789012345678",
+                   "--trials", "1", "--out", str(out_csv)])
+        assert rc == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["x_grid"] == [100, 123456789012345678]
+        rows = [line.split(",") for line in out_csv.read_text().strip().splitlines()[1:]]
+        assert [row[2] for row in rows] == ["100", "123456789012345678"]
+
+    def test_non_integral_horizon_exit_1(self, tmp_path, capsys):
+        out_csv = tmp_path / "rows.csv"
+        rc = main(["exponent", "--k", "1", "--d", "1", "--x", "100,1000.7",
+                   "--trials", "1", "--out", str(out_csv)])
+        assert rc == EXIT_ERROR
+        assert not out_csv.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and "1000.7" in captured.err
+
 
 class TestVerifyCert:
     def test_tampered_cert_exit_2(self, tmp_path, half_system, capsys):

@@ -10,7 +10,6 @@ to a tolerance exactly, and running minima that tie or improve within a chunk.
 """
 
 import math
-import random
 from fractions import Fraction
 
 import mpmath
@@ -19,17 +18,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fracparts.core import (
+    DEFAULT_ENUM_CAP,
     DEFAULT_PRECISION_BITS,
     _CHUNK_FIRST,
     _CHUNK_MAX,
     Epsilons,
     Poly,
     PolySystem,
-    _advance,
-    _binomials,
     _checkpointed_min,
-    _diff_state,
+    _hit_chunks,
     brute_force_min,
+    eval_system,
     first_hit,
     hit_count,
     parse_scalar,
@@ -194,13 +193,13 @@ def test_empty_horizons():
 
 # sieving polynomials f_1 = n/p: a distance under eps_1 = 1/m needs n mod p
 # within p/m of 0, so chunks 5 to 7 (n = 961..4032) leave no survivor.  f_0
-# is read only near multiples of p, after those chunks: its table must have
-# moved on through them in closed form.  The hit scans sieve with f_1, the
-# tighter tolerance; the running minimum has one threshold for both and
-# sieves with the later polynomial, f_1 again.  p = 4096 gives a power-of-two
-# D, p = 5000 a D of 625 * 2^193.
+# is evaluated only at the survivors, near multiples of p and past those
+# chunks, and f_1's table, its threshold folded in, crosses them.  The hit
+# scans sieve with f_1, the tighter tolerance; the running minimum has one
+# threshold for both and sieves with the later polynomial, f_1 again.
+# p = 4096 gives a power-of-two D, p = 5000 a D of 625 * 2^193.
 @pytest.mark.parametrize("p, m", [(4096, 1024), (5000, 1000)])
-def test_closed_form_tables_cross_chunks_without_survivors(p, m):
+def test_sieve_crosses_chunks_without_survivors(p, m):
     system = PolySystem((Poly((parse_scalar("sqrt(2)"), parse_scalar("sqrt(5)/2"))),
                          Poly((Fraction(1, p), Fraction(0)))))
     eps = Epsilons((Fraction(1, 4), Fraction(1, m)))
@@ -216,16 +215,31 @@ def test_closed_form_tables_cross_chunks_without_survivors(p, m):
         phi(row[0] / eps.eps[0]) * phi(row[1] / eps.eps[1]) for row in dists)
 
 
-@pytest.mark.parametrize("D", [2 ** 64, 3 * 2 ** 192])
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_closed_form_advance_matches_single_steps(d, D):
-    rng = random.Random(d * D)
-    binoms = _binomials(d)
-    for L in (1, 63, 64, _CHUNK_MAX):
-        nums = [rng.randrange(-D, D) for _ in range(d)]
-        diffs = _diff_state(nums, D, 1)
-        stepped = list(diffs)
-        for _ in range(L):  # Delta^i N(n + 1) = Delta^i N(n) + Delta^(i+1) N(n)
-            stepped = [(a + b) % D for a, b in zip(stepped, stepped[1:])] + stepped[-1:]
-        _advance(diffs, L, binoms, D)
-        assert diffs == stepped == _diff_state(nums, D, 1 + L)
+def test_survivors_far_from_the_start():
+    # f_1 = n/p sieves, and eps_1 = 3/p leaves only n within 2 of a multiple
+    # of p, so the survivors lie about 10^5 points apart, deep in full
+    # chunks.  f_0 and f_2 are evaluated there from their numerators over a
+    # D of 15 * p * 2^192; the per-n reference checks only the n that the
+    # sieve lets through, which hold every hit
+    p = 99991
+    a, b = "-sqrt(2)/3", "-sqrt(7)/5"
+    system = PolySystem((Poly.from_strings([a, "1/2", b]),
+                         Poly((Fraction(1, p), 0, 0)),
+                         Poly.from_strings(["-sqrt(5)/6", b, a])))
+    eps = Epsilons((Fraction(1, 4), Fraction(3, p), Fraction(1, 3)))
+    last = 3 * p + 2
+    candidates = [n for n in range(1, last + 1) if n % p <= 2 or n % p >= p - 2]
+    hits = [n for n in candidates
+            if all(frac_dist(poly_eval(f, n)) < e for f, e in zip(system.polys, eps.eps))]
+    assert len(hits) > 1 and hits[0] >= p - 2
+    assert [n for chunk in _hit_chunks(system, eps, last, DEFAULT_ENUM_CAP)
+            for n in chunk] == hits
+    assert hit_count(system, eps, last) == (len(hits), hits[0])
+    assert first_hit(system, eps, last + 1) == hits[0]
+    assert first_hit(system, eps, hits[0]) is None
+    for n in hits:
+        assert all(dv < e for dv, e in zip(eval_system(system, n), eps.eps))
+    assert smoothed_count(system, eps, last) == sum(
+        math.prod((phi(frac_dist(poly_eval(f, n)) / e)
+                   for f, e in zip(system.polys, eps.eps)), start=Fraction(1))
+        for n in candidates)
