@@ -274,18 +274,23 @@ class SystemState:
 # the phase polynomial's whole column.  The other scans (hit counts, the
 # first hit, the running minimum with checkpoints, the smoothed count) need
 # only the points where every distance is under a threshold, and `_sieved`
-# keeps one difference table per scan: that of the polynomial with the
-# tightest threshold.  Its threshold t is folded into the table's 0th
-# difference, so the column holds N + t, and min(r, D - r) <= t becomes
-# (N + t) mod D <= 2t.  Each other polynomial is evaluated by Horner only at
-# the points left, from its numerators over D.  The sieves are C-level
-# pipelines (`map` over `operator` functions, `itertools.compress`), and a
-# power-of-two D reduces with a mask.  The running minimum keeps only a
-# chunk's points with every distance below the best at the chunk's start
-# (no other point can replace it) and takes those few in order of n, so the
-# minimum and its smallest-n tie-break stay exact.  Ranges could be
-# partitioned and merged (min with smallest-n tiebreak / sum); the
-# sequential order here is the reference semantics.
+# lets one polynomial pick them: that with the tightest threshold.  Its
+# threshold t is folded into its values, so it holds N + t, and
+# min(r, D - r) <= t becomes (N + t) mod D <= 2t.  A sieving polynomial of
+# degree 2 or more builds its column, one difference table per scan.  A
+# linear one, a*n, lists its hits straight from its return map: the n with
+# (a*n + t) mod D in [0, 2t] are spaced by at most three distinct gaps
+# (Sos 1958; Slater, Proc. Cambridge Philos. Soc. 63, 1967), so after a
+# first hit found by a Euclid-like descent (`_first_in`) each next one
+# costs O(1), however few pass.  Each other polynomial is evaluated by
+# Horner only at the points left, from its numerators over D.  The sieves
+# are C-level pipelines (`map` over `operator` functions,
+# `itertools.compress`), and a power-of-two D reduces with a mask.  The
+# running minimum keeps only a chunk's points with every distance below the
+# best at the chunk's start (no other point can replace it) and takes those
+# few in order of n, so the minimum and its smallest-n tie-break stay exact.
+# Ranges could be partitioned and merged (min with smallest-n tiebreak /
+# sum); the sequential order here is the reference semantics.
 # ---------------------------------------------------------------------------
 
 _CHUNK_FIRST = 64    # points in a scan's first chunk
@@ -358,28 +363,103 @@ def _reduce(values, D: int):
     return map(and_, values, repeat(D - 1))
 
 
-def _hits(col, n0: int, nums, order, D: int, thresholds):
-    """The n of the chunk at n0 with D * ||f_i(n)|| <= thresholds[i] for all
-    i, and an iterator over their rows of distances D * ||f_i(n)||.
+def _first_in(a: int, b: int, w: int, D: int) -> Optional[int]:
+    """The smallest m >= 0 with (a*m + b) mod D <= w, or None if there is none.
 
-    Every value v holds its threshold t, so it passes when v mod D <= 2t,
-    and its distance is then |v mod D - t| (0 <= t <= D/2).  ``col`` is the
-    column of polynomial ``order[0]``, t folded into its table; each further
-    one is evaluated by Horner, t as its constant term, only at the n still
-    left.
+    A Euclid-like descent.  An a above D/2 is reflected to D - a, and b to
+    w - b, which keeps the target [0, w].  Each step then passes at most
+    one multiple of D and lands in [0, a) past it; values rise between
+    landings, so the first hit is the first landing in [0, w], and the
+    landings step by -D mod a: the same problem mod a <= D/2.  The descent
+    ends once the modulus is at most w + 1, after O(log(D/w)) levels, and
+    runs as a loop: a recursion would pass the interpreter's frame limit
+    for tiny tolerances at large D.
+    """
+    levels = []
+    while True:
+        a %= D
+        b %= D
+        if b <= w:
+            m = 0
+            break
+        if 2 * a > D:
+            a, b = D - a, (w - b) % D
+        if a == 0:
+            return None
+        levels.append((a, b, D))
+        a, b, D = -D % a, (b - D) % a, a
+    # wrap number m + 1 of a level is reached at ceil(((m + 1) D - b) / a)
+    for a, b, D in reversed(levels):
+        m = ((m + 1) * D - b + a - 1) // a
+    return m
+
+
+class _ReturnMap:
+    """The n >= n0 with (a*n + b) mod D <= w, walked from hit to hit.
+
+    The gaps between consecutive hits of a rotation in an interval take at
+    most three values (Sos 1958, Slater 1967).  q1 is the first g >= 1 with
+    a*g mod D <= w, a step right by s1; q2 the same for -a, a step left by
+    s2.  From a hit at value y the next one is q1 further on if
+    y + s1 <= w, q2 further on if y >= s2, the nearer of the two if both
+    hold, and q1 + q2 further on (at y + s1 - s2) otherwise.  A hit costs
+    O(1), whatever the gap.
+    """
+
+    def __init__(self, a: int, b: int, w: int, D: int, n0: int):
+        self.w = w
+        m = _first_in(a, a * n0 + b, w, D)
+        if m is None:  # no hit at all: the walk starts past every horizon
+            self.n, self.y = math.inf, 0
+        else:
+            self.n, self.y = n0 + m, (a * (n0 + m) + b) % D
+        q1 = 1 + _first_in(a, a, w, D)
+        q2 = 1 + _first_in(-a, -a, w, D)
+        self.steps = q1, a * q1 % D, q2, -a * q2 % D
+
+    def hits(self, last: int) -> List[int]:
+        """The hits from the walk's position up to ``last``, moving past them."""
+        n, y = self.n, self.y
+        q1, s1, q2, s2 = self.steps
+        w1, q12, s12, near_right = self.w - s1, q1 + q2, s1 - s2, q1 < q2
+        hits = []
+        append = hits.append
+        while n <= last:
+            append(n)
+            if y <= w1 and (near_right or y < s2):
+                n += q1
+                y += s1
+            elif y >= s2:
+                n += q2
+                y -= s2
+            else:
+                n += q12
+                y += s12
+        self.n, self.y = n, y
+        return hits
+
+
+def _hits(hits, col, n0: int, nums, order, D: int, thresholds):
+    """The n in ``hits`` with D * ||f_i(n)|| <= thresholds[i] for all i, and
+    an iterator over their rows of distances D * ||f_i(n)||.
+
+    ``hits`` are the points of a chunk at n0 that pass the sieve of
+    polynomial ``order[0]``, and ``col`` is its column over the chunk (t
+    folded in) or None to evaluate it by Horner.  Every value v holds its
+    threshold t, so it passes when v mod D <= 2t, and its distance is then
+    |v mod D - t| (0 <= t <= D/2).  Each further polynomial is evaluated by
+    Horner, t as its constant term, only at the n still left.
     """
     s = order[0]
-    t = thresholds[s]
-    hits = list(compress(range(n0, n0 + len(col)),
-                         map(gt, repeat(2 * t + 1), _reduce(col, D))))
     for i in order[1:]:
         if not hits:
             return hits, iter(())
         t = thresholds[i]
         hits = list(compress(hits, map(gt, repeat(2 * t + 1),
                                        _reduce(_values(nums[i], hits, t), D))))
-    values = [map(col.__getitem__, map(sub, hits, repeat(n0))) if i == s
-              else _values(nums[i], hits, t) for i, t in enumerate(thresholds)]
+    values = [map(col.__getitem__, map(sub, hits, repeat(n0)))
+              if i == s and col is not None else _values(nums[i], hits, t)
+              for i, t in enumerate(thresholds)]
     return hits, zip(*(map(abs, map(sub, _reduce(v, D), repeat(t)))
                        for v, t in zip(values, thresholds)))
 
@@ -390,19 +470,36 @@ def _sieved(D: int, nums, last: int, thresholds):
 
     ``nums`` are the polynomials' numerators over D (see `_numerators`).
     The tightest threshold sieves, and of equal ones the later polynomial;
-    it is chosen once, at the scan's start.  ``thresholds`` is read at each
-    chunk's start, so a reducer may lower its entries between chunks (the
-    running minimum lowers them all together); every entry must lie in
-    [0, D/2].
+    it is chosen once, at the scan's start.  If it has degree 2 or more it
+    builds its column; if it is linear, a*n, it walks its return map
+    (`_ReturnMap`), built anew whenever its threshold changes.  The map
+    serves every threshold: a step of it cost less than the column's
+    points even where nearly all of them pass (eps = 1/2).  ``thresholds``
+    is read at each chunk's start, so a reducer may lower its entries
+    between chunks (the running minimum lowers them all together); every
+    entry must lie in [0, D/2].
     """
     order = sorted(range(len(nums) - 1, -1, -1), key=thresholds.__getitem__)
-    diffs = _diff_state(nums[order[0]], D)
-    folded = 0
-    for n0, L in _chunks(last):
-        t = thresholds[order[0]]
-        diffs[0] = (diffs[0] + t - folded) % D
-        folded = t
-        yield _hits(_column(diffs, L, D), n0, nums, order, D, thresholds)
+    s = order[0]
+    a, *higher = nums[s]
+    if any(higher):
+        diffs = _diff_state(nums[s], D)
+        folded = 0
+        for n0, L in _chunks(last):
+            t = thresholds[s]
+            diffs[0] = (diffs[0] + t - folded) % D
+            folded = t
+            col = _column(diffs, L, D)
+            hits = list(compress(range(n0, n0 + L),
+                                 map(gt, repeat(2 * t + 1), _reduce(col, D))))
+            yield _hits(hits, col, n0, nums, order, D, thresholds)
+    else:
+        t = None
+        for n0, L in _chunks(last):
+            if thresholds[s] != t:
+                t = thresholds[s]
+                walk = _ReturnMap(a, t, 2 * t, D, n0)
+            yield _hits(walk.hits(n0 + L - 1), None, n0, nums, order, D, thresholds)
 
 
 def _check_cap(last: int, k: int, enum_cap: int):

@@ -43,7 +43,7 @@ def parse_system_dict(data: dict) -> SystemState:
         if key not in data:
             raise SystemFileError(f"missing field {key!r}")
     d = data["d"]
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:  # bool is an int subclass
         raise SystemFileError(f"field 'd': need a positive integer, got {d!r}")
     if not isinstance(data["polys"], list) or not data["polys"]:
         raise SystemFileError("field 'polys': need a nonempty list of coefficient lists")
@@ -139,7 +139,7 @@ def load_certificate(path: PathLike) -> Certificate:
         state_from_dict(cert.root)
         section = "terminal"
         if cert.terminal.get("kind") == TERMINAL_FOUND:
-            if not isinstance(cert.terminal["n"], int):
+            if type(cert.terminal["n"]) is not int:
                 raise TypeError("'n' must be an integer")
             for dv in cert.terminal["dists"]:
                 Fraction(dv)

@@ -12,7 +12,12 @@ file there if it lacks it).  One SHA-256 is printed per set:
 - ``planted-default``: the same 200 under the default SolverConfig;
 - ``criterion-4``: criterion 4's 100 systems under the default SolverConfig,
   with each system's `large_coefficients` record;
-- ``criterion-6``: criterion 6's 450 rows (k = 1..3, 50 trials) and summaries.
+- ``criterion-6``: criterion 6's 450 rows (k = 1..3, 50 trials) and summaries;
+- ``linear``: 300 seeded linear systems (k <= 3; 48-bit dyadic, small
+  ``p/q``, 200-bit ``p/q`` and ``sqrt(m)/q`` coefficients; tolerances from
+  1/2 down to 10^-4; x <= 5000), each with `hit_count` at eps and eps/2,
+  `first_hit` and `_checkpointed_min` at four horizons, then criterion-6-style
+  d = 1 monomial rows.
 
 A solve contributes its status, n, certificate bytes, `SolveStats` without
 `wall_time`, and the checks `verify_certificate` makes of its certificate.
@@ -24,8 +29,18 @@ import json
 import random
 import sys
 import time
+from fractions import Fraction
 
-from fracparts.core import SystemState
+from fracparts.core import (
+    Epsilons,
+    Poly,
+    PolySystem,
+    SystemState,
+    _checkpointed_min,
+    first_hit,
+    hit_count,
+    parse_scalar,
+)
 from fracparts.diophantine import large_coefficients
 from fracparts.driver import SolverConfig, measure_exponent, solve
 from fracparts.reduction import verify_certificate
@@ -88,11 +103,53 @@ def criterion_6() -> str:
     return digest.hexdigest()
 
 
+def _linear_coeff(rng) -> str:
+    kind = rng.randrange(4)
+    sign = rng.choice(["", "-"])
+    if kind == 0:
+        return f"{sign}{rng.getrandbits(48)}/{1 << 48}"
+    if kind == 1:
+        return f"{sign}{rng.randint(0, 200)}/{rng.randint(1, 200)}"
+    if kind == 2:
+        return f"{sign}{rng.getrandbits(200)}/{rng.getrandbits(200) | 1}"
+    return f"{sign}sqrt({rng.randint(2, 10 ** 6)})/{rng.randint(1, 100)}"
+
+
+def linear() -> str:
+    rng = random.Random(90977)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        k, d = rng.randint(1, 3), rng.randint(1, 2)
+        coeffs = [parse_scalar(_linear_coeff(rng)) for _ in range(k)]
+        # a d = 2 system here has zero quadratic coefficients
+        system = PolySystem(tuple(Poly((c,) + (0,) * (d - 1)) for c in coeffs))
+        # log-uniform tolerances in [10^-4, 1/2]
+        eps = Epsilons(tuple(min(Fraction(1, 2), Fraction(1, round(10 ** rng.uniform(0.3, 4))))
+                             for _ in range(k)))
+        half = Epsilons(tuple(e / 2 for e in eps.eps))
+        x = rng.randint(2, 5000)
+        checkpoints = sorted(rng.sample(range(2, x + 2), min(4, x)))
+        _update(digest, {
+            "hit_count": hit_count(system, eps, x),
+            "hit_count_half": hit_count(system, half, x),
+            "first_hit": first_hit(system, eps, x),
+            "min": [(n, str(v)) for n, v in _checkpointed_min(system, checkpoints)],
+        })
+    for k in (1, 2, 3):
+        rows, summary = measure_exponent("monomial", k, 1, [10 ** 3, 10 ** 4, 10 ** 5],
+                                         trials=20, config=SolverConfig(seed=60661))
+        for row in rows:
+            _update(digest, row.csv_row() + [str(row.min_max_dist), row.flagged])
+        _update(digest, summary)
+    return digest.hexdigest()
+
+
 SETS = {
     "planted": lambda: planted(PLANT_CONFIG),
     "planted-default": lambda: planted(SolverConfig()),
     "criterion-4": criterion_4,
     "criterion-6": criterion_6,
+    "linear": linear,
 }
 
 

@@ -293,6 +293,9 @@ class TestVerifyCert:
         ({"root": {"d": 1, "polys": [["1/2"]], "eps": ["0.01"], "x": "100"},
           "chain": [{"gens": {"h_vecs": [[1]], "a_vecs": [[0]]}, "q0": 1, "D2": "2",
                      "child_hit": 3}], "terminal": {}}, "'chain': 'D2' must be an integer"),
+        ({"root": {"d": 1, "polys": [["1/2"]], "eps": ["0.01"], "x": "100"},
+          "chain": [], "terminal": {"kind": "found-n", "n": True, "dists": ["0"]}},
+         "'terminal': 'n' must be an integer"),
     ])
     def test_malformed_cert_exit_1(self, tmp_path, data, field, capsys):
         path = write(tmp_path, "c.json", data)

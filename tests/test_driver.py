@@ -13,6 +13,7 @@ from fracparts.core import (
     PolySystem,
     Real,
     SystemState,
+    _checkpointed_min,
     brute_force_min,
     eval_system,
     first_hit,
@@ -39,6 +40,7 @@ from fracparts.serialize import (
     emit_system,
     parse_system_file,
 )
+from fraction_oracle import frac_dist
 
 
 def sys1(*coeff_lists):
@@ -384,6 +386,27 @@ class TestMeasureExponent:
                                          trials=9, config=SolverConfig(seed=3))
         assert summary["median_exponent"] > 0.6
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_monomial_d1_rows_match_per_n_reference(self, k):
+        # d = 1 sieves with its return map, rebuilt as the running minimum
+        # lowers the threshold; the minimum and its argmin at each horizon
+        # against a per-n Fraction scan, the smallest n winning ties
+        grid = [10 ** 3, 10 ** 4, 2 * 10 ** 4]
+        rows, _summary = measure_exponent("monomial", k, 1, grid, trials=5)
+        for trial in range(5):
+            system = draw_system("monomial", k, 1, SolverConfig().seed, trial)
+            alphas = [p.coeffs[0].value for p in system.polys]
+            expected, n_star, best = {}, 0, Fraction(1)
+            for n in range(1, grid[-1]):
+                m = max(frac_dist(a * n) for a in alphas)
+                if m < best:
+                    n_star, best = n, m
+                if n + 1 in grid:
+                    expected[n + 1] = (n_star, best)
+            assert _checkpointed_min(system, grid) == [expected[x] for x in grid]
+            assert [r.min_max_dist for r in rows if r.trial_id == trial] == [
+                expected[x][1] for x in grid]
+
     def test_rows_reproduce_oracle(self):
         rows, _summary = measure_exponent("full", 1, 2, [200, 400], trials=2,
                                           config=SolverConfig(seed=11))
@@ -484,6 +507,7 @@ class TestSystemFiles:
     def test_rejections(self, tmp_path):
         cases = [
             {"d": 0, "polys": [[]], "eps": [], "x": "10"},           # constant smuggle
+            {"d": True, "polys": [["1/2"]], "eps": ["0.01"], "x": "10"},  # a bool, not 1
             {"d": 1, "polys": [["1/2", "1/3"]], "eps": ["0.01"], "x": "10"},
             {"d": 1, "polys": [["1/2"]], "eps": ["0.6"], "x": "10"},  # eps > 1/2
             {"d": 1, "polys": [["1/2"]], "eps": ["0"], "x": "10"},

@@ -1,6 +1,7 @@
 """Differential tests of the scan reducers against a per-n reference.
 
-Every scan in `core` and `diophantine` reduces the chunked residue stream.  The
+Every scan in `core` and `diophantine` reduces the chunked residue stream,
+or, where the sieving polynomial is linear, the hits of its return map.  The
 reference here evaluates each n on its own: `poly_eval` (Horner on exact
 Fractions) and `frac_dist` for the distances, and integer Horner mod D for
 the phase sums, with no forward differences.  Horizons sit on and around
@@ -9,8 +10,12 @@ random systems, the cases force what a sieve can get wrong: distances equal
 to a tolerance exactly, and running minima that tie or improve within a chunk.
 """
 
+import inspect
 import math
+import sys
 from fractions import Fraction
+from itertools import accumulate, compress, repeat
+from operator import le
 
 import mpmath
 import pytest
@@ -25,7 +30,9 @@ from fracparts.core import (
     Epsilons,
     Poly,
     PolySystem,
+    _ReturnMap,
     _checkpointed_min,
+    _first_in,
     _hit_chunks,
     brute_force_min,
     eval_system,
@@ -243,3 +250,121 @@ def test_survivors_far_from_the_start():
         math.prod((phi(frac_dist(poly_eval(f, n)) / e)
                    for f, e in zip(system.polys, eps.eps)), start=Fraction(1))
         for n in candidates)
+
+
+# ---------------------------------------------------------------------------
+# The linear sieve.
+# ---------------------------------------------------------------------------
+
+
+def test_linear_sieve_matches_brute_force_for_small_moduli():
+    # every (a, e, w) for D <= 40, a = 0, gcd(a, D) > 1 and w >= D - 1
+    # among them.  The walk's next hit depends only on the value at its
+    # current hit, and from starts e = 0..gcd(a, D) - 1 it meets every value
+    # in [0, w] it can reach, twice within the horizon
+    for D in range(1, 41):
+        horizon = 2 * D + 2
+        for a in range(D):
+            steps = [a * n % D for n in range(horizon)]
+            for e in range(D):
+                # first[v]: the first n with (a*n + e) mod D <= v
+                first = [horizon] * D
+                for n, v in enumerate(steps):
+                    v = (v + e) % D
+                    first[v] = min(first[v], n)
+                first = list(accumulate(first, min))
+                for w in range(D + 1):
+                    m = first[min(w, D - 1)]
+                    assert _first_in(a, e, w, D) == (m if m < horizon else None)
+            for w in range(D + 1):
+                for e in range(math.gcd(a, D)):
+                    values = [(v + e) % D for v in steps]
+                    hits = list(compress(range(1, horizon),
+                                         map(le, values[1:], repeat(w))))
+                    walk = _ReturnMap(a, e, w, D, 1)
+                    # a first call that stops mid-way, as a chunk does
+                    assert walk.hits(D // 2) + walk.hits(horizon - 1) == hits
+
+
+_linear_coeff = st.one_of(
+    # power-of-two D
+    st.integers(-(1 << 48), 1 << 48).map(lambda p: Fraction(p, 1 << 48)),
+    st.builds(lambda sign, m: parse_scalar(f"{sign}sqrt({m})"),
+              st.sampled_from(["", "-"]), st.sampled_from([2, 3, 5, 7, 10])),
+    # other D
+    st.builds(lambda p, q: parse_scalar(f"{p}/{q}"),
+              st.integers(-400, 400), st.integers(1, 400)),
+    st.builds(lambda m, q: parse_scalar(f"sqrt({m})/{q}"),
+              st.sampled_from([2, 3, 5, 6, 7, 10]), st.integers(3, 99)),
+    # near r/q, so that a tiny tolerance still has hits, near multiples of q
+    st.builds(lambda r, q, e: Fraction(r, q) + Fraction(e, 1 << 64),
+              st.integers(0, 60), st.integers(1, 61), st.integers(-(1 << 40), 1 << 40)),
+)
+_linear_eps = st.one_of(
+    st.sampled_from([Fraction(1, 10 ** 6), Fraction(1, 10 ** 4), Fraction(1, 3),
+                     Fraction(1, 2)]),
+    st.integers(2, 10 ** 6).map(lambda q: Fraction(1, q)),
+    st.integers(1, 500).map(lambda m: Fraction(m, 1000)),
+)
+
+
+@st.composite
+def linear_cases(draw):
+    """Systems whose sieving polynomial is linear: every polynomial linear
+    (padded with zero higher coefficients when d >= 2), or, at d >= 2, a
+    linear one last with the tightest tolerance next to full ones."""
+    k = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        linear = [Poly((draw(_linear_coeff),) + (0,) * (d - 1)) for _ in range(k)]
+        eps = [draw(_linear_eps) for _ in range(k)]
+    else:
+        # distances are multiples of 1/q_i, and the hits include those on
+        # either end of the sieve's window (2t, its threshold t with the
+        # tolerances m_i/q_i, is then a value the polynomial takes)
+        linear, eps = [], []
+        for _ in range(k):
+            q = draw(st.integers(2, 40))
+            linear.append(Poly((Fraction(draw(st.integers(-40, 40)), q),) + (0,) * (d - 1)))
+            eps.append(Fraction(draw(st.integers(1, q // 2)), q))
+    if d >= 2 and k >= 2 and draw(st.booleans()):
+        full = [Poly(tuple(draw(_coeff) for _ in range(d))) for _ in range(k - 1)]
+        system = PolySystem(tuple(full) + (linear[-1],))
+        eps = [max(e, eps[-1]) for e in eps[:-1]] + [eps[-1]]
+    else:
+        system = PolySystem(tuple(linear))
+    last = draw(st.sampled_from(HORIZONS))
+    checkpoints = draw(st.lists(st.integers(2, last + 1), max_size=3)) + [last + 1]
+    return system, Epsilons(tuple(eps)), last, checkpoints
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(linear_cases())
+def test_linear_sieve_matches_per_n_reference(case):
+    system, eps, last, checkpoints = case
+    dists, _ = _assert_hits_and_minima(system, eps, last, checkpoints)
+    assert smoothed_count(system, eps, last) == sum(
+        math.prod((phi(dv / e) for dv, e in zip(row, eps.eps)), start=Fraction(1))
+        for row in dists)
+
+
+def test_linear_sieve_at_tiny_tolerance_and_huge_denominator():
+    # t = 0 at a D of 1500 bits: each first-hit query descends hundreds of
+    # levels, and the running minimum asks again at each lowered threshold.
+    # The scans run under a frame limit just above the current depth, so
+    # the descent must be a loop
+    q = 3 ** 946  # 1500 bits
+    system = PolySystem((Poly((Fraction(2 ** 1499 + 12345, q),)),))
+    eps = Epsilons((Fraction(1, 10 ** 600),))
+    x = 2000
+    _dists, hits, running_min = _reference(system, eps, x - 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        counted, first = hit_count(system, eps, x), first_hit(system, eps, x)
+        minimum = brute_force_min(system, x)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert hits == [] and counted == (0, None) and first is None
+    assert minimum == running_min[x]
