@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .core import DEFAULT_ENUM_CAP, HorizonCapError, brute_force_min
+from .core import DEFAULT_ENUM_CAP, HorizonCapError, SystemState, brute_force_min, parse_threshold
 from .denomstruct import (
     DEFAULT_FILTER_DELTA,
     cluster_by_denominator,
@@ -40,7 +40,7 @@ from .latgeom import (
     sublattice_determinants,
     wedge_norm,
 )
-from .reduction import state_from_dict, verify_certificate
+from .reduction import verify_certificate
 from .serialize import (
     SystemFileError,
     load_certificate,
@@ -143,20 +143,25 @@ def cmd_fourier_scan(args) -> int:
     return EXIT_OK
 
 
+def _read_field(path, field: str, reader, value):
+    """reader(value), a refusal raised as a SystemFileError naming the field."""
+    try:
+        return reader(value)
+    except KeyError as exc:
+        raise SystemFileError(f"{path}: field {field}: missing key {exc}") from exc
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise SystemFileError(f"{path}: field {field}: {exc}") from exc
+
+
 def cmd_relations(args) -> int:
     with open(args.scan, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     for key in ("system", "dichotomy", "x"):
         if not isinstance(payload, dict) or key not in payload:
             raise SystemFileError(f"{args.scan}: missing field {key!r}")
-    state = state_from_dict(payload["system"])
-    try:
-        dich = FourierDichotomy.from_dict(payload["dichotomy"])
-    except KeyError as exc:
-        raise SystemFileError(f"{args.scan}: field 'dichotomy': missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise SystemFileError(f"{args.scan}: field 'dichotomy': {exc}") from exc
-    x = Fraction(payload["x"])
+    state = _read_field(args.scan, "'system'", SystemState.from_dict, payload["system"])
+    dich = _read_field(args.scan, "'dichotomy'", FourierDichotomy.from_dict, payload["dichotomy"])
+    x = _read_field(args.scan, "'x'", parse_threshold, payload["x"])
     q_rel = args.q_rel or default_q_rel(state.eps)
     rels = build_relations(state.system, state.eps, x, dich, Q_rel=q_rel)
     _emit({"system": payload["system"], "q_rel": q_rel,
@@ -176,12 +181,7 @@ def _load_relations(path):
     rels = []
     for i, t in enumerate(payload["relations"]):
         field = f"'relations[{i}]'"
-        try:
-            rel = RelationTriple.from_dict(t)
-        except KeyError as exc:
-            raise SystemFileError(f"{path}: field {field}: missing key {exc}") from exc
-        except (TypeError, ValueError, ArithmeticError) as exc:
-            raise SystemFileError(f"{path}: field {field}: {exc}") from exc
+        rel = _read_field(path, field, RelationTriple.from_dict, t)
         if rels and rel.d != rels[0].d:
             raise SystemFileError(f"{path}: field {field}: {rel.d} slots, but "
                                   f"'relations[0]' has {rels[0].d}")

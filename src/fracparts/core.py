@@ -3,7 +3,7 @@
 All scalars are carried as exact rationals (`fractions.Fraction`).
 Tolerances and horizons are plain Fractions: they are thresholds, and an
 irrational one is rejected where it enters (`SystemState` for the horizon,
-`serialize` for system files).  Only coefficients may be genuinely
+`parse_threshold` for records).  Only coefficients may be genuinely
 irrational (the ``sqrt(m)/q`` grammar); a coefficient is a `Real`, a
 dyadic approximant rounded once at ingestion plus its error radius, and
 every later computation is exact arithmetic on that approximant.  This
@@ -32,6 +32,8 @@ _COEFF_RE = re.compile(
     r")$"
 )
 
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
 
 class HorizonCapError(Exception):
     """Enumeration horizon exceeds the configured cap."""
@@ -54,8 +56,8 @@ class Real:
     source: Optional[str] = None  # the grammar form this was parsed from, if any
 
     def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-        object.__setattr__(self, "err", Fraction(self.err))
+        object.__setattr__(self, "value", _fraction(self.value))
+        object.__setattr__(self, "err", _fraction(self.err))
 
     @property
     def exact(self) -> bool:
@@ -84,6 +86,11 @@ class Real:
         return hash(self.value)  # __eq__ compares values only
 
 
+def _fraction(v) -> Fraction:
+    # Fraction(v) re-wraps a Fraction at a cost; this skips it
+    return v if type(v) is Fraction else Fraction(v)
+
+
 def _as_real(v) -> Real:
     if isinstance(v, Real):
         return v
@@ -103,6 +110,8 @@ def parse_scalar(text: str, bits: int = DEFAULT_PRECISION_BITS) -> Real:
     to ``bits`` fractional bits with the rounding radius recorded (unless the
     radicand is a perfect square, which stays exact).
     """
+    if type(text) is not str:
+        raise ScalarParseError(f"need a string, got {text!r}")
     text = text.strip()
     m = _COEFF_RE.match(text)
     if m is None:
@@ -125,6 +134,28 @@ def parse_scalar(text: str, bits: int = DEFAULT_PRECISION_BITS) -> Real:
     approx = _isqrt_dyadic(rad, bits)
     return Real(sign * approx / rden, err=Fraction(1, (1 << bits) * rden),
                 source=text)
+
+
+def parse_threshold(text: str) -> Fraction:
+    """A tolerance or the horizon: a decimal or ``p/q`` string, never an approximant."""
+    if type(text) is str and _RATIONAL_RE.fullmatch(text):  # the form records hold
+        return parse_rational(text)
+    value = parse_scalar(text)
+    if not value.exact:
+        raise ScalarParseError(f"{text!r} is irrational; tolerances and the horizon "
+                               "must be decimal or p/q")
+    return value.value
+
+
+def parse_rational(text: str) -> Fraction:
+    """A rational string in the form `str(Fraction)` writes: ``p/q`` or ``p``."""
+    m = _RATIONAL_RE.fullmatch(text) if type(text) is str else None
+    if m is None:
+        raise ScalarParseError(f"need a rational string p/q, got {text!r}")
+    num, den = m.groups()
+    if den is not None and not int(den):
+        raise ScalarParseError(f"zero denominator in {text!r}")
+    return Fraction(int(num), int(den or 1))
 
 
 @dataclass(frozen=True)
@@ -198,7 +229,7 @@ class Epsilons:
     eps: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", tuple(Fraction(e) for e in self.eps))
+        object.__setattr__(self, "eps", tuple(map(_fraction, self.eps)))
         for e in self.eps:
             if not (0 < e <= Fraction(1, 2)):
                 raise ValueError(f"epsilon {e} outside (0, 1/2]")
@@ -235,7 +266,7 @@ class SystemState:
             if not y.exact:
                 raise ValueError("horizon must be exact, not an approximant")
             y = y.value
-        object.__setattr__(self, "y", Fraction(y))
+        object.__setattr__(self, "y", _fraction(y))
         if self.system.k != self.eps.k:
             raise ValueError("tolerance count must match polynomial count")
         if not self.y > 1:
@@ -253,6 +284,52 @@ class SystemState:
             "eps": [str(e) for e in self.eps.eps],
             "x": str(self.y),
         }
+
+    @staticmethod
+    def from_dict(data: dict) -> "SystemState":
+        """Read `to_dict`'s record: rational coefficients, each of radius
+        2^-192 where its `polys_exact` flag is false (no flags: all exact)."""
+        flags = data.get("polys_exact") if isinstance(data, dict) else None
+        if flags is not None and ([[type(f) for f in row] for row in flags]
+                                  != [[bool] * len(texts) for texts in data["polys"]]):
+            raise ValueError("field 'polys_exact': need one boolean per coefficient")
+
+        def coeff(text, i, j):
+            value = parse_rational(text)
+            return Real(value) if flags is None or flags[i][j] else Real(value, _ROOT_RADIUS)
+        return system_from_dict(data, coeff)
+
+
+_ROOT_RADIUS = Fraction(1, 2 ** 192)
+
+
+def _field(name: str, read, *args):
+    """read(*args), a ValueError raised again naming the field."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        raise ValueError(f"field {name!r}: {exc}") from exc
+
+
+def system_from_dict(data: dict, coeff) -> SystemState:
+    """The one check of a {"d", "polys", "eps", "x"} record (a system file or
+    a certificate's root), reading ``polys[i][j]`` by ``coeff(text, i, j)``.
+    Raises KeyError for a missing field, TypeError or ValueError for a bad one."""
+    rows, d, eps, x = data["polys"], data["d"], data["eps"], data["x"]
+    if type(d) is not int or d < 1:  # bool is an int subclass
+        raise ValueError(f"field 'd': need a positive integer, got {d!r}")
+    if not isinstance(rows, list) or not rows:
+        raise ValueError("field 'polys': need a nonempty list of coefficient lists")
+    polys = []
+    for i, texts in enumerate(rows):
+        if not isinstance(texts, list) or len(texts) != d:
+            raise ValueError(f"field 'polys[{i}]': need exactly d={d} coefficient strings")
+        polys.append(_field(f"polys[{i}]", lambda: Poly(tuple(
+            coeff(t, i, j) for j, t in enumerate(texts)))))
+    if not isinstance(eps, list) or len(eps) != len(polys):
+        raise ValueError("field 'eps': need one tolerance per polynomial")
+    eps = _field("eps", lambda: Epsilons(tuple(map(parse_threshold, eps))))
+    return _field("x", lambda: SystemState(PolySystem(tuple(polys)), eps, parse_threshold(x)))
 
 
 # ---------------------------------------------------------------------------

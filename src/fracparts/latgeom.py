@@ -277,8 +277,14 @@ class GeneratorSet:
 
     @staticmethod
     def from_dict(d: dict) -> "GeneratorSet":
-        return GeneratorSet(h_vecs=tuple(tuple(h) for h in d["h_vecs"]),
-                            a_vecs=tuple(tuple(a) for a in d["a_vecs"]))
+        """Read `to_dict`'s record: KeyError for a missing key, ValueError for
+        an entry that is not an integer (a bool is not)."""
+        vecs = {key: d[key] for key in ("h_vecs", "a_vecs")}
+        for key, rows in vecs.items():
+            if not (isinstance(rows, list) and all(
+                    isinstance(row, list) and all(type(v) is int for v in row) for row in rows)):
+                raise ValueError(f"'gens.{key}' must be a list of integer lists")
+        return GeneratorSet(**{key: tuple(map(tuple, rows)) for key, rows in vecs.items()})
 
 
 @dataclass

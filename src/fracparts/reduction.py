@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .core import Epsilons, Poly, PolySystem, Real, SystemState, eval_system
+from .core import Epsilons, Poly, PolySystem, Real, SystemState, eval_system, parse_rational
 from .expsum import _delta_scaled_caps
 from .intlinalg import adjugate, det_bareiss, lattice_det_from_columns, solve_integer
 from .latgeom import (
@@ -119,6 +119,18 @@ class ReductionStep:
         # times q0 * D2 over the chain without rebuilding it
         return {"gens": self.gens.to_dict(), "q0": 1, "D2": self.D2,
                 "child_hit": self.child_hit}
+
+
+def read_step(record: dict) -> GeneratorSet:
+    """Read a chain entry (`to_dict` above): its generators, with integer q0,
+    D2 and child hit (or a null hit).  Raises KeyError, TypeError or ValueError."""
+    gens = GeneratorSet.from_dict(record["gens"])
+    for key in ("q0", "D2"):
+        if type(record[key]) is not int:
+            raise ValueError(f"{key!r} must be an integer")
+    if not (record["child_hit"] is None or type(record["child_hit"]) is int):
+        raise ValueError("'child_hit' must be an integer or null")
+    return gens
 
 
 def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
@@ -356,23 +368,55 @@ class Certificate:
         return Certificate(d["root"], d["chain"], d["terminal"], d.get("constants", {}))
 
 
-def state_from_dict(d: dict) -> SystemState:
-    polys = []
-    exact_flags = d.get("polys_exact")
-    for pi, coeffs in enumerate(d["polys"]):
-        cs = []
-        for ci, cstr in enumerate(coeffs):
-            exact = exact_flags[pi][ci] if exact_flags else True
-            cs.append(Real(Fraction(cstr), 0 if exact else Fraction(1, 2 ** 192)))
-        polys.append(Poly(tuple(cs)))
-    return SystemState(PolySystem(tuple(polys)),
-                       Epsilons(tuple(Fraction(e) for e in d["eps"])),
-                       Fraction(d["x"]))
+class CertificateRecordError(ValueError):
+    """A record refused by its reader; ``check`` is 'root', 'chain', 'step{i}' or 'terminal'."""
+
+    def __init__(self, section: str, index: Optional[int], exc: Exception):
+        self.check = section if index is None else f"step{index}"
+        self.detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        super().__init__(f"field {section!r}: {self.detail}")
+
+
+def read_terminal(terminal: dict) -> Tuple[str, Optional[int], List[Fraction]]:
+    """Read a terminal record: its kind, n and distances (None and [] when
+    exhausted).  Raises KeyError, TypeError or ValueError."""
+    kind = terminal["kind"]
+    if kind == TERMINAL_EXHAUSTED:
+        if type(terminal["reason"]) is not str:
+            raise ValueError("'reason' must be a string")
+        return kind, None, []
+    if kind != TERMINAL_FOUND:
+        raise ValueError(f"unknown kind {kind!r}")
+    n, dists = terminal["n"], terminal["dists"]
+    if type(n) is not int or n < 1:
+        raise ValueError("'n' must be an integer, at least 1")
+    if not isinstance(dists, list):
+        raise ValueError("'dists' must be a list of rational strings")
+    return kind, n, [parse_rational(text) for text in dists]
+
+
+def read_certificate(cert: Certificate):
+    """The root state, each step's generators and the terminal's fields, each
+    read by its record's reader.  Raises CertificateRecordError."""
+    section, index = "root", None
+    try:
+        root = SystemState.from_dict(cert.root)
+        section, gens = "chain", []
+        if not isinstance(cert.chain, list):
+            raise ValueError("need a list of step records")
+        for index, record in enumerate(cert.chain):
+            gens.append(read_step(record))
+        section, index = "terminal", None
+        terminal = read_terminal(cert.terminal)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CertificateRecordError(section, index, exc) from exc
+    return root, gens, terminal
 
 
 def verify_certificate(cert: Certificate) -> List[Tuple[str, bool, str]]:
     """Re-check a certificate without re-running any search.
 
+    A record its reader refuses is the one failed check, `{record}.parse`.
     Each chain step is rebuilt by reduce_dimension from its parent (the root,
     then the previous rebuilt child) and its recorded generators, and must
     give the same record, the child's hit apart.  Under a found n, each
@@ -385,12 +429,15 @@ def verify_certificate(cert: Certificate) -> List[Tuple[str, bool, str]]:
     def add(name, ok, detail=""):
         checks.append((name, bool(ok), detail))
 
-    root_state = state_from_dict(cert.root)
-    kind = cert.terminal.get("kind")
-    parent, above = root_state, cert.terminal.get("n")
-    for idx, record in enumerate(cert.chain):
+    try:
+        root_state, gens, (kind, n, dists) = read_certificate(cert)
+    except CertificateRecordError as exc:
+        add(f"{exc.check}.parse", False, exc.detail)
+        return checks
+    parent, above = root_state, n
+    for idx, (record, step_gens) in enumerate(zip(cert.chain, gens)):
         try:
-            step = reduce_dimension(parent, GeneratorSet.from_dict(record["gens"]))
+            step = reduce_dimension(parent, step_gens)
         except Exception as exc:  # noqa: BLE001 - report, never crash replay
             add(f"step{idx}.rebuild", False, f"reduce_dimension raised {exc!r}")
             break
@@ -399,7 +446,7 @@ def verify_certificate(cert: Certificate) -> List[Tuple[str, bool, str]]:
         add(f"step{idx}.rebuild", not differ,
             "differs in " + ", ".join(differ) if differ else "")
         if kind == TERMINAL_FOUND:
-            hit = record.get("child_hit")
+            hit = record["child_hit"]
             try:
                 lifted, _dists = lift_solution(step, hit, parent)
                 add(f"step{idx}.lift", lifted == above,
@@ -410,15 +457,12 @@ def verify_certificate(cert: Certificate) -> List[Tuple[str, bool, str]]:
         parent = step.child_state()
 
     if kind == TERMINAL_FOUND:
-        n = cert.terminal["n"]
-        dists = [Fraction(s) for s in cert.terminal["dists"]]
         fresh = eval_system(root_state.system, n)
         add("terminal.dists_match", fresh == dists)
         add("terminal.meets_eps",
             all(dv < e for dv, e in zip(fresh, root_state.eps.eps)))
         add("terminal.in_horizon", n < root_state.y)
-    elif kind == TERMINAL_EXHAUSTED:
-        add("terminal.exhausted", isinstance(cert.terminal.get("reason"), str))
     else:
-        add("terminal.kind", False, f"unknown kind {kind!r}")
+        # the reader has checked that its reason is a string
+        add("terminal.exhausted", True)
     return checks

@@ -156,6 +156,25 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
 
+    @pytest.mark.parametrize("where, value, field", [
+        (("x",), True, "field 'x'"),
+        (("x",), 2000.5, "field 'x'"),
+        (("system", "polys", 0, 0), True, "field 'system'"),
+        (("system", "d"), 3, "field 'system'"),
+    ], ids=["bool-x", "float-x", "bool-coefficient", "wrong-d"])
+    def test_relations_on_malformed_scan_exit_1(self, tmp_path, dup_system, where, value,
+                                                field, capsys):
+        assert main(["fourier-scan", dup_system]) == EXIT_OK
+        scan = json.loads(capsys.readouterr().out)
+        node = scan
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        path = write(tmp_path, "scan.json", scan)
+        assert main(["relations", path]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
     @pytest.mark.parametrize("data, field", [
         ({}, "missing field 'relations'"),
         ([], "missing field 'relations'"),
@@ -296,6 +315,18 @@ class TestVerifyCert:
         ({"root": {"d": 1, "polys": [["1/2"]], "eps": ["0.01"], "x": "100"},
           "chain": [], "terminal": {"kind": "found-n", "n": True, "dists": ["0"]}},
          "'terminal': 'n' must be an integer"),
+        ({"root": {"d": 1, "polys": [[True]], "eps": ["0.01"], "x": "100"},
+          "chain": [], "terminal": {"kind": "found-n", "n": 2, "dists": ["0"]}},
+         "'root': field 'polys[0]'"),
+        ({"root": {"d": 1, "polys": [["1/2"]], "eps": [0.01], "x": "100"},
+          "chain": [], "terminal": {"kind": "found-n", "n": 2, "dists": ["0"]}},
+         "'root': field 'eps'"),
+        ({"root": {"d": 1, "polys": [["1/2"]], "eps": ["0.01"], "x": 100.0},
+          "chain": [], "terminal": {"kind": "found-n", "n": 2, "dists": ["0"]}},
+         "'root': field 'x'"),
+        ({"root": {"d": 7, "polys": [["1/2"]], "eps": ["0.01"], "x": "100"},
+          "chain": [], "terminal": {"kind": "found-n", "n": 2, "dists": ["0"]}},
+         "'root': field 'polys[0]'"),
     ])
     def test_malformed_cert_exit_1(self, tmp_path, data, field, capsys):
         path = write(tmp_path, "c.json", data)

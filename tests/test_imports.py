@@ -80,11 +80,11 @@ SOLVER = ["fracparts." + m for m in
 OFF_LIMITS = ["numpy", "mpmath", "fracparts.diophantine", "fracparts.denomstruct", "fracparts.cli"]
 
 
-def loaded_off_limits(modules) -> list:
-    """The OFF_LIMITS modules loaded by importing `modules` in a fresh interpreter."""
+def loaded_off_limits(modules, off_limits=OFF_LIMITS) -> list:
+    """The off_limits modules loaded by importing `modules` in a fresh interpreter."""
     code = ("import importlib, sys\n"
             f"for m in {modules!r}: importlib.import_module(m)\n"
-            f"print(*[m for m in {OFF_LIMITS!r} if m in sys.modules])")
+            f"print(*[m for m in {off_limits!r} if m in sys.modules])")
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
@@ -97,3 +97,10 @@ def test_solver_loads_no_toolkit():
 
 def test_guard_flags_the_cli():
     assert loaded_off_limits(["fracparts.cli"]) == OFF_LIMITS
+
+
+def test_readers_sit_below_serialize():
+    # serialize calls the record readers of core and reduction, so neither
+    # may import it back
+    assert loaded_off_limits(["fracparts.core", "fracparts.reduction"],
+                             ["fracparts.serialize"]) == []

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
@@ -30,6 +31,7 @@ from fracparts.reduction import (
     region,
     verify_certificate,
 )
+from fracparts.serialize import SystemFileError, load_certificate
 from fraction_oracle import mat_vec, poly_eval
 from test_acceptance import PLANT_CONFIG, PLANT_SEED, planted_state
 
@@ -363,3 +365,80 @@ class TestReplayRebuild:
                   verify_certificate(Certificate.from_dict(data))}
         assert checks["step0.rebuild"] is False
         assert checks["step1.rebuild"] is True
+
+
+def half_certificate() -> dict:
+    """The solved certificate of f = X/2 with eps = 1/100 and x = 100."""
+    state = SystemState(sys1(["1/2"]), Epsilons((Fraction(1, 100),)), Real(Fraction(100)))
+    return solve(state).certificate.to_dict()
+
+
+def leaves(node, path=()):
+    """(path, value) of each leaf under a JSON node."""
+    if not isinstance(node, (dict, list)):
+        yield path, node
+        return
+    for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield from leaves(child, path + (key,))
+
+
+def retyped(value) -> list:
+    """A leaf's stand-ins of the wrong JSON type: an int becomes a float (and
+    a bool, for 0 and 1), a bool an int, a string a number and true."""
+    if type(value) is bool:
+        return [int(value)]
+    if type(value) is int:
+        return [float(value)] + ([bool(value)] if value in (0, 1) else [])
+    if type(value) is str:
+        try:
+            return [float(Fraction(value)), True]
+        except ValueError:
+            return [1, True]
+    return []
+
+
+def retyped_copies(data: dict):
+    """(leaf path, wrong value) and a copy of data with that one leaf of the
+    root, of a step or of the terminal retyped, for each leaf in turn."""
+    for section in ("root", "chain", "terminal"):
+        for where, value in leaves(data[section], (section,)):
+            for bad_value in retyped(value):
+                bad = copy.deepcopy(data)
+                node = bad
+                for key in where[:-1]:
+                    node = node[key]
+                node[where[-1]] = bad_value
+                yield (where, bad_value), bad
+
+
+class TestTypeTamper:
+    @pytest.mark.parametrize("which", range(6),
+                             ids=["dup", "two-step", "planted0", "planted1", "planted2", "half"])
+    def test_every_retyped_leaf_is_refused(self, chained_certificates, which, tmp_path):
+        data = (chained_certificates + [half_certificate()])[which]
+        path = tmp_path / "cert.json"
+        wrong = []
+        for case, bad in retyped_copies(data):
+            try:
+                checks = verify_certificate(Certificate.from_dict(bad))
+            except Exception as exc:  # noqa: BLE001 - the failure under test
+                wrong.append((case, f"verify_certificate raised {exc!r}"))
+                continue
+            # exactly one parse check, and it fails
+            if [ok for name, ok, _d in checks if name.endswith(".parse")] != [False]:
+                wrong.append((case, f"replay gave {checks}"))
+            path.write_text(json.dumps(bad))
+            try:
+                load_certificate(path)
+                wrong.append((case, "load_certificate accepted it"))
+            except SystemFileError:
+                pass
+        assert wrong == []
+
+    @pytest.mark.parametrize("n", [0, -6])
+    def test_nonpositive_n_is_refused(self, n):
+        # eval_system raised on these, from inside replay
+        data = two_step_certificate().to_dict()
+        data["terminal"]["n"] = n
+        assert verify_certificate(Certificate.from_dict(data)) == [
+            ("terminal.parse", False, "'n' must be an integer, at least 1")]
