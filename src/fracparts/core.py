@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from operator import add, and_, gt, mod, mul, sub
@@ -23,6 +24,10 @@ from typing import List, Optional, Sequence, Tuple
 
 DEFAULT_PRECISION_BITS = 192
 DEFAULT_ENUM_CAP = 10 ** 8
+
+# relative margin from an integer within which a float cap estimate is
+# checked exactly
+CAP_REL_TOL = 1e-9
 
 _COEFF_RE = re.compile(
     r"^(?P<sign>[+-])?(?:"
@@ -248,6 +253,40 @@ class Epsilons:
         return all(e <= Fraction(1, 100) for e in self.eps)
 
 
+def _delta_scaled_caps(eps: Epsilons, exponent: Fraction) -> List[int]:
+    """floor(eps_i^-1 * Delta^(-exponent)) for each i, exactly.
+
+    A float estimate from logs settles each cap whose value lies clear of an
+    integer by CAP_REL_TOL (relative); the few that do not are decided
+    exactly: with exponent = p/q, c qualifies iff (c * eps_i)^q * Delta^p <= 1.
+    """
+    delta = eps.delta_product
+    p, q = exponent.numerator, exponent.denominator
+    log2_num, log2_den = math.log2(delta.numerator), math.log2(delta.denominator)
+    log2_factor = -float(exponent) * (log2_num - log2_den)
+    caps = []
+    for e in eps.eps:
+        log2_e_num, log2_e_den = math.log2(e.numerator), math.log2(e.denominator)
+        log2v = log2_factor + log2_e_den - log2_e_num
+        # each log is good to an ulp of its own size, so widen the margin with them
+        tol = CAP_REL_TOL + 2.0 ** -48 * (float(exponent) * (log2_num + log2_den)
+                                          + log2_e_num + log2_e_den)
+        shift = max(0, math.floor(log2v) - 52)  # so that mant < 2^53
+        mant = 2.0 ** (log2v - shift)
+        lo = math.floor(mant * (1 - tol)) << shift
+        hi = ((math.floor(mant * (1 + tol)) + 1) << shift) - 1
+        if lo < hi:  # lo <= cap <= hi: bisect for the largest c that qualifies
+            lhs, rhs = delta.numerator ** p, e.denominator ** q * delta.denominator ** p
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if (mid * e.numerator) ** q * lhs <= rhs:
+                    lo = mid
+                else:
+                    hi = mid - 1
+        caps.append(lo)
+    return caps
+
+
 @dataclass(frozen=True)
 class SystemState:
     """A (k, system, tolerances, horizon) search problem.
@@ -275,6 +314,25 @@ class SystemState:
     @property
     def k(self) -> int:
         return self.system.k
+
+    @cached_property
+    def region(self) -> Tuple[Tuple[int, ...], Fraction]:
+        """The region (B, eta) this level's reduction generators (h, a) must
+        lie in: |h_i| <= B_i and |sum_i h_i f_{i,j} - a_j| <= eta^j.
+
+        B_i = max(ceil(1/eps_i), floor(eps_i^-1 Delta^(-2/(2k)^4)), 2) is large
+        enough that meeting 1/B_i implies meeting eps_i, and wide enough to
+        contain the Fourier frequency box (`expsum.frequency_caps`, whose
+        exponent is half this one).  eta = min(1/100, 1/(2x)): 1/100 is the
+        lemma's hypothesis, and eta n < 1/2 for every n < x.  The driver
+        searches this region, `reduction.reduce_dimension` checks against it
+        and `reduction.density_invariant` reads its B; the state is
+        immutable, so it is computed once per level.
+        """
+        eps = self.eps
+        caps = _delta_scaled_caps(eps, Fraction(2, (2 * eps.k) ** 4))
+        B = tuple(max(math.ceil(1 / e), cap, 2) for e, cap in zip(eps.eps, caps))
+        return B, min(Fraction(1, 100), 1 / (2 * self.y))
 
     def to_dict(self) -> dict:
         return {

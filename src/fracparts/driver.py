@@ -4,7 +4,7 @@ Each level runs the dichotomy's hit-density gate (`expsum.density_gate`),
 one pass that counts the hits and finds the smallest.  Dense hits return
 it; otherwise a level with k >= 2 tries one reduction, with generators from
 the relation lattice over q0 = 1, searched in the level's own region
-(`reduction.region`, which `reduce_dimension` checks them against), and
+(`SystemState.region`, which `reduce_dimension` checks them against), and
 recurses on the smaller child.  The lattice is built from the coefficients
 themselves, so the Fourier box scan, relation reconstruction and
 denominator clustering serve only the CLI chain.  When c_hit * Delta > 1
@@ -60,7 +60,6 @@ from .reduction import (
     density_invariant,
     lift_solution,
     reduce_dimension,
-    region,
 )
 
 STATUS_FOUND = "found"
@@ -210,7 +209,7 @@ def _reduction_path(state, config, stats, depth):
     """One reduction over q0 = 1, then the child's solve and the lift; None
     unless the lifted n is found.  The generators are searched in the
     level's own region, the one `reduce_dimension` checks them against."""
-    B, eta = region(state)
+    B, eta = state.region
     try:
         gens = quasi_orthogonal_generators(state.system, B, eta,
                                            N_target=N_TARGET, c_orth=C_ORTH,

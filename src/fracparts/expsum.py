@@ -16,13 +16,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .core import DEFAULT_ENUM_CAP, Epsilons, PolySystem, _check_cap, hit_count
+from .core import (
+    DEFAULT_ENUM_CAP,
+    Epsilons,
+    PolySystem,
+    _check_cap,
+    _delta_scaled_caps,
+    hit_count,
+)
 
 DEFAULT_MAX_BOX = 20000
-
-# relative margin from an integer within which a float cap estimate is
-# checked exactly
-CAP_REL_TOL = 1e-9
 
 FrequencyVector = Tuple[int, ...]
 
@@ -85,40 +88,6 @@ def _int_tuple(values, name: str) -> Tuple[int, ...]:
     if not isinstance(values, list) or not all(map(_is_int, values)):
         raise TypeError(f"{name} must be a list of integers")
     return tuple(values)
-
-
-def _delta_scaled_caps(eps: Epsilons, exponent: Fraction) -> List[int]:
-    """floor(eps_i^-1 * Delta^(-exponent)) for each i, exactly.
-
-    A float estimate from logs settles each cap whose value lies clear of an
-    integer by CAP_REL_TOL (relative); the few that do not are decided
-    exactly: with exponent = p/q, c qualifies iff (c * eps_i)^q * Delta^p <= 1.
-    """
-    delta = eps.delta_product
-    p, q = exponent.numerator, exponent.denominator
-    log2_num, log2_den = math.log2(delta.numerator), math.log2(delta.denominator)
-    log2_factor = -float(exponent) * (log2_num - log2_den)
-    caps = []
-    for e in eps.eps:
-        log2_e_num, log2_e_den = math.log2(e.numerator), math.log2(e.denominator)
-        log2v = log2_factor + log2_e_den - log2_e_num
-        # each log is good to an ulp of its own size, so widen the margin with them
-        tol = CAP_REL_TOL + 2.0 ** -48 * (float(exponent) * (log2_num + log2_den)
-                                          + log2_e_num + log2_e_den)
-        shift = max(0, math.floor(log2v) - 52)  # so that mant < 2^53
-        mant = 2.0 ** (log2v - shift)
-        lo = math.floor(mant * (1 - tol)) << shift
-        hi = ((math.floor(mant * (1 + tol)) + 1) << shift) - 1
-        if lo < hi:  # lo <= cap <= hi: bisect for the largest c that qualifies
-            lhs, rhs = delta.numerator ** p, e.denominator ** q * delta.denominator ** p
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if (mid * e.numerator) ** q * lhs <= rhs:
-                    lo = mid
-                else:
-                    hi = mid - 1
-        caps.append(lo)
-    return caps
 
 
 def frequency_caps(eps: Epsilons) -> Tuple[int, ...]:

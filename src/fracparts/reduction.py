@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .core import Epsilons, Poly, PolySystem, Real, SystemState, eval_system, parse_rational
-from .expsum import _delta_scaled_caps
 from .intlinalg import adjugate, det_bareiss, lattice_det_from_columns, solve_integer
 from .latgeom import (
     GeneratorSet,
@@ -62,23 +61,6 @@ DEFAULT_DELTA_CONST = Fraction(1, 4)
 # The relation-quality exponent C of the density invariant's exponents
 # 3C^2 - C^2/k^3.
 C_CFG = 4
-
-
-def region(state: SystemState) -> Tuple[List[int], Fraction]:
-    """The region (B, eta) a level's generators (h, a) must lie in:
-    |h_i| <= B_i and |sum_i h_i f_{i,j} - a_j| <= eta^j.
-
-    B_i = max(ceil(1/eps_i), floor(eps_i^-1 Delta^(-2/(2k)^4)), 2) is large
-    enough that meeting 1/B_i implies meeting eps_i, and wide enough to
-    contain the Fourier frequency box (`expsum.frequency_caps`, whose
-    exponent is half this one).  eta = min(1/100, 1/(2x)): 1/100 is the
-    lemma's hypothesis, and eta n < 1/2 for every n < x.  The driver
-    searches this region and `reduce_dimension` checks against it.
-    """
-    eps = state.eps
-    caps = _delta_scaled_caps(eps, Fraction(2, (2 * eps.k) ** 4))
-    B = [max(math.ceil(1 / e), cap, 2) for e, cap in zip(eps.eps, caps)]
-    return B, min(Fraction(1, 100), 1 / (2 * state.y))
 
 
 def _linf_col(Z: Sequence[Sequence[int]], col: int) -> int:
@@ -137,7 +119,7 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
     """Build the k' = k - r reduced system from a generator set.
 
     The generators are the step's only input besides the parent: the region
-    (B, eta) they must lie in is the parent's own (`region`), so a
+    (B, eta) they must lie in is the parent's own (`SystemState.region`), so a
     generator outside it raises ReductionPreconditionError.  Their
     a-vectors are integers (the common denominator q0 is 1, as they come
     straight from the relation lattice), and the window constant is
@@ -151,7 +133,7 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
         raise ReductionPreconditionError(f"need 1 <= r < k, got r={r}, k={k}")
     delta = DEFAULT_DELTA_CONST
     x = state.y
-    B, eta = region(state)
+    B, eta = state.region
 
     # each generator is a point of the region, with coefficient error slack
     for ell in range(r):
@@ -318,7 +300,7 @@ def density_invariant(parent: SystemState, step: ReductionStep) -> DensityReport
         return math.log(fr.numerator) - math.log(fr.denominator)
 
     log_bp = sum(logf(b) for b in step.B_prime)
-    log_b = sum(logf(Fraction(b)) for b in region(parent)[0])
+    log_b = sum(logf(Fraction(b)) for b in parent.region[0])
     llhs = logf(step.y) - float(E_new) * log_bp
     lrhs = logf(parent.y) - float(E_old) * log_b
     lratio = llhs - lrhs

@@ -11,6 +11,7 @@ from fracparts.core import (
     HorizonCapError,
     Poly,
     PolySystem,
+    _delta_scaled_caps,
     hit_count,
 )
 from fracparts.diophantine import (
@@ -26,7 +27,6 @@ from fracparts.expsum import (
     LARGE_COEFFICIENTS,
     BoxTooLargeError,
     FourierDichotomy,
-    _delta_scaled_caps,
     frequency_caps,
 )
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,12 +14,14 @@ from fracparts.latgeom import (
     LatticeBasis,
     NoShortVector,
     PrecisionError,
+    RELATION_GUARD_BITS,
     SingularH1Error,
     build_relation_lattice,
     decisively_in_region,
     max_minor,
     quasi_orthogonal_generators,
     reduce_basis,
+    relation_lattice_bits,
     scaled_h_rows,
     shortest_vector,
     solution_lattice_basis,
@@ -31,7 +34,6 @@ from fracparts.reduction import (
     DegenerateHorizonError,
     IntegralityError,
     reduce_dimension,
-    region,
 )
 import fraction_oracle
 from fraction_oracle import _dot, _linf, mat_mul, mat_vec
@@ -97,6 +99,39 @@ class TestBuildLattice:
         coarse = Poly((parse_scalar("sqrt(2)", bits=8),))
         with pytest.raises(PrecisionError):
             build_relation_lattice(PolySystem((coarse,)), [2], Fraction(1, 100))
+        # the guard reads the coefficient's own radius, which rounding to
+        # 2^-b would hide: this value has a 2^300 denominator, so the
+        # lattice rounds it, and radius eta^d / 2^19 is over the limit
+        eta = Fraction(1, 100)
+        value = Fraction(2 ** 300 // 3, 2 ** 300)
+        scale = 2 ** relation_lattice_bits(1, 1, [2], eta)
+        for err, refused in ((eta / 2 ** 19, True), (eta / 2 ** 20, False)):
+            system = PolySystem((Poly((Real(value, err),)),))
+            if refused:
+                with pytest.raises(PrecisionError):
+                    build_relation_lattice(system, [2], eta)
+            else:
+                assert build_relation_lattice(system, [2], eta).vectors[0][1] == (
+                    -Fraction(round(value * scale), scale) / eta)
+
+    def test_lattice_bits(self):
+        # ceil(d log2(1/eta)) + bitlen(k ceil(max B)) + guard
+        for k, d, B, eta, bits in ((1, 1, [2], Fraction(1, 100), 7 + 2),
+                                   (1, 2, [3], Fraction(1, 10), 7 + 2),
+                                   (4, 3, [5] * 4, Fraction(1, 18000), 43 + 5),
+                                   (2, 1, [Fraction(5, 2), 2], Fraction(1, 4), 2 + 3)):
+            assert relation_lattice_bits(k, d, B, eta) == bits + RELATION_GUARD_BITS
+
+    def test_only_denominators_over_two_to_the_b_are_rounded(self):
+        eta, B = Fraction(1, 10), [3]
+        b = relation_lattice_bits(1, 2, B, eta)
+        kept = Fraction(1, 2 ** b - 1)    # denominator <= 2^b: exact
+        rounded = Fraction(1, 2 ** b + 1)  # nearest multiple of 2^-b is 2^-b
+        for beta, entry in ((kept, kept), (rounded, Fraction(1, 2 ** b)),
+                            (Fraction(3, 2 ** b), Fraction(3, 2 ** b))):
+            system = PolySystem((Poly((Real(beta), Real(beta))),))
+            row = build_relation_lattice(system, B, eta).vectors[0]
+            assert row == [Fraction(1, 3), -entry / eta, -entry / eta ** 2]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -304,7 +339,7 @@ _COEFF = {"rational": lambda draw: str(Fraction(draw(st.integers(0, 20)),
 def generator_cases(draw):
     """Small systems with rational or sqrt coefficients, sometimes with a
     duplicated row (its relations tie the minors), searched either in a
-    level's own region (`reduction.region` of a drawn state, which
+    level's own region (`SystemState.region` of a drawn state, which
     `reduce_dimension` then uses) or under a free B with unequal, possibly
     fractional entries."""
     k = draw(st.integers(1, 3))
@@ -320,7 +355,7 @@ def generator_cases(draw):
         eps = Epsilons(tuple(Fraction(1, draw(st.sampled_from([5, 9, 20, 50])))
                              for _ in range(k)))
         state = SystemState(system, eps, Real(Fraction(draw(st.integers(200, 5000)))))
-        return system, *region(state), 3, 0.05, k - 1, state
+        return system, *state.region, 3, 0.05, k - 1, state
     B = [Fraction(draw(st.integers(2, 24)), draw(st.integers(1, 2))) for _ in range(k)]
     eta = Fraction(1, draw(st.sampled_from([3, 10, 50, 200, 1000])))
     return (system, B, eta, draw(st.integers(2, 9)),
@@ -399,3 +434,59 @@ class TestSublattice:
                 y = [Z[i][col] for i in range(ell)]
                 t = mat_vec(H2, y)
                 assert solve_integer(H1, t) is not None
+
+
+@st.composite
+def rounded_lattice_cases(draw):
+    """A state whose coefficients the relation lattice rounds: sqrt(m)/q
+    approximants or p/q in lowest terms with 200-bit q, with one row
+    sometimes a duplicate of another (a planted exact relation)."""
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        def coeff():
+            m = draw(st.integers(2, 10 ** 6).filter(lambda v: math.isqrt(v) ** 2 != v))
+            return f"sqrt({m})/{draw(st.integers(1, 9))}"
+    else:
+        def coeff():
+            den = draw(st.integers(2 ** 199, 2 ** 200))
+            num = draw(st.integers(-den, den).filter(lambda v: math.gcd(v, den) == 1))
+            return f"{num}/{den}"
+    rows = [[coeff() for _ in range(d)] for _ in range(k)]
+    duplicate = k > 1 and draw(st.booleans())
+    if duplicate:
+        i, j = draw(st.permutations(range(k)))[:2]
+        rows[i] = list(rows[j])
+    eps = Epsilons((Fraction(1, draw(st.sampled_from([5, 9, 20]))),) * k)
+    return SystemState(sys1(*rows), eps, Real(Fraction(draw(st.integers(200, 9000))))), duplicate
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rounded_lattice_cases())
+def test_rounded_lattice_is_sound(case):
+    """Generators found on the rounded lattice are region points of the
+    unrounded system; each rounded coefficient is within 2^-(b+1) of its
+    value; and the lattice's integer entries have about b + bitlen(max B) +
+    d log2(1/eta) bits, far below the 192-bit approximants'."""
+    state, duplicate = case
+    system, (B, eta) = state.system, state.region
+    k, d = system.k, system.d
+    b = relation_lattice_bits(k, d, B, eta)
+    rows = build_relation_lattice(system, B, eta).vectors
+    for i in range(k):
+        for j in range(1, d + 1):
+            beta = -rows[i][k + j - 1] * eta ** j
+            assert abs(beta - system.coeff(i + 1, j).value) <= Fraction(1, 2 ** (b + 1))
+    L = math.lcm(*(x.denominator for row in rows for x in row))
+    top = max(abs(int(x * L)) for row in rows for x in row)
+    max_beta = max(abs(c.value) for poly in system.polys for c in poly.coeffs)
+    bound = (b + math.lcm(*B).bit_length() + math.ceil(eta ** -d).bit_length()
+             + math.ceil(max_beta).bit_length())
+    assert top.bit_length() <= bound < 192
+    got = quasi_orthogonal_generators(system, B, eta, N_target=3, c_orth=0.05, max_r=k - 1)
+    if duplicate:
+        assert isinstance(got, GeneratorSet)
+    if isinstance(got, GeneratorSet):
+        for h, a in zip(got.h_vecs, got.a_vecs):
+            assert decisively_in_region(system, h, a, B, eta)

@@ -6,15 +6,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fracparts.core import (
     Epsilons,
     Poly,
     PolySystem,
     Real,
+    ScalarParseError,
     SystemState,
     eval_system,
     first_hit,
+    parse_rational,
 )
 from fracparts.driver import solve
 from fracparts.intlinalg import det_bareiss
@@ -28,11 +32,10 @@ from fracparts.reduction import (
     density_invariant,
     lift_solution,
     reduce_dimension,
-    region,
     verify_certificate,
 )
 from fracparts.serialize import SystemFileError, load_certificate
-from fraction_oracle import mat_vec, poly_eval
+from fraction_oracle import frac_dist, mat_vec, poly_eval
 from test_acceptance import PLANT_CONFIG, PLANT_SEED, planted_state
 
 
@@ -46,7 +49,7 @@ def dup_state(x=10 ** 5, eps=Fraction(1, 20)):
 
 
 def dup_gens(state):
-    g = quasi_orthogonal_generators(state.system, *region(state),
+    g = quasi_orthogonal_generators(state.system, *state.region,
                                     N_target=41, c_orth=0.05)
     assert isinstance(g, GeneratorSet)
     return g
@@ -82,8 +85,8 @@ class TestReduceDimension:
         # but the level's own region has B = 20
         s = sys1(["0", "sqrt(2)"], ["1/30", "sqrt(2)"])
         state = SystemState(s, Epsilons((Fraction(1, 20),) * 2), Real(Fraction(10 ** 5)))
-        B, eta = region(state)
-        assert B == [20, 20]
+        B, eta = state.region
+        assert B == (20, 20)
         gens = quasi_orthogonal_generators(s, [60, 60], eta, N_target=41, c_orth=0.05)
         assert isinstance(gens, GeneratorSet)
         assert sorted(abs(v) for v in gens.h_vecs[0]) == [30, 30]
@@ -229,7 +232,7 @@ class TestDensityInvariant:
         C2 = 16
         E_new = 3 * C2 - C2 / step.k_prime ** 3
         E_old = 3 * C2 - C2 / step.k ** 3 - C2 / step.k ** 4
-        expect = (E_old * sum(math.log10(b) for b in region(state)[0])
+        expect = (E_old * sum(math.log10(b) for b in state.region[0])
                   - E_new * sum(math.log10(float(b)) for b in step.B_prime))
         assert abs(rep.log10_ratio - expect) < 1e-6
 
@@ -261,7 +264,7 @@ def two_step_certificate():
                         Real(Fraction(10 ** 5)))
     levels, parent = [], state
     for _ in range(2):
-        gens = quasi_orthogonal_generators(parent.system, *region(parent),
+        gens = quasi_orthogonal_generators(parent.system, *parent.region,
                                            N_target=3, c_orth=0.05, max_r=1)
         step = reduce_dimension(parent, gens)
         levels.append((parent, step))
@@ -442,3 +445,89 @@ class TestTypeTamper:
         data["terminal"]["n"] = n
         assert verify_certificate(Certificate.from_dict(data)) == [
             ("terminal.parse", False, "'n' must be an integer, at least 1")]
+
+
+@pytest.fixture(scope="module")
+def value_tamper_certificates(chained_certificates):
+    """TestTypeTamper's certificates, then PLANT_SEED systems 155 and 172,
+    whose first steps other generator sets rebuild exactly."""
+    rng = random.Random(PLANT_SEED)
+    same_step = []
+    for index in range(173):
+        state = planted_state(rng)
+        if index in (155, 172):
+            same_step.append(solve(state, PLANT_CONFIG).certificate.to_dict())
+    return chained_certificates + [half_certificate()] + same_step
+
+
+def other_value(value):
+    """Another JSON value of the leaf's type: the other bool, another
+    integer, another rational string for a rational one, other text else."""
+    if type(value) is bool:
+        return st.just(not value)
+    if type(value) is int:
+        return st.one_of(st.integers(value - 3, value + 3), st.integers()).filter(
+            lambda v: v != value)
+    try:
+        old = parse_rational(value)
+    except ScalarParseError:
+        return st.text().filter(lambda v: v != value)
+    changes = [st.fractions().map(lambda f: old + f)]
+    if old:
+        changes.append(st.fractions(Fraction(1, 4), 4).map(lambda f: old * f))
+    return st.one_of(changes).filter(lambda v: v != old).map(str)
+
+
+def derived_steps(data: dict) -> list:
+    """Each chain step rebuilt from its parent (the root, then the previous
+    rebuilt child), as the fields it derives from the parent and generators."""
+    parent, steps = SystemState.from_dict(data["root"]), []
+    for record in data["chain"]:
+        step = reduce_dimension(parent, GeneratorSet.from_dict(record["gens"]))
+        steps.append({f.name: getattr(step, f.name) for f in dataclasses.fields(step)
+                      if f.name not in ("gens", "child_hit")})
+        parent = step.child_state()
+    return steps
+
+
+def claim_holds(data: dict) -> bool:
+    """Whether a found-n terminal is true of its root by the Fraction oracle:
+    1 <= n < x, and each recorded distance is that of f_i(n) from Z and stays
+    below eps_i however the coefficients move within their radii."""
+    root, n = SystemState.from_dict(data["root"]), data["terminal"]["n"]
+    dists = [parse_rational(text) for text in data["terminal"]["dists"]]
+    for poly, eps, dist in zip(root.system.polys, root.eps.eps, dists):
+        slack = sum(c.err * n ** j for j, c in enumerate(poly.coeffs, 1))
+        if frac_dist(poly_eval(poly, n)) != dist or dist + slack >= eps:
+            return False
+    return 1 <= n < root.y
+
+
+class TestValueTamper:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_every_changed_leaf_is_refused_or_still_true(self, value_tamper_certificates,
+                                                         data):
+        """A certificate with one leaf of its root, chain or terminal changed
+        to another value of the same type fails a check, unless it is still
+        a true certificate: a changed generator that rebuilds the same step
+        (PLANT_SEED systems 155 and 172), or a changed root or terminal of
+        which the recorded n is still a hit."""
+        original = data.draw(st.sampled_from(value_tamper_certificates))
+        where, value = data.draw(st.sampled_from(
+            [leaf for section in ("root", "chain", "terminal")
+             for leaf in leaves(original[section], (section,))]))
+        bad = copy.deepcopy(original)
+        node = bad
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = data.draw(other_value(value))
+        if not all(ok for _name, ok, _detail in
+                   verify_certificate(Certificate.from_dict(bad))):
+            return
+        if where[0] == "chain":
+            assert where[2] == "gens", where
+            assert derived_steps(bad) == derived_steps(original), where
+        else:
+            assert claim_holds(bad), where
