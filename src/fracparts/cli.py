@@ -32,8 +32,8 @@ from .driver import (
 )
 from .expsum import DEFAULT_MAX_BOX, BoxTooLargeError, FourierDichotomy
 from .latgeom import (
-    LatticeBasis,
     NoShortVector,
+    _integral_rows,
     quasi_orthogonal_generators,
     reduce_basis,
     subset_measures,
@@ -215,11 +215,13 @@ def cmd_lattice(args) -> int:
         _emit({"wedge_norm": wedge_norm(vectors)})
         return EXIT_OK
     if args.reduce:
-        vectors = _parse_matrix(args.reduce, "--reduce")
-        red = reduce_basis(LatticeBasis(vectors=vectors))
-        _emit({"vectors": [[str(v) for v in row] for row in red.vectors],
-               "transform": red.transform,
-               "minima_estimates": [str(m) for m in red.minima_estimates]})
+        L, rows = _integral_rows(_parse_matrix(args.reduce, "--reduce"))
+        reduced, U = reduce_basis(rows)
+        # the successive minima estimated by the reduced rows' sup norms
+        minima = sorted(max(map(abs, row)) for row in reduced)
+        _emit({"vectors": [[str(Fraction(v, L)) for v in row] for row in reduced],
+               "transform": U,
+               "minima_estimates": [str(Fraction(m, L)) for m in minima]})
         return EXIT_OK
     if args.det_identity:
         if not (args.h1 and args.h2):

@@ -1,31 +1,35 @@
 """Geometry of numbers: the scaled relation lattice, LLL reduction, quasi-
 orthogonal generator extraction, and the sublattice determinant identity.
 
-The lattice path runs in exact integers from end to end.  The relation
-lattice is built at the precision its region needs: a coefficient whose
-denominator exceeds 2^b is rounded to the nearest multiple of 2^-b, with b
-(`relation_lattice_bits`) large enough that no region residual moves by more
-than eta^d 2^-RELATION_GUARD_BITS (the rounding step of Lagarias, SIAM J.
+The lattice path runs in exact integers from end to end.  A lattice is its
+integer rows with their scale L: the rows are L times the rational
+generators, L a common multiple of their denominators.  The relation
+lattice is built that way from numerators and denominators, at the
+precision its region needs: a coefficient whose denominator exceeds 2^b is
+rounded to the nearest multiple of 2^-b, with b (`relation_lattice_bits`)
+large enough that no region residual moves by more than
+eta^d 2^-RELATION_GUARD_BITS (the rounding step of Lagarias, SIAM J.
 Comput. 14, 1985), and every candidate the search keeps is re-verified
 exactly against the unrounded coefficients and their radii.  The LLL is the
-integral LLL (Cohen Alg. 2.6.7), updated in place: the rows are scaled by
-their common denominator, the Gram determinants stay integers that each swap
-updates rather than recomputes, and mu is rounded half to even from an
-integer divmod.  The generator search scores subsets on the integer rows
-h_i (M / B_i), M the lcm of the B_i, with fraction-free determinants;
-region membership is tested over each slot's common denominator.
-Reduction quality constants are explicit: LLL at delta = 0.99 with the
-transform retained, successive minima estimated by reduced-basis sup norms,
-and an exact shortest-vector enumeration available in small dimensions to
-validate those estimates.  The Fraction-based search the integer one
-replaced, the rational LLL and the residue-counting oracles that cross-check
-the determinant identity are part of the tests.
+integral LLL (Cohen Alg. 2.6.7), updated in place: the Gram determinants of
+the integer rows stay integers that each swap updates rather than
+recomputes, and mu is rounded half to even from an integer divmod.  Its
+steps do not depend on the scale, so a reduced row is in the unit box when
+its sup norm is at most L.  The generator search scores subsets on the
+integer rows h_i (M / B_i), M the lcm of the B_i, with fraction-free
+determinants; region membership is tested over each slot's common
+denominator.  Reduction quality constants are explicit: LLL at
+delta = 0.99 with the transform retained.  The Fraction construction of the
+relation lattice and the Fraction-based search the integer ones replaced,
+the rational LLL, an exact shortest-vector enumeration and the
+residue-counting oracles that cross-check the determinant identity are
+part of the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -83,17 +87,6 @@ def wedge_norm(vectors: Sequence[Sequence[Fraction]]) -> float:
     return math.sqrt(float(wedge_norm_sq(vectors)))
 
 
-@dataclass
-class LatticeBasis:
-    """Basis rows over Q, optionally with the unimodular transform that
-    produced them from the construction-order generators."""
-
-    vectors: List[List[Fraction]]
-    reduced_flag: bool = False
-    minima_estimates: List[Fraction] = field(default_factory=list)
-    transform: Optional[List[List[int]]] = None  # rows: new basis in old generators
-
-
 def relation_lattice_bits(k: int, d: int, B: Sequence, eta) -> int:
     """b = ceil(d log2(1/eta)) + bitlen(k ceil(max B)) + RELATION_GUARD_BITS.
 
@@ -105,16 +98,18 @@ def relation_lattice_bits(k: int, d: int, B: Sequence, eta) -> int:
             + (k * math.ceil(max(B))).bit_length() + RELATION_GUARD_BITS)
 
 
-def build_relation_lattice(system: PolySystem, B: Sequence, eta) -> LatticeBasis:
+def build_relation_lattice(system: PolySystem, B: Sequence,
+                           eta) -> Tuple[int, List[List[int]]]:
     """The (k+d)-dimensional scaled relation lattice, at the precision its
-    region needs.
+    region needs, as (L, rows): integer rows that are L times the generators
+    below, L the least common denominator of their entries.
 
     Generators: (1/B_i) e_i - sum_j (beta_ij / eta^j) e_{k+j} for each i, and
     (1/eta^j) e_{k+j} for each j.  beta_ij is the coefficient value when its
     denominator is at most 2^b, b = `relation_lattice_bits`, and else that
     value rounded to the nearest multiple of 2^-b, which moves every
     residual sum_i h_i beta_ij - a_j of the region by at most
-    eta^d 2^-RELATION_GUARD_BITS.  Lattice points with sup norm <= 1 are the
+    eta^d 2^-RELATION_GUARD_BITS.  Lattice points with sup norm <= L are the
     integer pairs (h, a) with |h_i| <= B_i and |sum_i h_i beta_ij - a_j| <= eta^j,
     so a candidate is a region point only once re-verified against the
     unrounded coefficients (`decisively_in_region`).  PrecisionError is
@@ -136,22 +131,29 @@ def build_relation_lattice(system: PolySystem, B: Sequence, eta) -> LatticeBasis
         raise PrecisionError(
             f"coefficient rounding radius {max_err} too coarse for eta^d = {ev ** d}")
     scale = 1 << relation_lattice_bits(k, d, Bv, ev)
-    dim = k + d
-    rows = []
+    p, q = ev.numerator, ev.denominator
+    # the nonzero entries: (row, column) -> (numerator, denominator), in lowest terms
+    entries = {}
     for i in range(k):
-        row = [Fraction(0)] * dim
-        row[i] = 1 / Bv[i]
+        entries[i, i] = Bv[i].denominator, Bv[i].numerator
         for j in range(1, d + 1):
-            beta = system.coeff(i + 1, j).value
-            if beta.denominator > scale:
-                beta = Fraction(round(beta * scale), scale)
-            row[k + j - 1] = -beta / ev ** j
-        rows.append(row)
+            u, v = system.coeff(i + 1, j).value.as_integer_ratio()
+            if v > scale:
+                # u / v to the nearest multiple of 1 / scale, a tie to the even one
+                u, rem = divmod(u * scale, v)
+                if 2 * rem > v or (2 * rem == v and u & 1):
+                    u += 1
+                v = scale
+            u, v = -u * q ** j, v * p ** j  # -beta_ij / eta^j
+            g = math.gcd(u, v)
+            entries[i, k + j - 1] = u // g, v // g
     for j in range(1, d + 1):
-        row = [Fraction(0)] * dim
-        row[k + j - 1] = 1 / ev ** j
-        rows.append(row)
-    return LatticeBasis(vectors=rows, transform=identity(dim))
+        entries[k + j - 1, k + j - 1] = q ** j, p ** j
+    L = math.lcm(*(v for _u, v in entries.values()))
+    rows = [[0] * (k + d) for _ in range(k + d)]
+    for (i, c), (u, v) in entries.items():
+        rows[i][c] = u * (L // v)
+    return L, rows
 
 
 def _integral_rows(rows) -> Tuple[int, List[List[int]]]:
@@ -188,19 +190,27 @@ def _integral_gram(rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[
     return d, lam
 
 
-def reduce_basis(basis: LatticeBasis) -> LatticeBasis:
-    """LLL reduction at LLL_DELTA; same lattice, transform kept.
+def reduce_basis(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[List[int]]]:
+    """LLL reduction of integer rows at LLL_DELTA: (reduced rows, U), U the
+    unimodular transform with U rows = reduced rows.
 
-    Integral LLL (Cohen Alg. 2.6.7), updated in place: on the rows scaled by
-    their common denominator L, the Gram determinants d and lambda = d mu
-    stay integers and each swap updates them in O(n).  The steps are those
-    of rational LLL with full size reduction before each Lovasz test, mu
-    rounded half to even.  Integer rows (L = 1) come back as integers,
-    others as Fractions; the minima estimates are max|row| / L.
+    Integral LLL (Cohen Alg. 2.6.7), updated in place: the Gram determinants
+    d and lambda = d mu stay integers and each swap updates them in O(n).
+    The steps are those of rational LLL with full size reduction before each
+    Lovasz test, mu rounded half to even.  Rows of unequal length raise
+    ValueError, dependent rows DependenceError.
+
+    Rational rows are reduced as L times themselves, L any common multiple
+    of their denominators.  Every decision compares like powers of L:
+    d_i grows by L^(2i) and lambda_ij by L^(2(j+1)), so mu and the Lovasz
+    test do not move.  U is therefore the same for every L, and the reduced
+    rows are L times the rational ones, so |row| <= L tests |row / L| <= 1.
     """
-    L, vecs = _integral_rows(basis.vectors)
+    vecs = [list(row) for row in rows]
+    if len({len(row) for row in vecs}) > 1:
+        raise ValueError("rows must all have the same length")
     n = len(vecs)
-    U = [list(row) for row in (basis.transform or identity(n))]
+    U = identity(n)
     d, lam = _integral_gram(vecs)
     num, den = LLL_DELTA.numerator, LLL_DELTA.denominator
     kk = 1
@@ -237,59 +247,7 @@ def reduce_basis(basis: LatticeBasis) -> LatticeBasis:
             li[kk - 1] = (B * t + lk1 * li[kk]) // d[kk + 1]
         d[kk] = B
         kk = max(kk - 1, 1)
-    estimates = sorted(Fraction(max(map(abs, row), default=0), L) for row in vecs)
-    vectors = vecs if L == 1 else [[Fraction(x, L) for x in row] for row in vecs]
-    return LatticeBasis(vectors=vectors, reduced_flag=True, minima_estimates=estimates,
-                        transform=U)
-
-
-def shortest_vector(basis: LatticeBasis) -> Tuple[List[Fraction], Fraction]:
-    """Exact shortest nonzero lattice vector (l2) by depth-first enumeration.
-
-    Intended for validating reduced-basis estimates in dimension <= 8.
-    Enumerates on the rows scaled by their common denominator L.
-    """
-    red = basis if basis.reduced_flag else reduce_basis(basis)
-    vecs = red.vectors
-    n = len(vecs)
-    if n > 8:
-        raise ValueError("exact enumeration is limited to dimension <= 8")
-    L, rows = _integral_rows(vecs)
-    d, lam = _integral_gram(rows)
-    mu = [[Fraction(lam[i][j], d[j + 1]) for j in range(i)] for i in range(n)]
-    norms = [Fraction(d[i + 1], d[i]) for i in range(n)]
-    # the shortest basis row stands until enumeration finds a shorter vector
-    first = min(range(n), key=lambda i: _dot(rows[i], rows[i]))
-    best_sq = _dot(rows[first], rows[first])
-    best_x = [int(i == first) for i in range(n)]
-
-    def recurse(i, partial, coeffs):
-        nonlocal best_sq, best_x
-        if i < 0:
-            if any(coeffs) and partial < best_sq:
-                best_sq = partial
-                best_x = list(coeffs)
-            return
-        center = -sum(coeffs[j] * mu[j][i] for j in range(i + 1, n))
-        x0 = round(center)
-        step = 0
-        while True:
-            done = 0
-            for x in ({x0} if step == 0 else {x0 - step, x0 + step}):
-                add = (x - center) ** 2 * norms[i]
-                if partial + add <= best_sq:
-                    coeffs[i] = x
-                    recurse(i - 1, partial + add, coeffs)
-                    coeffs[i] = 0
-                else:
-                    done += 1
-            if done == (1 if step == 0 else 2):
-                break
-            step += 1
-
-    recurse(n - 1, Fraction(0), [0] * n)
-    vec = [sum(best_x[j] * vecs[j][t] for j in range(n)) for t in range(len(vecs[0]))]
-    return vec, Fraction(best_sq, L * L)
+    return vecs, U
 
 
 @dataclass
@@ -406,11 +364,12 @@ def quasi_orthogonal_generators(system: PolySystem, B: Sequence, eta,
                                 max_r: Optional[int] = None):
     """Extract r quasi-orthogonal (h, a) pairs from the reduced relation lattice.
 
-    Walks the maximal reduced-basis prefix of sup norm <= 1 (each member
-    re-verified as a region point exactly), then searches index subsets by
-    descending size; a subset qualifies when the rescaled h vectors have
-    orthogonality ratio >= c_orth and sup-norm product within the slack
-    factor 2^(k+d) of N_target^(-1/(d+1)).  Among qualifying subsets of a
+    Walks the maximal reduced-basis prefix of sup norm <= L on the lattice's
+    integer rows, <= 1 on its generators (each member re-verified as a
+    region point exactly), then searches index subsets by descending size; a
+    subset qualifies when the rescaled h vectors have orthogonality ratio
+    >= c_orth and sup-norm product within the slack factor 2^(k+d) of
+    N_target^(-1/(d+1)).  Among qualifying subsets of a
     size, the one with the largest maximal r x r minor wins, ties
     lexicographic.  Returns NoShortVector when nothing qualifies.  ``max_r``
     caps the subset size (a caller that must leave at least one polynomial
@@ -422,11 +381,12 @@ def quasi_orthogonal_generators(system: PolySystem, B: Sequence, eta,
     k, d = system.k, system.d
     Bv = tuple(Fraction(b) for b in B)
     ev = Fraction(eta)
-    red = reduce_basis(build_relation_lattice(system, Bv, ev))
+    L, lattice = build_relation_lattice(system, Bv, ev)
+    reduced, U = reduce_basis(lattice)
 
     prefix = []  # (h, a) integer pairs for the usable prefix
-    for row, coeffs in zip(red.vectors, red.transform):
-        if max(map(abs, row)) > 1:
+    for row, coeffs in zip(reduced, U):
+        if max(map(abs, row)) > L:
             break
         h = tuple(coeffs[:k])
         a = tuple(coeffs[k:])

@@ -17,7 +17,6 @@ from .core import Epsilons, Poly, PolySystem, Real, SystemState, eval_system, pa
 from .intlinalg import adjugate, det_bareiss, lattice_det_from_columns, solve_integer
 from .latgeom import (
     GeneratorSet,
-    LatticeBasis,
     decisively_in_region,
     max_minor,
     reduce_basis,
@@ -120,7 +119,8 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
 
     The generators are the step's only input besides the parent: the region
     (B, eta) they must lie in is the parent's own (`SystemState.region`), so a
-    generator outside it raises ReductionPreconditionError.  Their
+    generator outside it raises ReductionPreconditionError, as does a set
+    that is not r h vectors of length k with r a vectors of length d.  Their
     a-vectors are integers (the common denominator q0 is 1, as they come
     straight from the relation lattice), and the window constant is
     DEFAULT_DELTA_CONST.  The b' table is solved exactly over Z; a
@@ -131,6 +131,10 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
     r = gens.r
     if not (1 <= r < k):
         raise ReductionPreconditionError(f"need 1 <= r < k, got r={r}, k={k}")
+    if (len(gens.a_vecs) != r or any(len(h) != k for h in gens.h_vecs)
+            or any(len(a) != d for a in gens.a_vecs)):
+        raise ReductionPreconditionError(
+            f"need {r} h vectors of length k = {k} and as many a vectors of length d = {d}")
     delta = DEFAULT_DELTA_CONST
     x = state.y
     B, eta = state.region
@@ -156,8 +160,8 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
     Z_cols = solution_lattice_basis(H1, H2)  # (k-r) x (k-r), columns generate
     # LLL-reduce the solution lattice (rows of the transpose are the columns);
     # LLL is unimodular, so the check below is the identity D1 = D2 * det3
-    red = reduce_basis(LatticeBasis(vectors=[list(col) for col in zip(*Z_cols)]))
-    Z = [list(row) for row in zip(*red.vectors)]
+    reduced, _U = reduce_basis(list(zip(*Z_cols)))
+    Z = [list(row) for row in zip(*reduced)]
     det3 = det_bareiss(Z)
     if abs(det3) * D2 != D1:
         raise ArithmeticError("solution lattice determinant mismatch")

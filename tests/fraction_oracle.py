@@ -1,5 +1,10 @@
-"""Rational linear algebra, the Fraction-based generator search, and
-polynomial values as Fractions.
+"""Rational linear algebra, the Fraction relation lattice and generator
+search, and polynomial values as Fractions.
+
+`latgeom.build_relation_lattice` computes the relation lattice's integer
+rows and their scale L from numerators and denominators;
+`build_relation_lattice` here makes its generators as Fractions, the
+reference whose rows, times L, it must equal.
 
 `latgeom.quasi_orthogonal_generators` and `reduction.reduce_dimension` score
 generator subsets on integer rows h_i (M / B_i) with fraction-free
@@ -20,8 +25,9 @@ from fracparts.core import coefficient_sums
 from fracparts.latgeom import (
     GeneratorSet,
     NoShortVector,
-    build_relation_lattice,
+    _integral_rows,
     reduce_basis,
+    relation_lattice_bits,
 )
 
 
@@ -125,6 +131,30 @@ def decisively_in_region(system, h, a, B, eta) -> bool:
                for j, (s, a_j) in enumerate(zip(sums, a), start=1))
 
 
+def build_relation_lattice(system, B, eta):
+    """The relation lattice's generators as Fraction rows: (1/B_i) e_i -
+    sum_j (beta_ij / eta^j) e_{k+j} and (1/eta^j) e_{k+j}, beta_ij rounded to
+    a multiple of 2^-b where its denominator exceeds 2^b."""
+    k, d = system.k, system.d
+    Bv, ev = [Fraction(b) for b in B], Fraction(eta)
+    scale = 2 ** relation_lattice_bits(k, d, Bv, ev)
+    rows = []
+    for i in range(k):
+        row = [Fraction(0)] * (k + d)
+        row[i] = 1 / Bv[i]
+        for j in range(1, d + 1):
+            beta = system.coeff(i + 1, j).value
+            if beta.denominator > scale:
+                beta = Fraction(round(beta * scale), scale)
+            row[k + j - 1] = -beta / ev ** j
+        rows.append(row)
+    for j in range(1, d + 1):
+        row = [Fraction(0)] * (k + d)
+        row[k + j - 1] = 1 / ev ** j
+        rows.append(row)
+    return rows
+
+
 def quasi_orthogonal_generators(system, B, eta, N_target, c_orth, max_r=None):
     """The generator search on Fraction rows h~, as it was before the integer one."""
     if N_target < 2:
@@ -132,10 +162,11 @@ def quasi_orthogonal_generators(system, B, eta, N_target, c_orth, max_r=None):
     k, d = system.k, system.d
     Bv = tuple(Fraction(b) for b in B)
     ev = Fraction(eta)
-    red = reduce_basis(build_relation_lattice(system, Bv, ev))
+    L, rows = _integral_rows(build_relation_lattice(system, Bv, ev))
+    reduced, U = reduce_basis(rows)
     prefix = []
-    for row, coeffs in zip(red.vectors, red.transform):
-        if _linf(row) > 1:
+    for row, coeffs in zip(reduced, U):
+        if _linf(row) > L:
             break
         h, a = tuple(coeffs[:k]), tuple(coeffs[k:])
         if not decisively_in_region(system, h, a, Bv, ev):

@@ -1,16 +1,19 @@
-"""Rational LLL that rebuilds the whole Gram-Schmidt after every swap.
+"""Rational LLL that rebuilds the whole Gram-Schmidt after every swap, and an
+exact shortest-vector enumeration.
 
 `latgeom.reduce_basis` keeps integral Gram determinants and updates them in
-place; this is the plain rational algorithm it replaced, kept as the
-reference that must take the same steps: same vectors, transform and
-minima estimates, or DependenceError on the same inputs.
+place; `reduce_basis_reference` is the plain rational algorithm it
+replaced, kept as the reference that must take the same steps: the same
+vectors (over the common scale L) and transform, or DependenceError on the
+same inputs.  `shortest_vector` gives the exact first minimum that bounds
+an LLL-reduced basis's first row.
 """
 
 from fractions import Fraction
 
 from fracparts.intlinalg import identity
-from fracparts.latgeom import LLL_DELTA, DependenceError, LatticeBasis
-from fraction_oracle import _dot, _linf
+from fracparts.latgeom import LLL_DELTA, DependenceError
+from fraction_oracle import _dot
 
 
 def gram_schmidt(basis):
@@ -33,11 +36,12 @@ def gram_schmidt(basis):
     return ortho, mu, norms
 
 
-def reduce_basis_reference(basis: LatticeBasis) -> LatticeBasis:
-    """LLL at LLL_DELTA with exact rationals, Gram-Schmidt recomputed per swap."""
-    vecs = [list(row) for row in basis.vectors]
+def reduce_basis_reference(rows):
+    """LLL at LLL_DELTA with exact rationals, Gram-Schmidt recomputed per
+    swap: (reduced rows, U)."""
+    vecs = [list(row) for row in rows]
     n = len(vecs)
-    U = [list(row) for row in (basis.transform or identity(n))]
+    U = identity(n)
     _ortho, mu, norms = gram_schmidt(vecs)
     kk = 1
     while kk < n:
@@ -56,6 +60,46 @@ def reduce_basis_reference(basis: LatticeBasis) -> LatticeBasis:
             U[kk], U[kk - 1] = U[kk - 1], U[kk]
             _ortho, mu, norms = gram_schmidt(vecs)
             kk = max(kk - 1, 1)
-    estimates = sorted(_linf(v) for v in vecs)
-    return LatticeBasis(vectors=vecs, reduced_flag=True, minima_estimates=estimates,
-                        transform=U)
+    return vecs, U
+
+
+def shortest_vector(rows):
+    """Exact shortest nonzero vector (l2) of the lattice of the rows, and its
+    squared norm, by depth-first enumeration over their Gram-Schmidt
+    coefficients; dimension <= 8.  LLL-reduced rows keep the search small."""
+    n = len(rows)
+    if n > 8:
+        raise ValueError("exact enumeration is limited to dimension <= 8")
+    _ortho, mu, norms = gram_schmidt(rows)
+    # the shortest basis row stands until enumeration finds a shorter vector
+    first = min(range(n), key=lambda i: _dot(rows[i], rows[i]))
+    best_sq = _dot(rows[first], rows[first])
+    best_x = [int(i == first) for i in range(n)]
+
+    def recurse(i, partial, coeffs):
+        nonlocal best_sq, best_x
+        if i < 0:
+            if any(coeffs) and partial < best_sq:
+                best_sq = partial
+                best_x = list(coeffs)
+            return
+        center = -sum(coeffs[j] * mu[j][i] for j in range(i + 1, n))
+        x0 = round(center)
+        step = 0
+        while True:
+            done = 0
+            for x in ({x0} if step == 0 else {x0 - step, x0 + step}):
+                add = (x - center) ** 2 * norms[i]
+                if partial + add <= best_sq:
+                    coeffs[i] = x
+                    recurse(i - 1, partial + add, coeffs)
+                    coeffs[i] = 0
+                else:
+                    done += 1
+            if done == (1 if step == 0 else 2):
+                break
+            step += 1
+
+    recurse(n - 1, Fraction(0), [0] * n)
+    vec = [sum(best_x[j] * rows[j][t] for j in range(n)) for t in range(len(rows[0]))]
+    return vec, best_sq

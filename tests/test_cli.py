@@ -1,10 +1,13 @@
 import json
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from fracparts.cli import EXIT_ERROR, EXIT_NOT_FOUND, EXIT_OK, main
 from fracparts.core import parse_scalar
+from test_latgeom import rand_basis
 
 
 def write(tmp_path, name, obj):
@@ -209,6 +212,22 @@ class TestLatticeCommand:
         flat = {tuple(map(abs, map(int, row))) for row in
                 [[int(v) for v in r] for r in out["vectors"]]}
         assert flat == {(1, 0), (0, 1)}
+
+    def test_reduce_rational_output(self, capsys):
+        # rows, transform and estimates over the rows' common denominator 6
+        assert main(["lattice", "--reduce", '[["1/2","0"],["1000000","1/3"]]']) == EXIT_OK
+        assert capsys.readouterr().out == json.dumps({
+            "vectors": [["0", "1/3"], ["1/2", "0"]],
+            "transform": [[-2000000, 1], [1, 0]],
+            "minima_estimates": ["1/3", "1/2"]}, indent=2) + "\n"
+
+    def test_minima_estimates_sorted(self, capsys):
+        M = rand_basis(random.Random(11), 4)
+        assert main(["lattice", "--reduce", json.dumps(M)]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        estimates = [Fraction(m) for m in out["minima_estimates"]]
+        assert estimates == sorted(estimates)
+        assert set(estimates) == {max(abs(Fraction(v)) for v in row) for row in out["vectors"]}
 
     def test_det_identity(self, capsys):
         assert main(["lattice", "--det-identity", "--h1", "[[2]]",

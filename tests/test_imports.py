@@ -1,6 +1,7 @@
 """Every imported name is used, and every module-level function and class of
-the package is used somewhere else: no dead import, no dead definition.  The
-solver's modules load neither numpy, mpmath nor the analytic toolkit of the CLI
+the package is used somewhere else: no dead import, no dead definition.  A
+definition that only the tests reach is listed in TEST_ONLY.  The solver's
+modules load neither numpy, mpmath nor the analytic toolkit of the CLI
 chain."""
 
 import ast
@@ -14,6 +15,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "fracparts").glob("*.py"))
 FILES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
+
+# package definitions that no code under src/ or perfbench/ refers to: each
+# is reached only from the tests, and is a candidate to move into them
+TEST_ONLY = {"phi", "weyl_sum", "smoothed_count", "emit_system"}
 
 
 def unused_imports(source: str):
@@ -72,6 +78,24 @@ def test_scan_finds_an_orphaned_definition():
     sources = {"a.py": "def used():\n    pass\n\n\ndef orphan(n):\n    return orphan(n)\n",
                "b.py": "from a import used\nused()\n"}
     assert orphaned_definitions(sources, {"a.py"}) == [("a.py", "orphan")]
+
+
+def test_only_tests_reach_test_only():
+    """Without the tests' files, the orphaned package definitions are TEST_ONLY."""
+    sources = {f"{p.parent.name}/{p.name}": p.read_text(encoding="utf-8")
+               for p in PACKAGE + PERFBENCH}
+    package = {f"{p.parent.name}/{p.name}" for p in PACKAGE}
+    assert {name for _file, name in orphaned_definitions(sources, package)} == TEST_ONLY
+
+
+def test_scan_finds_a_test_only_definition():
+    sources = {"src/a.py": "def solve():\n    pass\n\n\ndef helper():\n    pass\n",
+               "perfbench/run.py": "from a import solve\nsolve()\n",
+               "tests/t.py": "from a import helper\nhelper()\n"}
+    package = {"src/a.py"}
+    assert orphaned_definitions(sources, package) == []
+    without_tests = {f: src for f, src in sources.items() if not f.startswith("tests/")}
+    assert orphaned_definitions(without_tests, package) == [("src/a.py", "helper")]
 
 
 # what solve, replay, serialization and the exponent harness import

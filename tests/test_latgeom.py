@@ -11,11 +11,11 @@ from fracparts.intlinalg import det_bareiss
 from fracparts.latgeom import (
     DependenceError,
     GeneratorSet,
-    LatticeBasis,
     NoShortVector,
     PrecisionError,
     RELATION_GUARD_BITS,
     SingularH1Error,
+    _integral_rows,
     build_relation_lattice,
     decisively_in_region,
     max_minor,
@@ -23,7 +23,6 @@ from fracparts.latgeom import (
     reduce_basis,
     relation_lattice_bits,
     scaled_h_rows,
-    shortest_vector,
     solution_lattice_basis,
     subset_measures,
     sublattice_determinants,
@@ -36,8 +35,8 @@ from fracparts.reduction import (
     reduce_dimension,
 )
 import fraction_oracle
-from fraction_oracle import _dot, _linf, mat_mul, mat_vec
-from lll_oracle import reduce_basis_reference
+from fraction_oracle import _dot, mat_mul, mat_vec
+from lll_oracle import reduce_basis_reference, shortest_vector
 from residue_oracles import lambda2_residue_count, lambda3_residue_count
 
 
@@ -47,9 +46,15 @@ def sys1(*coeff_lists):
 
 def rand_basis(rng, n, lo=-9, hi=9):
     while True:
-        M = [[Fraction(rng.randint(lo, hi)) for _ in range(n)] for _ in range(n)]
-        if det_bareiss([[int(v) for v in row] for row in M]) != 0:
+        M = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+        if det_bareiss(M) != 0:
             return M
+
+
+def generators(lattice):
+    """The rational generators of an (L, integer rows) lattice."""
+    L, rows = lattice
+    return [[Fraction(x, L) for x in row] for row in rows]
 
 
 class TestWedge:
@@ -74,21 +79,22 @@ class TestWedge:
 class TestBuildLattice:
     def test_k1_d1_example(self):
         lat = build_relation_lattice(sys1(["1/2"]), [2], Fraction(1, 4))
-        assert lat.vectors == [[Fraction(1, 2), Fraction(-2)],
-                               [Fraction(0), Fraction(4)]]
+        assert lat == (2, [[1, -4], [0, 8]])
+        assert generators(lat) == [[Fraction(1, 2), Fraction(-2)],
+                                   [Fraction(0), Fraction(4)]]
 
     def test_rational_entries_exact(self):
-        lat = build_relation_lattice(sys1(["1/3", "2/5"]), [3], Fraction(1, 10))
-        assert lat.vectors[0] == [Fraction(1, 3), Fraction(-10, 3), Fraction(-40)]
-        assert lat.vectors[1] == [Fraction(0), Fraction(10), Fraction(0)]
-        assert lat.vectors[2] == [Fraction(0), Fraction(0), Fraction(100)]
+        lat = generators(build_relation_lattice(sys1(["1/3", "2/5"]), [3], Fraction(1, 10)))
+        assert lat[0] == [Fraction(1, 3), Fraction(-10, 3), Fraction(-40)]
+        assert lat[1] == [Fraction(0), Fraction(10), Fraction(0)]
+        assert lat[2] == [Fraction(0), Fraction(0), Fraction(100)]
 
     def test_unimodular_invariance_of_gram_det(self):
         rng = random.Random(5)
-        lat = build_relation_lattice(sys1(["1/3", "2/5"]), [3], Fraction(1, 10))
-        gram = wedge_norm_sq(lat.vectors)
+        lat = generators(build_relation_lattice(sys1(["1/3", "2/5"]), [3], Fraction(1, 10)))
+        gram = wedge_norm_sq(lat)
         # apply a random unimodular transform (row ops)
-        rows = [list(r) for r in lat.vectors]
+        rows = [list(r) for r in lat]
         for _ in range(20):
             i, j = rng.sample(range(len(rows)), 2)
             c = rng.randint(-3, 3)
@@ -111,7 +117,7 @@ class TestBuildLattice:
                 with pytest.raises(PrecisionError):
                     build_relation_lattice(system, [2], eta)
             else:
-                assert build_relation_lattice(system, [2], eta).vectors[0][1] == (
+                assert generators(build_relation_lattice(system, [2], eta))[0][1] == (
                     -Fraction(round(value * scale), scale) / eta)
 
     def test_lattice_bits(self):
@@ -127,10 +133,13 @@ class TestBuildLattice:
         b = relation_lattice_bits(1, 2, B, eta)
         kept = Fraction(1, 2 ** b - 1)    # denominator <= 2^b: exact
         rounded = Fraction(1, 2 ** b + 1)  # nearest multiple of 2^-b is 2^-b
+        # halfway between multiples of 2^-b: the tie goes to the even one
+        ties = ((Fraction(1, 2 ** (b + 1)), Fraction(0)),
+                (Fraction(-3, 2 ** (b + 1)), Fraction(-2, 2 ** b)))
         for beta, entry in ((kept, kept), (rounded, Fraction(1, 2 ** b)),
-                            (Fraction(3, 2 ** b), Fraction(3, 2 ** b))):
+                            (Fraction(3, 2 ** b), Fraction(3, 2 ** b)), *ties):
             system = PolySystem((Poly((Real(beta), Real(beta))),))
-            row = build_relation_lattice(system, B, eta).vectors[0]
+            row = generators(build_relation_lattice(system, B, eta))[0]
             assert row == [Fraction(1, 3), -entry / eta, -entry / eta ** 2]
 
     def test_input_validation(self):
@@ -142,29 +151,26 @@ class TestBuildLattice:
 
 class TestReduceBasis:
     def test_orthogonal_unchanged_up_to_order_sign(self):
-        basis = LatticeBasis(vectors=[[Fraction(3), Fraction(0)],
-                                      [Fraction(0), Fraction(2)]])
-        red = reduce_basis(basis)
-        got = sorted(tuple(abs(x) for x in row) for row in red.vectors)
+        reduced, _U = reduce_basis([[3, 0], [0, 2]])
+        got = sorted(tuple(abs(x) for x in row) for row in reduced)
         assert got == [(0, 2), (3, 0)]
 
     def test_skew_2d(self):
-        red = reduce_basis(LatticeBasis(vectors=[[Fraction(1), Fraction(0)],
-                                                 [Fraction(10 ** 6), Fraction(1)]]))
-        rows = {tuple(abs(v) for v in row) for row in red.vectors}
+        reduced, _U = reduce_basis([[1, 0], [10 ** 6, 1]])
+        rows = {tuple(abs(v) for v in row) for row in reduced}
         assert rows == {(1, 0), (0, 1)}
 
     def test_random_5d_det_preserved_hadamard_improves(self):
         rng = random.Random(7)
         for _ in range(10):
             M = rand_basis(rng, 5)
-            det_before = abs(det_bareiss([[int(v) for v in row] for row in M]))
-            red = reduce_basis(LatticeBasis(vectors=M))
-            det_after = abs(det_bareiss([[int(v) for v in row] for row in red.vectors]))
+            det_before = abs(det_bareiss(M))
+            reduced, _U = reduce_basis(M)
+            det_after = abs(det_bareiss(reduced))
             assert det_before == det_after
             prod_before = Fraction(1)
             prod_after = Fraction(1)
-            for v, w in zip(M, red.vectors):
+            for v, w in zip(M, reduced):
                 prod_before *= _dot(v, v)
                 prod_after *= _dot(w, w)
             assert prod_after <= prod_before  # orthogonality defect cannot worsen
@@ -172,26 +178,16 @@ class TestReduceBasis:
     def test_transform_is_unimodular_and_maps(self):
         rng = random.Random(9)
         M = rand_basis(rng, 4)
-        red = reduce_basis(LatticeBasis(vectors=M))
-        U = red.transform
+        reduced, U = reduce_basis(M)
         assert abs(det_bareiss(U)) == 1
-        assert mat_mul(U, M) == red.vectors
-
-    def test_minima_estimates_sorted(self):
-        rng = random.Random(11)
-        M = rand_basis(rng, 4)
-        red = reduce_basis(LatticeBasis(vectors=M))
-        assert red.reduced_flag
-        assert red.minima_estimates == sorted(red.minima_estimates)
-        assert set(red.minima_estimates) == {_linf(v) for v in red.vectors}
+        assert mat_mul(U, M) == reduced
 
     def test_tie_and_lovasz_equality(self):
         # mu = 1/2 rounds to 0, and B_1 = 74 = (99/100 - 1/4) * 100 exactly: no swap
-        basis = LatticeBasis(vectors=[[Fraction(10), Fraction(0), Fraction(0)],
-                                      [Fraction(5), Fraction(7), Fraction(5)]])
-        red = reduce_basis(basis)
-        assert red.vectors == basis.vectors == reduce_basis_reference(basis).vectors
-        assert red.transform == [[1, 0], [0, 1]]
+        rows = [[10, 0, 0], [5, 7, 5]]
+        reduced, U = reduce_basis(rows)
+        assert reduced == rows == reduce_basis_reference(rows)[0]
+        assert U == [[1, 0], [0, 1]]
 
     @pytest.mark.parametrize("rows, expected", [
         # mu = -1/2 rounds to 0, mu = -3/2 to -2 (half to even); no swap follows
@@ -199,28 +195,25 @@ class TestReduceBasis:
         ([[2, 0], [-3, 10]], [[2, 0], [1, 10]]),
     ])
     def test_negative_half_integer_mu(self, rows, expected):
-        basis = LatticeBasis(vectors=[[Fraction(v) for v in row] for row in rows])
-        red = reduce_basis(basis)
-        ref = reduce_basis_reference(basis)
-        assert red.vectors == ref.vectors == expected
-        assert red.transform == ref.transform
+        reduced, U = reduce_basis(rows)
+        ref, ref_U = reduce_basis_reference(rows)
+        assert reduced == ref == expected
+        assert U == ref_U
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError, match="same length"):
-            reduce_basis(LatticeBasis(vectors=[[Fraction(1), Fraction(2)], [Fraction(3)]]))
+            reduce_basis([[1, 2], [3]])
         with pytest.raises(ValueError, match="same length"):
             wedge_norm([[1, 2], [3]])
 
     def test_dependence_rejected(self):
         with pytest.raises(DependenceError):
-            reduce_basis(LatticeBasis(vectors=[[Fraction(1), Fraction(2)],
-                                               [Fraction(2), Fraction(4)]]))
+            reduce_basis([[1, 2], [2, 4]])
 
     def test_svp_starts_from_the_shortest_row(self):
         # reduced, and no vector is shorter than the second row (5, 7, 5)
-        basis = LatticeBasis(vectors=[[Fraction(10), Fraction(0), Fraction(0)],
-                                      [Fraction(5), Fraction(7), Fraction(5)]])
-        vec, best_sq = shortest_vector(reduce_basis(basis))
+        reduced, _U = reduce_basis([[10, 0, 0], [5, 7, 5]])
+        vec, best_sq = shortest_vector(reduced)
         assert (vec, best_sq) == ([5, 7, 5], 99)
 
     def test_svp_validates_first_minimum(self):
@@ -230,9 +223,9 @@ class TestReduceBasis:
         for _ in range(8):
             n = rng.randint(2, 5)
             M = rand_basis(rng, n, -20, 20)
-            red = reduce_basis(LatticeBasis(vectors=M))
-            _vec, best_sq = shortest_vector(red)
-            first_sq = _dot(red.vectors[0], red.vectors[0])
+            reduced, _U = reduce_basis(M)
+            _vec, best_sq = shortest_vector(reduced)
+            first_sq = _dot(reduced[0], reduced[0])
             assert best_sq <= first_sq <= Fraction(2) ** (n - 1) * best_sq
 
 
@@ -265,17 +258,33 @@ def lll_bases(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(lll_bases())
 def test_reduce_basis_matches_rational_reference(rows):
-    basis = LatticeBasis(vectors=rows)
+    L, scaled = _integral_rows(rows)
     try:
-        ref = reduce_basis_reference(basis)
+        ref, ref_U = reduce_basis_reference(rows)
     except DependenceError:
         with pytest.raises(DependenceError):
-            reduce_basis(basis)
+            reduce_basis(scaled)
         return
-    red = reduce_basis(basis)
-    assert red.vectors == ref.vectors
-    assert red.transform == ref.transform
-    assert red.minima_estimates == ref.minima_estimates
+    reduced, U = reduce_basis(scaled)
+    assert reduced == [[L * x for x in row] for row in ref]
+    assert U == ref_U
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(lll_bases(), st.one_of(st.integers(2, 12), st.integers(2, 2 ** 80)))
+def test_reduce_basis_is_scale_free(rows, c):
+    """Integer rows times c reduce to c times the reduced rows by the same
+    transform, or are dependent alike."""
+    _L, rows = _integral_rows(rows)
+    scaled = [[c * x for x in row] for row in rows]
+    try:
+        reduced, U = reduce_basis(rows)
+    except DependenceError:
+        with pytest.raises(DependenceError):
+            reduce_basis(scaled)
+        return
+    assert reduce_basis(scaled) == ([[c * x for x in row] for row in reduced], U)
 
 
 class TestQuasiOrthogonal:
@@ -464,6 +473,17 @@ def rounded_lattice_cases(draw):
 @settings(max_examples=80, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(rounded_lattice_cases())
+def test_integer_lattice_matches_fraction_reference(case):
+    """The integer rows are L times the Fraction generators, L their least
+    common denominator."""
+    state, _duplicate = case
+    ref = fraction_oracle.build_relation_lattice(state.system, *state.region)
+    assert build_relation_lattice(state.system, *state.region) == _integral_rows(ref)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rounded_lattice_cases())
 def test_rounded_lattice_is_sound(case):
     """Generators found on the rounded lattice are region points of the
     unrounded system; each rounded coefficient is within 2^-(b+1) of its
@@ -473,13 +493,12 @@ def test_rounded_lattice_is_sound(case):
     system, (B, eta) = state.system, state.region
     k, d = system.k, system.d
     b = relation_lattice_bits(k, d, B, eta)
-    rows = build_relation_lattice(system, B, eta).vectors
+    L, rows = build_relation_lattice(system, B, eta)
     for i in range(k):
         for j in range(1, d + 1):
-            beta = -rows[i][k + j - 1] * eta ** j
+            beta = -Fraction(rows[i][k + j - 1], L) * eta ** j
             assert abs(beta - system.coeff(i + 1, j).value) <= Fraction(1, 2 ** (b + 1))
-    L = math.lcm(*(x.denominator for row in rows for x in row))
-    top = max(abs(int(x * L)) for row in rows for x in row)
+    top = max(abs(x) for row in rows for x in row)
     max_beta = max(abs(c.value) for poly in system.polys for c in poly.coeffs)
     bound = (b + math.lcm(*B).bit_length() + math.ceil(eta ** -d).bit_length()
              + math.ceil(max_beta).bit_length())

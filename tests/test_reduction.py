@@ -370,6 +370,56 @@ class TestReplayRebuild:
         assert checks["step1.rebuild"] is True
 
 
+@pytest.fixture(scope="module")
+def second_planted_certificate():
+    """The certificate of PLANT_SEED's second system: one step, k = 2 to 1."""
+    rng = random.Random(PLANT_SEED)
+    planted_state(rng)
+    return solve(planted_state(rng), PLANT_CONFIG).certificate.to_dict()
+
+
+def _append_a_entry(gens):
+    gens["a_vecs"][0].append(1)
+
+
+def _append_a_row(gens):
+    gens["a_vecs"].append(list(gens["a_vecs"][0]))
+
+
+def _drop_a_entry(gens):
+    gens["a_vecs"][0].pop()
+
+
+def _drop_a_row(gens):
+    gens["a_vecs"].pop()
+
+
+def _append_h_entry(gens):
+    gens["h_vecs"][0].append(0)
+
+
+def _drop_h_entry(gens):
+    gens["h_vecs"][0].pop()
+
+
+class TestGeneratorShape:
+    @pytest.mark.parametrize("reshape", [_append_a_entry, _append_a_row, _drop_a_entry,
+                                         _drop_a_row, _append_h_entry, _drop_h_entry],
+                             ids=lambda f: f.__name__.strip("_"))
+    def test_misshapen_generators_fail_the_rebuild(self, second_planted_certificate, reshape):
+        """Replay refuses generators that are not r h vectors of length k and
+        r a vectors of length d, from reduce_dimension's precondition."""
+        data = copy.deepcopy(second_planted_certificate)
+        gens = data["chain"][0]["gens"]
+        assert gens == {"h_vecs": [[7, 7]], "a_vecs": [[84, 13]]}
+        assert all(ok for _name, ok, _detail in verify_certificate(Certificate.from_dict(data)))
+        reshape(gens)
+        checks = verify_certificate(Certificate.from_dict(data))
+        _name, ok, detail = next(check for check in checks if check[0] == "step0.rebuild")
+        assert not ok
+        assert detail.startswith("reduce_dimension raised ReductionPreconditionError")
+
+
 def half_certificate() -> dict:
     """The solved certificate of f = X/2 with eps = 1/100 and x = 100."""
     state = SystemState(sys1(["1/2"]), Epsilons((Fraction(1, 100),)), Real(Fraction(100)))
