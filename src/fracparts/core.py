@@ -210,6 +210,25 @@ class PolySystem:
         """Coefficient of X^j in the i-th polynomial (both 1-indexed)."""
         return self.polys[i - 1].coeffs[j - 1]
 
+    @cached_property
+    def numerators(self) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+        """(D, N): D the least common denominator of the coefficient values,
+        and N[i][j] = D f_{i+1,j+1}.  The scans, the region test and the
+        reduction step read the system in this integer form; the system is
+        immutable, so it is computed once."""
+        return _over_lcm([[c.value for c in p.coeffs] for p in self.polys])
+
+    @cached_property
+    def radii(self) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+        """(R, E): the same for the error radii, E[i][j] = R err_{i+1,j+1}."""
+        return _over_lcm([[c.err for c in p.coeffs] for p in self.polys])
+
+
+def _over_lcm(rows):
+    """(D, D * rows as int tuples), D the least common denominator of ``rows``."""
+    D = math.lcm(*(v.denominator for row in rows for v in row))
+    return D, tuple(tuple(v.numerator * (D // v.denominator) for v in row) for row in rows)
+
 
 def coefficient_sums(system: PolySystem, h: Sequence[int]) -> List[Real]:
     """sigma_j = sum_i h_i f_{i,j} for j = 1..d, each with its radius
@@ -393,12 +412,12 @@ def system_from_dict(data: dict, coeff) -> SystemState:
 # ---------------------------------------------------------------------------
 # Scan kernels.
 #
-# Every scan runs over n = 1, 2, ... with exact fractional parts: all
-# polynomials are lifted to one common denominator D, so f_i(n) mod 1 is
-# N_i(n)/D for the integer residue N_i(n) mod D, and every comparison is an
-# integer comparison.  A scan moves over n a chunk of points at a time;
-# chunks start small and double, so a scan that stops at an early hit stays
-# cheap.  `_column` is the one place that builds a polynomial's values over
+# Every scan runs over n = 1, 2, ... with exact fractional parts: it reads
+# the system's integer form `PolySystem.numerators`, the polynomials over
+# one common denominator D, so f_i(n) mod 1 is N_i(n)/D for the integer
+# residue N_i(n) mod D, and every comparison is an integer comparison.  A
+# scan moves over n a chunk of points at a time; chunks start small and
+# double, so a scan that stops at an early hit stays cheap.  `_column` is the one place that builds a polynomial's values over
 # a chunk, from its forward-difference table reduced mod D (Knuth, TAOCP
 # vol. 2, 4.6.4): each column is the prefix sums (`itertools.accumulate`)
 # of the column above it, in exact ints, and the table is reduced mod D at
@@ -432,14 +451,6 @@ _CHUNK_FIRST = 64    # points in a scan's first chunk
 # chunks double up to this many points; a cap of 4096 scanned no faster and
 # held three times the memory (1.5 MB traced for k = 3 at 192 bits)
 _CHUNK_MAX = 1024
-
-
-def _numerators(system: PolySystem):
-    """The common denominator D of the coefficients, and each polynomial's
-    coefficients times D, as ints."""
-    D = math.lcm(*(c.value.denominator for p in system.polys for c in p.coeffs))
-    return D, [[c.value.numerator * (D // c.value.denominator) for c in p.coeffs]
-               for p in system.polys]
 
 
 def _values(nums: Sequence[int], ns: Sequence[int], shift: int = 0):
@@ -486,7 +497,7 @@ def _column(diffs, L: int, D: int):
 def _residues(system: PolySystem, last: int):
     """D and the stream of columns, one per chunk, of a one-polynomial
     system's N(n) (not reduced mod D), covering n = 1..last."""
-    D, (nums,) = _numerators(system)
+    D, (nums,) = system.numerators
     diffs = _diff_state(nums, D)
     return D, (_column(diffs, L, D) for _n0, L in _chunks(last))
 
@@ -603,7 +614,7 @@ def _sieved(D: int, nums, last: int, thresholds):
     """Yield (hits, rows) for the chunks of n = 1..last, as `_hits` gives
     them.
 
-    ``nums`` are the polynomials' numerators over D (see `_numerators`).
+    ``nums`` are the polynomials' numerators over D (`PolySystem.numerators`).
     The tightest threshold sieves, and of equal ones the later polynomial;
     it is chosen once, at the scan's start.  If it has degree 2 or more it
     builds its column; if it is linear, a*n, it walks its return map
@@ -653,7 +664,7 @@ def eval_system(system: PolySystem, n: int) -> List[Fraction]:
     exact Fraction in [0, 1/2]: min(r, D - r) / D for r = N_i(n) mod D."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    D, nums = _numerators(system)
+    D, nums = system.numerators
     dists = []
     for c in nums:
         r = next(_values(c, (n,))) % D
@@ -682,7 +693,7 @@ def _checkpointed_min(system: PolySystem, checkpoints: Sequence[int],
         raise ValueError("every horizon must be at least 2, so that n = 1 < x")
     last = cps[-1] - 1
     _check_cap(last, system.k, enum_cap)
-    D, nums = _numerators(system)
+    D, nums = system.numerators
     out = []
     best_n, best = 0, D  # every distance is at most D/2, so n = 1 replaces this
     # only a point with every distance below the best at the chunk's start
@@ -710,7 +721,7 @@ def _strict_thresholds(eps: Epsilons, D: int):
 def _hit_chunks(system: PolySystem, eps: Epsilons, last: int, enum_cap: int):
     """The strict hits of each chunk of n = 1..last."""
     _check_cap(last, system.k, enum_cap)
-    D, nums = _numerators(system)
+    D, nums = system.numerators
     chunks = _sieved(D, nums, last, _strict_thresholds(eps, D))
     return (hits for hits, _rows in chunks)
 

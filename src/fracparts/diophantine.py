@@ -4,10 +4,9 @@ rational approximation and relation triples.  The solver imports none of it.
 
 Phase discipline: every phase polynomial is reduced mod 1 in exact rational
 arithmetic before exponentiation, so the only floating error is the final
-rounding of an exact rational phase into a float (or an mpmath float at the
-requested precision).  The box scan uses numpy doubles on those exactly
-reduced phase coefficients; selected witnesses are re-evaluated with per-n
-exact phase reduction before they are reported.
+rounding of an exact rational phase into a float.  The box scan uses numpy
+doubles on those exactly reduced phase coefficients; selected witnesses are
+re-evaluated with per-n exact phase reduction before they are reported.
 
 Relations: coefficient values are known numerically, so the per-coefficient
 rationals are recovered directly by continued fractions instead of through
@@ -25,17 +24,14 @@ from functools import reduce
 from operator import add, mod
 from typing import List, Optional, Sequence, Tuple
 
-import mpmath
 import numpy as np
 
 from .core import (
     DEFAULT_ENUM_CAP,
-    DEFAULT_PRECISION_BITS,
     Epsilons,
     Poly,
     PolySystem,
     _check_cap,
-    _numerators,
     _residues,
     _sieved,
     _strict_thresholds,
@@ -108,35 +104,6 @@ def _phase_residues(sigma: Sequence[Fraction], last: int):
     return _residues(PolySystem((Poly(tuple(sigma)),)), last)
 
 
-def weyl_sum(system: PolySystem, h: Sequence[int], x,
-             bits: int = DEFAULT_PRECISION_BITS) -> mpmath.mpc:
-    """sum_{n <= x} e(sum_i h_i f_i(n)) at ``bits`` working precision.
-
-    Each phase is an exact rational reduced mod 1 before the complex
-    exponential is taken, so results at different precisions agree to the
-    smaller precision's rounding.  Raises HorizonCapError when floor(x)
-    exceeds the default enumeration cap.
-    """
-    last = math.floor(x)
-    _check_cap(last, 1, DEFAULT_ENUM_CAP)
-    sigma = _phase_coefficients(system, h)
-    with mpmath.workprec(bits + 16):
-        if not any(sigma):
-            return mpmath.mpc(last, 0)
-        D, chunks = _phase_residues(sigma, last)
-        cache = {}
-        total = mpmath.mpc(0)
-        for col in chunks:
-            for r in map(mod, col, itertools.repeat(D)):
-                val = cache.get(r)
-                if val is None:
-                    val = mpmath.expjpi(mpmath.mpf(2 * r) / D)
-                    if D <= 65536:
-                        cache[r] = val
-                total += val
-        return total
-
-
 def _abs_sum_exact_phase(sigma: Sequence[Fraction], last: int) -> float:
     """|sum_{n<=last} e(P(n))| with exact per-n phase reduction, float arithmetic.
 
@@ -174,7 +141,7 @@ def smoothed_count(system: PolySystem, eps: Epsilons, x,
     """
     last = math.floor(x)
     _check_cap(last, system.k, enum_cap)
-    D, nums = _numerators(system)
+    D, nums = system.numerators
     # in units of 1/D: the support is the strict hit region, and the
     # plateau is 2*m*den <= num*D
     support = _strict_thresholds(eps, D)
@@ -325,8 +292,11 @@ def best_rational(alpha, Q: int) -> Tuple[int, int]:
     necessary for the minimum to inherit Dirichlet's guarantee: the
     unconstrained closest fraction can violate it (alpha = 41/100, Q = 4
     has closest fraction 1/3 at distance 23/300 > 1/15).  Candidates are
-    walked along the continued fraction: convergents plus intermediate
-    fractions, scanned from the best of each level downward.
+    the convergents and, between two of them, one intermediate fraction:
+    the t-th has error alpha q - p = e_(m-1) + t e_m, and the two errors
+    have opposite signs, so |alpha q - p| falls as t rises while q rises.
+    Both the distance and the gate (|alpha q - p| (Q + 1) <= 1) therefore
+    favour the largest t with q <= Q, and no smaller t can win.
     """
     if Q < 1:
         raise ValueError("Q must be a positive integer")
@@ -336,12 +306,9 @@ def best_rational(alpha, Q: int) -> Tuple[int, int]:
 
     def consider(p: int, q: int):
         nonlocal best
-        if q < 1 or q > Q:
-            return None
         dist = abs(alpha - Fraction(p, q))
         if _feasible(dist, q, Q) and (best is None or (dist, q) < (best[0], best[1])):
             best = (dist, q, p)
-        return dist
 
     # continued fraction walk
     p_prev, q_prev = 1, 0
@@ -353,13 +320,10 @@ def best_rational(alpha, Q: int) -> Tuple[int, int]:
         rem = 1 / rem
         a_next = rem.__floor__()
         rem -= a_next
-        # intermediate fractions between the two current convergents, best first
-        t_hi = min(a_next - 1, (Q - q_prev) // q_cur) if q_cur else 0
-        for t in range(t_hi, 0, -1):
-            p, q = p_prev + t * p_cur, q_prev + t * q_cur
-            dist = consider(p, q)
-            if dist is not None and best is not None and dist > best[0]:
-                break  # distances grow as t decreases; nothing below improves
+        # the best intermediate fraction between the two current convergents
+        t_hi = min(a_next - 1, (Q - q_prev) // q_cur)
+        if t_hi > 0:
+            consider(p_prev + t_hi * p_cur, q_prev + t_hi * q_cur)
         p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, p_prev + a_next * p_cur, q_prev + a_next * q_cur
         if q_cur <= Q:
             consider(p_cur, q_cur)

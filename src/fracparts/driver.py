@@ -154,18 +154,18 @@ def solve(state: SystemState, config: Optional[SolverConfig] = None) -> SolveOut
 
 
 # A level returns (status, n, dists, chain, reason), as the module docstring says.
-def _scan_level(state: SystemState, config: SolverConfig, stats: SolveStats,
-                reason: str):
-    try:
-        n = first_hit(state.system, state.eps, state.y, enum_cap=config.enum_cap)
-    except HorizonCapError:
-        stats.fallbacks.append(f"{reason}:enum-cap")
-        return STATUS_INCONCLUSIVE, None, None, [], f"{reason}; horizon over enum cap"
-    return _scanned(state, stats, n, reason)
-
-
-def _scanned(state: SystemState, stats: SolveStats, n: Optional[int], reason: str):
-    """The level's result from a whole scan's smallest hit n < y, or None."""
+def _smallest_hit(state: SystemState, config: SolverConfig, stats: SolveStats,
+                  reason: str, counted=None):
+    """The level's result from its smallest hit n < y: the gate's, where it
+    counted (``counted``), else one `first_hit` scan within the cap."""
+    if counted is not None:
+        n = counted[1]
+    else:
+        try:
+            n = first_hit(state.system, state.eps, state.y, enum_cap=config.enum_cap)
+        except HorizonCapError:
+            stats.fallbacks.append(f"{reason}:enum-cap")
+            return STATUS_INCONCLUSIVE, None, None, [], f"{reason}; horizon over enum cap"
     stats.evaluations += horizon_count(state.y) if n is None else n
     if n is not None:
         return STATUS_FOUND, n, None, [], None
@@ -176,19 +176,19 @@ def _solve_level(state: SystemState, config: SolverConfig, stats: SolveStats,
                  depth: int):
     stats.max_depth_reached = max(stats.max_depth_reached, depth)
     if horizon_count(state.y) <= config.brute_force_threshold:
-        return _scan_level(state, config, stats, "below brute-force threshold")
+        return _smallest_hit(state, config, stats, "below brute-force threshold")
 
     try:
         gate, counted = density_gate(state.system, state.eps, state.y,
                                      c_hit=config.c_hit, enum_cap=config.enum_cap)
     except (BoxTooLargeError, ValueError, HorizonCapError) as exc:
         stats.fallbacks.append(f"fourier:{exc}")
-        return _scan_level(state, config, stats, "fourier unavailable")
+        return _smallest_hit(state, config, stats, "fourier unavailable")
     stats.fourier_branches.append(gate.branch)
 
     if gate.branch == HIT_DENSITY:
         # the gate's count scanned the whole horizon; return its smallest hit
-        return _scanned(state, stats, counted[1], "hit-density scan")
+        return _smallest_hit(state, config, stats, "hit-density scan", counted)
 
     if state.k == 1:
         # a reduction leaves at least one polynomial behind, so none exists
@@ -198,11 +198,8 @@ def _solve_level(state: SystemState, config: SolverConfig, stats: SolveStats,
         if found is not None:
             return found
         stats.fallbacks.append("reduction-path-exhausted")
-    if counted is None:  # the gate made no count; its cap check covers this scan
-        hit = first_hit(state.system, state.eps, state.y, enum_cap=config.enum_cap)
-    else:
-        hit = counted[1]
-    return _scanned(state, stats, hit, "reduction path exhausted")
+    # the gate checked the cap on this horizon, so this scan cannot exceed it
+    return _smallest_hit(state, config, stats, "reduction path exhausted", counted)
 
 
 def _reduction_path(state, config, stats, depth):

@@ -7,6 +7,7 @@ adjugates, integer solves and kernels.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 Matrix = List[List[int]]
@@ -118,28 +119,29 @@ def lattice_det_from_columns(A: Sequence[Sequence[int]]) -> int:
     return abs(det)
 
 
-def solve_integer(A: Sequence[Sequence[int]], t: Sequence[int]) -> Optional[List[int]]:
-    """One integer solution v of A v = t, or None when t is outside the column span."""
+def solve_integer(A: Sequence[Sequence[int]],
+                  targets: Sequence[Sequence[int]]) -> List[Optional[List[int]]]:
+    """One integer solution v of A v = t for each t in ``targets``, or None for
+    a t outside the column lattice, all from one column echelon form of A."""
     E, U, rank = column_echelon(A)
-    rows = len(A)
-    cols = len(A[0])
-    # forward-substitute through the staircase
-    s = [0] * rank
-    residual = list(map(int, t))
-    col = 0
-    for i in range(rows):
-        if col < rank and E[i][col] != 0:
-            if residual[i] % E[i][col] != 0:
+
+    def solve(t):
+        # forward-substitute through the staircase
+        s = [0] * rank
+        residual = list(map(int, t))
+        col = 0
+        for i, row in enumerate(E):
+            if col < rank and row[col] != 0:
+                s[col], rem = divmod(residual[i], row[col])
+                if rem:
+                    return None
+                for r2 in range(i, len(E)):
+                    residual[r2] -= s[col] * E[r2][col]
+                col += 1
+            elif residual[i] != 0:
                 return None
-            s[col] = residual[i] // E[i][col]
-            for r2 in range(i, rows):
-                residual[r2] -= s[col] * E[r2][col]
-            col += 1
-        elif residual[i] != 0:
-            return None
-    if any(r != 0 for r in residual):
-        return None
-    return [sum(U[i][j] * s[j] for j in range(rank)) for i in range(cols)]
+        return [sum(map(mul, u, s)) for u in U]
+    return [solve(t) for t in targets]
 
 
 def kernel_columns(A: Sequence[Sequence[int]]) -> List[List[int]]:

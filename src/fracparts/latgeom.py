@@ -17,13 +17,13 @@ recomputes, and mu is rounded half to even from an integer divmod.  Its
 steps do not depend on the scale, so a reduced row is in the unit box when
 its sup norm is at most L.  The generator search scores subsets on the
 integer rows h_i (M / B_i), M the lcm of the B_i, with fraction-free
-determinants; region membership is tested over each slot's common
-denominator.  Reduction quality constants are explicit: LLL at
-delta = 0.99 with the transform retained.  The Fraction construction of the
-relation lattice and the Fraction-based search the integer ones replaced,
-the rational LLL, an exact shortest-vector enumeration and the
-residue-counting oracles that cross-check the determinant identity are
-part of the tests.
+determinants; region membership is tested in integers on the system's
+integer form (`PolySystem.numerators` and `.radii`).  Reduction quality
+constants are explicit: LLL at delta = 0.99 with the transform retained.
+The Fraction construction of the relation lattice and the Fraction-based
+search the integer ones replaced, the Fraction region test, the rational
+LLL, an exact shortest-vector enumeration and the residue-counting oracles
+that cross-check the determinant identity are part of the tests.
 """
 
 from __future__ import annotations
@@ -294,22 +294,20 @@ def decisively_in_region(system: PolySystem, h: Sequence[int], a: Sequence[int],
     """True when (h, a) is in the region R with the coefficient error interval
     decisively inside (no false positives from rounded coefficients):
     |h_i| <= B_i and |sum_i h_i f_{i,j} - a_j| + sum_i |h_i| err_{i,j} <= eta^j.
-    Each slot j is tested in integers over its common denominator."""
+    Each slot is tested in integers on the system's integer form: with
+    f = N / D, err = E / R and eta^j = p / q, the test is
+    (|sum_i h_i N_ij - a_j D| R + sum_i |h_i| E_ij D) q <= p D R."""
     if any(abs(hi) > b for hi, b in zip(h, B)):
         return False
     if len(h) != system.k:
         raise ValueError("frequency vector length must equal k")
     eta = Fraction(eta)
+    (D, N), (R, E) = system.numerators, system.radii
     for j, a_j in zip(range(system.d), a):
-        # eta^(j+1) = p/q in lowest terms
         p, q = eta.numerator ** (j + 1), eta.denominator ** (j + 1)
-        terms = [(hi, c.value, c.err) for hi, c in
-                 zip(h, (poly.coeffs[j] for poly in system.polys)) if hi]
-        D = math.lcm(q, *(v.denominator for _hi, v, _e in terms),
-                     *(e.denominator for _hi, _v, e in terms))
-        center = sum(hi * v.numerator * (D // v.denominator) for hi, v, _e in terms)
-        slack = sum(abs(hi) * e.numerator * (D // e.denominator) for hi, _v, e in terms)
-        if abs(center - a_j * D) + slack > p * (D // q):
+        center = sum(hi * row[j] for hi, row in zip(h, N))
+        slack = sum(abs(hi) * row[j] for hi, row in zip(h, E))
+        if (abs(center - a_j * D) * R + slack * D) * q > p * D * R:
             return False
     return True
 

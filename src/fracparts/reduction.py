@@ -166,40 +166,30 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
     if abs(det3) * D2 != D1:
         raise ArithmeticError("solution lattice determinant mismatch")
 
-    # b' tables: H1 u_j - H2 w_j = D2^j a_j, solved exactly over Z
+    # b' tables: H1 u_j - H2 w_j = D2^j a_j, solved exactly over Z, every
+    # slot j from one echelon form
     A = [list(H1[ell]) + [-v for v in H2[ell]] for ell in range(r)]
-    b_upper = [[0] * d for _ in range(r)]
-    b_lower = [[0] * d for _ in range(k - r)]
-    for j in range(1, d + 1):
-        rhs = [D2 ** j * gens.a_vecs[ell][j - 1] for ell in range(r)]
-        v = solve_integer(A, rhs)
-        if v is None:
-            raise IntegralityError(f"no integer b' for slot {j}")
-        for i in range(r):
-            b_upper[i][j - 1] = v[i]
-        for i in range(k - r):
-            b_lower[i][j - 1] = v[r + i]
+    solved = solve_integer(A, [[D2 ** j * a[j - 1] for a in gens.a_vecs]
+                               for j in range(1, d + 1)])
+    if None in solved:
+        raise IntegralityError(f"no integer b' for slot {solved.index(None) + 1}")
+    b_upper = [[v[i] for v in solved] for i in range(r)]
+    b_lower = [[v[i] for v in solved] for i in range(r, k)]
 
-    # f~_i(X) = f_perm(i)(D2 X) - sum_j b'_{i,j} X^j for the trailing block
-    ftil = []  # list over i = r+1..k of coefficient Reals
-    for p in range(r, k):
-        orig = state.system.polys[perm[p]]
-        coeffs = []
-        for j in range(1, d + 1):
-            c = orig.coeffs[j - 1]
-            val = c.value * D2 ** j - b_lower[p - r][j - 1]
-            err = c.err * D2 ** j
-            coeffs.append(Real(val, err))
-        ftil.append(coeffs)
-
-    Zadj = adjugate(Z)  # Z^-1 = Zadj / det3
+    # g = Z^-1 (f~(D2 X) - sum_j b'_j X^j), f~ the trailing block, on the
+    # parent's integer form f = N / D, err = E / R, with Z^-1 = adj(Z) / det3:
+    # one Fraction per child value and per radius
+    (D, N), (R, E) = state.system.numerators, state.system.radii
+    tail = perm[r:]
     g_polys = []
-    for m in range(k - r):
+    for adj_row in adjugate(Z):
         coeffs = []
         for j in range(d):
-            val = sum(Zadj[m][p] * ftil[p][j].value for p in range(k - r)) / det3
-            err = sum(abs(Zadj[m][p]) * ftil[p][j].err for p in range(k - r)) / abs(det3)
-            coeffs.append(Real(val, err))
+            scale = D2 ** (j + 1)
+            val = sum(z * (N[i][j] * scale - D * b[j])
+                      for z, i, b in zip(adj_row, tail, b_lower))
+            err = sum(abs(z) * E[i][j] for z, i in zip(adj_row, tail)) * scale
+            coeffs.append(Real(Fraction(val, D * det3), Fraction(err, R * abs(det3))))
         g_polys.append(Poly(tuple(coeffs)))
     g = PolySystem(tuple(g_polys))
 
@@ -355,7 +345,8 @@ class Certificate:
 
 
 class CertificateRecordError(ValueError):
-    """A record refused by its reader; ``check`` is 'root', 'chain', 'step{i}' or 'terminal'."""
+    """A record refused by its reader; ``check`` is 'root', 'chain', 'step{i}',
+    'terminal' or 'constants'."""
 
     def __init__(self, section: str, index: Optional[int], exc: Exception):
         self.check = section if index is None else f"step{index}"
@@ -381,9 +372,23 @@ def read_terminal(terminal: dict) -> Tuple[str, Optional[int], List[Fraction]]:
     return kind, n, [parse_rational(text) for text in dists]
 
 
+def read_constants(constants: dict, root: SystemState) -> None:
+    """Read a constants record against its root: a present
+    `within_theorem_hypothesis` must be the bool that the root's eps give,
+    and an absent one claims nothing.  `config` is not read: it tuned the
+    search, which replay does not re-run.  Raises ValueError."""
+    if not isinstance(constants, dict):
+        raise ValueError("need an object")
+    within = root.eps.within_theorem_hypothesis
+    if constants.get("within_theorem_hypothesis", within) is not within:
+        raise ValueError(f"'within_theorem_hypothesis' must be {str(within).lower()}, "
+                         "as the root's eps give")
+
+
 def read_certificate(cert: Certificate):
     """The root state, each step's generators and the terminal's fields, each
-    read by its record's reader.  Raises CertificateRecordError."""
+    read by its record's reader, and the constants checked against the root.
+    Raises CertificateRecordError."""
     section, index = "root", None
     try:
         root = SystemState.from_dict(cert.root)
@@ -394,6 +399,8 @@ def read_certificate(cert: Certificate):
             gens.append(read_step(record))
         section, index = "terminal", None
         terminal = read_terminal(cert.terminal)
+        section = "constants"
+        read_constants(cert.constants, root)
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateRecordError(section, index, exc) from exc
     return root, gens, terminal
@@ -402,7 +409,9 @@ def read_certificate(cert: Certificate):
 def verify_certificate(cert: Certificate) -> List[Tuple[str, bool, str]]:
     """Re-check a certificate without re-running any search.
 
-    A record its reader refuses is the one failed check, `{record}.parse`.
+    A record its reader refuses is the one failed check, `{record}.parse`;
+    the constants' `within_theorem_hypothesis` is read against the root's
+    eps, and their `config` is not read, since replay re-runs no search.
     Each chain step is rebuilt by reduce_dimension from its parent (the root,
     then the previous rebuilt child) and its recorded generators, and must
     give the same record, the child's hit apart.  Under a found n, each

@@ -16,6 +16,11 @@ same leading columns.
 `core.eval_system` computes each distance ||f_i(n)|| from an integer
 residue mod the system's common denominator; `poly_eval` and `frac_dist`
 are the Fraction arithmetic it replaced, the reference it must equal.
+
+`latgeom.decisively_in_region` and `reduction.reduce_dimension` read the
+system's integer form (`PolySystem.numerators` and `.radii`);
+`decisively_in_region` here, on `coefficient_sums`, and the child system
+rebuilt with `frac_inverse` are the Fraction references they must equal.
 """
 
 from fractions import Fraction
@@ -83,6 +88,22 @@ def det_fraction(M) -> Fraction:
                 for j in range(k, n):
                     a[i][j] -= factor * a[k][j]
     return det
+
+
+def frac_inverse(M):
+    """The inverse of an invertible square matrix, as Fractions, by
+    Gauss-Jordan elimination."""
+    n = len(M)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(M)]
+    for c in range(n):
+        pivot = next(i for i in range(c, n) if a[i][c] != 0)
+        a[c], a[pivot] = a[pivot], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c] != 0:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[c])]
+    return [row[n:] for row in a]
 
 
 def gram_det(vectors) -> Fraction:

@@ -31,11 +31,17 @@ from fracparts.diophantine import (
     large_coefficients,
     smoothed_count,
 )
-from fracparts.driver import SolverConfig, measure_exponent, solve
+from fracparts.driver import C_ORTH, N_TARGET, SolverConfig, measure_exponent, solve
 from fracparts.expsum import HIT_DENSITY, LARGE_COEFFICIENTS, frequency_caps
 from fracparts.intlinalg import det_bareiss
-from fracparts.latgeom import sublattice_determinants
-from fracparts.reduction import verify_certificate
+from fracparts.latgeom import NoShortVector, quasi_orthogonal_generators, sublattice_determinants
+from fracparts.reduction import (
+    DegenerateHorizonError,
+    IntegralityError,
+    ReductionPreconditionError,
+    reduce_dimension,
+    verify_certificate,
+)
 from fracparts.serialize import certificate_bytes
 from residue_oracles import lambda2_residue_count, lambda3_residue_count
 
@@ -119,6 +125,20 @@ def planted_state(rng) -> SystemState:
     x = rng.randint(2000, 9000)
     return SystemState(PolySystem(tuple(polys)), Epsilons((eps,) * k),
                        Real(Fraction(x)))
+
+
+def planted_step(seed: int):
+    """The state that ``random.Random(seed)`` plants and its first reduction
+    step, with the driver's generator search; None where there is none."""
+    state = planted_state(random.Random(seed))
+    gens = quasi_orthogonal_generators(state.system, *state.region, N_target=N_TARGET,
+                                       c_orth=C_ORTH, max_r=state.k - 1)
+    if isinstance(gens, NoShortVector):
+        return None
+    try:
+        return state, reduce_dimension(state, gens)
+    except (ReductionPreconditionError, IntegralityError, DegenerateHorizonError):
+        return None
 
 
 @pytest.fixture(scope="module")

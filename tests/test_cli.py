@@ -318,6 +318,18 @@ class TestVerifyCert:
         assert main(["verify-cert", cert_path]) == EXIT_NOT_FOUND
         capsys.readouterr()
 
+    def test_flipped_theorem_flag_exit_1(self, tmp_path, half_system, capsys):
+        cert_path = str(tmp_path / "c.json")
+        main(["solve", half_system, "--cert", cert_path])
+        capsys.readouterr()
+        data = json.loads(open(cert_path).read())
+        assert data["constants"]["within_theorem_hypothesis"] is True
+        data["constants"]["within_theorem_hypothesis"] = False
+        open(cert_path, "w").write(json.dumps(data))
+        assert main(["verify-cert", cert_path]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'constants'" in err
+
     @pytest.mark.parametrize("data, field", [
         ({}, "'root'"),
         ({"root": {}, "chain": [], "terminal": {}}, "'root': missing key 'polys'"),

@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fracparts.core import (
@@ -21,6 +22,7 @@ from fracparts.core import (
     parse_scalar,
 )
 from fraction_oracle import frac_dist, poly_eval
+from test_acceptance import planted_step
 
 
 def sys1(*coeff_lists):
@@ -98,6 +100,47 @@ class TestEvalSystem:
         coeff = st.builds(str.__add__, sign, form)
         system = sys1(*[data.draw(st.lists(coeff, min_size=d, max_size=d)) for _ in range(k)])
         assert eval_system(system, n) == [frac_dist(poly_eval(p, n)) for p in system.polys]
+
+
+# coefficients of the integer-form tests: small p/q, p/q with a 200-bit
+# denominator, and sqrt(m)/q approximants with their radii
+COEFFICIENTS = {
+    "rational": st.builds(lambda p, q: Real(Fraction(p, q)),
+                          st.integers(-40, 40), st.integers(1, 60)),
+    "200-bit": st.builds(lambda p, q: Real(Fraction(p, q)),
+                         st.integers(-2 ** 200, 2 ** 200), st.integers(2 ** 199, 2 ** 200)),
+    "sqrt": st.builds(lambda sign, m, q: parse_scalar(f"{sign}sqrt({m})/{q}"),
+                      st.sampled_from(["", "-"]),
+                      st.integers(2, 10 ** 6).filter(lambda m: math.isqrt(m) ** 2 != m),
+                      st.integers(1, 9)),
+}
+SYSTEM_KINDS = [*COEFFICIENTS, "child"]
+
+
+@st.composite
+def systems(draw, kind):
+    """A k <= 3, d <= 3 system with coefficients of one kind, or the child
+    system of a planted reduction (`planted_step`)."""
+    if kind == "child":
+        case = planted_step(draw(st.integers(0, 2 ** 32)))
+        assume(case is not None)
+        return case[1].g
+    k, d, coeff = draw(st.integers(1, 3)), draw(st.integers(1, 3)), COEFFICIENTS[kind]
+    return PolySystem(tuple(Poly(tuple(draw(coeff) for _ in range(d))) for _ in range(k)))
+
+
+class TestIntegerForm:
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(SYSTEM_KINDS).flatmap(systems))
+    def test_round_trip(self, system):
+        """N / D gives back every value and E / R every radius, and no
+        smaller denominator would do: gcd(D, N) = gcd(R, E) = 1."""
+        for (D, N), field in ((system.numerators, "value"), (system.radii, "err")):
+            assert ([[Fraction(n, D) for n in row] for row in N]
+                    == [[getattr(c, field) for c in p.coeffs] for p in system.polys])
+            assert math.gcd(D, *(n for row in N for n in row)) == 1
+        assert system.numerators is system.numerators  # computed once
 
 
 class TestCoefficientSums:

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracparts.core import Epsilons, Poly, PolySystem
 from fracparts.diophantine import (
@@ -67,6 +69,15 @@ class TestBestRational:
             Q = rng.randint(1, 300)
             got = best_rational(alpha, Q)
             assert got == feasible_scan(alpha, Q)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(a=st.integers(-10 ** 4, 10 ** 4), q=st.integers(1, 500),
+           sign=st.sampled_from([1, -1]), N=st.integers(1, 10 ** 9), Q=st.integers(1, 500))
+    def test_near_rationals_match_exhaustive_scan(self, a, q, sign, N, Q):
+        # alpha = a/q +- 1/N has a partial quotient near N / q^2, up to 10^9:
+        # one intermediate fraction per level must stand for all of them
+        alpha = Fraction(a, q) + sign * Fraction(1, N)
+        assert best_rational(alpha, Q) == feasible_scan(alpha, Q)
 
     def test_dirichlet_bound_always(self):
         rng = random.Random(7)

@@ -20,7 +20,6 @@ from fracparts.diophantine import (
     large_coefficients,
     phi,
     smoothed_count,
-    weyl_sum,
 )
 from fracparts.expsum import (
     HIT_DENSITY,
@@ -29,6 +28,7 @@ from fracparts.expsum import (
     FourierDichotomy,
     frequency_caps,
 )
+from weyl_oracle import weyl_sum
 
 
 def sys1(*coeff_lists):

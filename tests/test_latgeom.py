@@ -6,7 +6,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fracparts.core import Epsilons, Poly, PolySystem, Real, SystemState, parse_scalar
+from fracparts.core import (
+    Epsilons,
+    Poly,
+    PolySystem,
+    Real,
+    SystemState,
+    coefficient_sums,
+    parse_scalar,
+)
 from fracparts.intlinalg import det_bareiss
 from fracparts.latgeom import (
     DependenceError,
@@ -38,6 +46,7 @@ import fraction_oracle
 from fraction_oracle import _dot, mat_mul, mat_vec
 from lll_oracle import reduce_basis_reference, shortest_vector
 from residue_oracles import lambda2_residue_count, lambda3_residue_count
+from test_core import SYSTEM_KINDS, systems
 
 
 def sys1(*coeff_lists):
@@ -442,7 +451,7 @@ class TestSublattice:
             for col in range(ell):
                 y = [Z[i][col] for i in range(ell)]
                 t = mat_vec(H2, y)
-                assert solve_integer(H1, t) is not None
+                assert solve_integer(H1, [t]) != [None]
 
 
 @st.composite
@@ -509,3 +518,70 @@ def test_rounded_lattice_is_sound(case):
     if isinstance(got, GeneratorSet):
         for h, a in zip(got.h_vecs, got.a_vecs):
             assert decisively_in_region(system, h, a, B, eta)
+
+
+def _root_ceil(v: Fraction, j: int, bits: int = 32) -> Fraction:
+    """The least multiple t of 2^-bits with t^j >= v."""
+    target = math.ceil(v * 2 ** (bits * j))
+    t = round(float(target) ** (1 / j))
+    while t ** j < target:
+        t += 1
+    while t > 0 and (t - 1) ** j >= target:
+        t -= 1
+    return Fraction(t, 2 ** bits)
+
+
+def _with_radius(system, i, j, err):
+    """The system with coefficient (i, j) (0- and 1-indexed) given radius err."""
+    polys = list(system.polys)
+    coeffs = list(polys[i].coeffs)
+    coeffs[j - 1] = Real(coeffs[j - 1].value, err)
+    polys[i] = Poly(tuple(coeffs))
+    return PolySystem(tuple(polys))
+
+
+@st.composite
+def region_cases(draw):
+    """A system of each kind, a point (h, a) near the region, B and eta.
+    With ``past`` 0 or 1, one coefficient's radius puts slot j0 exactly on
+    |residual| + slack = eta^j0, or one unit of the integer test past it."""
+    system = draw(st.sampled_from(SYSTEM_KINDS).flatmap(systems))
+    k, d = system.k, system.d
+    h = [draw(st.integers(-4, 4)) for _ in range(k)]
+    a = [round(s.value) + draw(st.integers(-1, 1)) for s in coefficient_sums(system, h)]
+    B = [draw(st.integers(1, 5)) for _ in range(k)]
+    eta = draw(st.sampled_from([Fraction(1, 100), Fraction(1, 7), Fraction(1, 2),
+                                Fraction(3, 4)]))
+    past = draw(st.sampled_from([None, 0, 1]))
+    if past is None or not any(h):
+        return system, h, a, B, eta, None
+    j0 = draw(st.integers(1, d))
+    i0 = draw(st.sampled_from([i for i in range(k) if h[i]]))
+    s = coefficient_sums(system, h)[j0 - 1]
+    # the residual plus every slack but that of coefficient (i0, j0)
+    need = abs(s.value - a[j0 - 1]) + s.err - abs(h[i0]) * system.coeff(i0 + 1, j0).err
+    if eta ** j0 < need:
+        eta = _root_ceil(need, j0)
+    system = _with_radius(system, i0, j0, (eta ** j0 - need) / abs(h[i0]))
+    if past:
+        # one more unit of (|residual| + slack) q D R, with eta^j0 = p / q
+        (D, _N), (R, _E) = system.numerators, system.radii
+        unit = Fraction(1, (eta ** j0).denominator * D * R)
+        err = system.coeff(i0 + 1, j0).err + unit / abs(h[i0])
+        system = _with_radius(system, i0, j0, err)
+    s = coefficient_sums(system, h)[j0 - 1]
+    return system, h, a, B, eta, (abs(s.value - a[j0 - 1]) + s.err - eta ** j0, past)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(region_cases())
+def test_region_test_matches_fraction_reference(case):
+    """The integer region test decides as the Fraction one, on and one unit
+    past the boundary of a slot too."""
+    system, h, a, B, eta, edge = case
+    got = decisively_in_region(system, h, a, B, eta)
+    assert got == fraction_oracle.decisively_in_region(system, h, a, B, eta)
+    if edge is not None:
+        over, past = edge
+        assert (over == 0) if past == 0 else (over > 0 and not got)

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fracparts.core import (
@@ -35,8 +35,8 @@ from fracparts.reduction import (
     verify_certificate,
 )
 from fracparts.serialize import SystemFileError, load_certificate
-from fraction_oracle import frac_dist, mat_vec, poly_eval
-from test_acceptance import PLANT_CONFIG, PLANT_SEED, planted_state
+from fraction_oracle import frac_dist, frac_inverse, mat_vec, poly_eval
+from test_acceptance import PLANT_CONFIG, PLANT_SEED, planted_state, planted_step
 
 
 def sys1(*coeff_lists):
@@ -160,6 +160,28 @@ class TestReduceDimension:
         # just above the boundary the same generators reduce
         wider = dup_state(x=100)
         assert reduce_dimension(wider, dup_gens(wider)).y == Fraction(5, 4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32))
+def test_child_system_matches_fraction_reference(seed):
+    """Each child value is sum_p (Z^-1)_mp (f_(perm p),j D2^j - b'_pj) and
+    each radius sum_p |(Z^-1)_mp| err_(perm p),j D2^j, over the trailing
+    block p, rebuilt in Fractions from the step's Z, perm and b'."""
+    case = planted_step(seed)
+    assume(case is not None)
+    state, step = case
+    Zinv = frac_inverse(step.Z)
+    tail = [state.system.polys[i] for i in step.perm[step.r:]]
+    for row, child in zip(Zinv, step.g.polys):
+        for j, c in enumerate(child.coeffs, start=1):
+            scale = step.D2 ** j
+            coeffs = [f.coeffs[j - 1] for f in tail]
+            value = sum(z * (f.value * scale - b[j - 1])
+                        for z, f, b in zip(row, coeffs, step.b_prime))
+            err = sum(abs(z) * f.err * scale for z, f in zip(row, coeffs))
+            assert (c.value, c.err) == (value, err)
 
 
 class TestLift:
@@ -424,6 +446,40 @@ def half_certificate() -> dict:
     """The solved certificate of f = X/2 with eps = 1/100 and x = 100."""
     state = SystemState(sys1(["1/2"]), Epsilons((Fraction(1, 100),)), Real(Fraction(100)))
     return solve(state).certificate.to_dict()
+
+
+class TestConstants:
+    @pytest.mark.parametrize("value", [False, 1, "true", None])
+    def test_wrong_theorem_flag_is_refused(self, value):
+        # eps = 1/100 is within the theorem's hypothesis
+        data = half_certificate()
+        assert data["constants"]["within_theorem_hypothesis"] is True
+        data["constants"]["within_theorem_hypothesis"] = value
+        checks = verify_certificate(Certificate.from_dict(data))
+        assert [(name, ok) for name, ok, _detail in checks] == [("constants.parse", False)]
+
+    def test_eps_past_the_hypothesis_flag_false(self):
+        state = SystemState(sys1(["1/2"]), Epsilons((Fraction(1, 10),)), Real(Fraction(100)))
+        data = solve(state).certificate.to_dict()
+        assert data["constants"]["within_theorem_hypothesis"] is False
+        assert all(ok for _name, ok, _detail in verify_certificate(Certificate.from_dict(data)))
+        data["constants"]["within_theorem_hypothesis"] = True
+        assert verify_certificate(Certificate.from_dict(data))[0][:2] == ("constants.parse", False)
+
+    def test_not_an_object_is_refused(self):
+        data = half_certificate()
+        data["constants"] = [True]
+        checks = verify_certificate(Certificate.from_dict(data))
+        assert checks == [("constants.parse", False, "need an object")]
+
+    def test_absent_flag_and_config_claim_nothing(self):
+        # replay re-runs no search, so it does not read the config
+        data = half_certificate()
+        del data["constants"]["within_theorem_hypothesis"]
+        data["constants"]["config"]["c_hit"] = 123.0
+        assert all(ok for _name, ok, _detail in verify_certificate(Certificate.from_dict(data)))
+        del data["constants"]
+        assert all(ok for _name, ok, _detail in verify_certificate(Certificate.from_dict(data)))
 
 
 def leaves(node, path=()):

@@ -17,14 +17,12 @@ from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from operator import le
 
-import mpmath
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fracparts.core import (
     DEFAULT_ENUM_CAP,
-    DEFAULT_PRECISION_BITS,
     _CHUNK_FIRST,
     _CHUNK_MAX,
     Epsilons,
@@ -45,9 +43,9 @@ from fracparts.diophantine import (
     _phase_coefficients,
     phi,
     smoothed_count,
-    weyl_sum,
 )
 from fraction_oracle import frac_dist, poly_eval
+from weyl_oracle import exp_sum, weyl_sum
 
 
 def _chunk_ends(count):
@@ -171,17 +169,15 @@ def test_reducers_match_per_n_reference(case):
     assert smoothed_count(system, eps, last) == smoothed
 
     sigma = _phase_coefficients(system, h)
+    residues = list(_phase_residues(sigma, last))
     tau = 2 * math.pi
     re = im = 0.0
-    with mpmath.workprec(DEFAULT_PRECISION_BITS + 16):
-        total = mpmath.mpc(0)
-        for r, D in _phase_residues(sigma, last):
-            ang = tau * (r * (1.0 / D))
-            re += math.cos(ang)
-            im += math.sin(ang)
-            total += mpmath.expjpi(mpmath.mpf(2 * r) / D)
+    for r, D in residues:
+        ang = tau * (r * (1.0 / D))
+        re += math.cos(ang)
+        im += math.sin(ang)
     assert _abs_sum_exact_phase(sigma, last) == math.hypot(re, im)
-    assert weyl_sum(system, h, last) == total
+    assert weyl_sum(system, h, last) == exp_sum(residues)
 
 
 def test_empty_horizons():
