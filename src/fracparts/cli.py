@@ -31,13 +31,14 @@ from .driver import (
     solve,
 )
 from .expsum import DEFAULT_MAX_BOX, BoxTooLargeError, FourierDichotomy
+from .intlinalg import det_bareiss
 from .latgeom import (
     NoShortVector,
     _integral_rows,
     quasi_orthogonal_generators,
     reduce_basis,
+    solution_lattice,
     subset_measures,
-    sublattice_determinants,
     wedge_norm,
 )
 from .reduction import verify_certificate
@@ -232,8 +233,8 @@ def cmd_lattice(args) -> int:
         if len(H1[0]) != len(H1) or len(H2) != len(H1):
             raise ValueError(f"--h1 must be square with as many rows as --h2: got "
                              f"{len(H1)}x{len(H1[0])} and {len(H2)}x{len(H2[0])}")
-        rep = sublattice_determinants(H1, H2)
-        _emit(rep.to_dict())
+        D1, D2, Z = solution_lattice(H1, H2)  # raises unless D1 = D2 |det Z|
+        _emit({"det1": D1, "det2": D2, "det3": abs(det_bareiss(Z)), "identity_holds": True})
         return EXIT_OK
     if args.generators:
         state = parse_system_file(args.generators)

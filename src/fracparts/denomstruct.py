@@ -96,12 +96,25 @@ def gcd_graph(B: Sequence[int], threshold: int) -> List[Tuple[int, int]]:
     return edges
 
 
+def _divisors(values) -> List[int]:
+    """The divisors above 1 of the positive integers in values, ascending."""
+    out = set()
+    for b in set(values):
+        for i in range(1, math.isqrt(b) + 1):
+            if b % i == 0:
+                out.update((i, b // i))
+    out.discard(1)
+    return sorted(out)
+
+
 def dominant_divisor_filter(B: Sequence[int], delta) -> DivisorFilterResult:
     """Iteratively pull out the smallest popular divisor.
 
     While some ell > 1 divides at least #B / ell^(delta/10) of the current
     elements, absorb the smallest such ell into d0, divide the divisible
-    elements and discard the rest.  The ell search is bounded by max(B).
+    elements and discard the rest.  That bound is positive, so such an ell
+    divides some element: the search tries the divisors above 1 of the
+    current elements, ascending, found by trial division up to sqrt(b).
     """
     if not B:
         raise EmptyInputError("empty integer list")
@@ -115,10 +128,9 @@ def dominant_divisor_filter(B: Sequence[int], delta) -> DivisorFilterResult:
     trace: List[int] = []
     exp = float(delta / 10)
     while True:
-        m = max(current)
         found = None
         size = len(current)
-        for ell in range(2, m + 1):
+        for ell in _divisors(current):
             count = sum(1 for b in current if b % ell == 0)
             if count >= size / ell ** exp:
                 found = ell

@@ -36,12 +36,14 @@ from .core import (
     _sieved,
     _strict_thresholds,
     coefficient_sums,
+    parse_rational,
 )
 from .expsum import (
     DEFAULT_MAX_BOX,
     HIT_DENSITY,
     LARGE_COEFFICIENTS,
     FourierDichotomy,
+    _int_tuple,
     density_gate,
 )
 from .reduction import C_CFG
@@ -359,8 +361,13 @@ class RelationTriple:
 
     @staticmethod
     def from_dict(d: dict) -> "RelationTriple":
-        return RelationTriple(tuple(d["a"]), tuple(d["q"]), tuple(d["h"]),
-                              tuple(Fraction(r) for r in d["residuals"]))
+        """Read `to_dict`'s record: a, q and h lists of integers (a bool is
+        not one), residuals a list of rational strings.  Raises KeyError,
+        TypeError or ValueError."""
+        if not isinstance(d["residuals"], list):
+            raise TypeError("residuals must be a list of rational strings")
+        return RelationTriple(*(_int_tuple(d[key], key) for key in ("a", "q", "h")),
+                              tuple(map(parse_rational, d["residuals"])))
 
 
 def sigma_vector(system: PolySystem, h: Sequence[int]) -> List[Fraction]:

@@ -53,7 +53,6 @@ from .reduction import (
     Certificate,
     DegenerateHorizonError,
     HorizonOverflowError,
-    IntegralityError,
     LiftVerificationError,
     ReductionPreconditionError,
     check_hit,
@@ -86,6 +85,8 @@ class SolverConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "SolverConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be an object of fields, got {d!r}")
         names = {f.name for f in fields(SolverConfig)}
         for key, value in d.items():
             if key not in names:
@@ -215,8 +216,7 @@ def _reduction_path(state, config, stats, depth):
             stats.fallbacks.append("reduction:no-short-vector")
             return None
         step = reduce_dimension(state, gens)
-    except (PrecisionError, ReductionPreconditionError, IntegralityError,
-            DegenerateHorizonError) as exc:
+    except (PrecisionError, ReductionPreconditionError, DegenerateHorizonError) as exc:
         stats.fallbacks.append(f"reduction:{type(exc).__name__}")
         return None
     stats.reductions += 1

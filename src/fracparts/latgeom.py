@@ -1,5 +1,6 @@
 """Geometry of numbers: the scaled relation lattice, LLL reduction, quasi-
-orthogonal generator extraction, and the sublattice determinant identity.
+orthogonal generator extraction, and the solution lattice of a reduction
+step with its determinant identity.
 
 The lattice path runs in exact integers from end to end.  A lattice is its
 integer rows with their scale L: the rows are L times the rational
@@ -420,63 +421,37 @@ def quasi_orthogonal_generators(system: PolySystem, B: Sequence, eta,
 
 
 # ---------------------------------------------------------------------------
-# Sublattice determinant identity.
+# The solution lattice and the determinant identity.
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SublatticeReport:
-    det1: int
-    det2: int
-    det3: int
-    identity_holds: bool
+def solution_lattice(H1: Sequence[Sequence[int]],
+                     H2: Sequence[Sequence[int]]) -> Tuple[int, int, List[List[int]]]:
+    """(D1, D2, Z) for the lattices Lambda_1 = H1 Z^r, Lambda_2 = H1 Z^r + H2 Z^l
+    and Lambda_3 = {y in Z^l : H1 x = H2 y solvable in integers x}.
 
-    def to_dict(self) -> dict:
-        return {"det1": self.det1, "det2": self.det2, "det3": self.det3,
-                "identity_holds": self.identity_holds}
-
-
-def solution_lattice_basis(H1: Sequence[Sequence[int]],
-                           H2: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Column basis of {y in Z^l : H1 x = H2 y solvable in integers x}.
-
-    Computed as the projection of the integer kernel of [M | det(H1) I] with
-    M = det(H1) H1^{-1} H2 = adj(H1) H2, an integer matrix.
+    D1 = |det H1| = det Lambda_1, D2 = det Lambda_2, and Z is the LLL-reduced
+    column basis of Lambda_3: the integer kernel of [adj(H1) H2 | det(H1) I],
+    projected to its first l coordinates and reduced by `reduce_basis`.  The
+    three are computed independently, and the identity D1 = D2 |det Z| is
+    checked, not assumed: ArithmeticError if it fails.
     """
     r = len(H1)
     ell = len(H2[0])
     D = det_bareiss(H1)
     if D == 0:
         raise SingularH1Error("H1 must be invertible")
+    D2 = lattice_det_from_columns([list(h1) + list(h2) for h1, h2 in zip(H1, H2)])
     adj = adjugate(H1)
     M = [[sum(adj[i][t] * H2[t][j] for t in range(r)) for j in range(ell)]
          for i in range(r)]
-    stacked = [[M[i][j] for j in range(ell)] + [D * int(i == t) for t in range(r)]
-               for i in range(r)]
-    ker = kernel_columns(stacked)
+    ker = kernel_columns([M[i] + [D * int(i == t) for t in range(r)] for i in range(r)])
     if len(ker) != ell:
         raise ArithmeticError("solution lattice is not full rank")
-    return [[ker[j][i] for j in range(ell)] for i in range(ell)]  # columns -> matrix
-
-
-def sublattice_determinants(H1: Sequence[Sequence[int]],
-                            H2: Sequence[Sequence[int]]) -> SublatticeReport:
-    """det(Lambda_1), det(Lambda_2), det(Lambda_3) and the product identity.
-
-    Lambda_1 = H1 Z^r, Lambda_2 = H1 Z^r + H2 Z^l, Lambda_3 the solution
-    lattice; all three determinants are computed independently and the
-    identity det1 = det2 * det3 is checked, not assumed.
-    """
-    r = len(H1)
-    det1 = abs(det_bareiss(H1))
-    if det1 == 0:
-        raise SingularH1Error("H1 must be invertible")
-    combined = [list(H1[i]) + list(H2[i]) for i in range(r)]
-    det2 = lattice_det_from_columns(combined)
-    Zb = solution_lattice_basis(H1, H2)
-    det3 = abs(det_bareiss(Zb))
-    ok = det1 == det2 * det3
-    if not ok:
-        raise ArithmeticError(
-            f"determinant identity failed: {det1} != {det2} * {det3}")
-    return SublatticeReport(det1=det1, det2=det2, det3=det3, identity_holds=ok)
+    # the kernel columns' first l coordinates, LLL-reduced as rows
+    reduced, _U = reduce_basis([col[:ell] for col in ker])
+    Z = [list(row) for row in zip(*reduced)]
+    det3 = abs(det_bareiss(Z))
+    if abs(D) != D2 * det3:
+        raise ArithmeticError(f"determinant identity failed: {abs(D)} != {D2} * {det3}")
+    return abs(D), D2, Z

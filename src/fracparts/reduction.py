@@ -14,22 +14,11 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .core import Epsilons, Poly, PolySystem, Real, SystemState, eval_system, parse_rational
-from .intlinalg import adjugate, det_bareiss, lattice_det_from_columns, solve_integer
-from .latgeom import (
-    GeneratorSet,
-    decisively_in_region,
-    max_minor,
-    reduce_basis,
-    scaled_h_rows,
-    solution_lattice_basis,
-)
+from .intlinalg import adjugate, det_bareiss, solve_integer
+from .latgeom import GeneratorSet, decisively_in_region, max_minor, scaled_h_rows, solution_lattice
 
 class ReductionPreconditionError(ValueError):
     pass
-
-
-class IntegralityError(ArithmeticError):
-    """No integer b' table exists; the generator set is invalid."""
 
 
 class DegenerateHorizonError(ValueError):
@@ -123,9 +112,11 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
     that is not r h vectors of length k with r a vectors of length d.  Their
     a-vectors are integers (the common denominator q0 is 1, as they come
     straight from the relation lattice), and the window constant is
-    DEFAULT_DELTA_CONST.  The b' table is solved exactly over Z; a
-    non-integral solve raises IntegralityError, and a collapsed child
-    horizon raises DegenerateHorizonError.
+    DEFAULT_DELTA_CONST.  The solution lattice and D1, D2 come from
+    `latgeom.solution_lattice`, the b' table is solved exactly over Z, and a
+    collapsed child horizon raises DegenerateHorizonError.  ArithmeticError
+    means an invariant failed: the determinant identity, or a b' slot with
+    no integer solution.
     """
     k, d = state.k, state.system.d
     r = gens.r
@@ -154,25 +145,18 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
 
     H1 = [[gens.h_vecs[ell][perm[p]] for p in range(r)] for ell in range(r)]
     H2 = [[gens.h_vecs[ell][perm[p]] for p in range(r, k)] for ell in range(r)]
-    D1 = abs(det_bareiss(H1))
-    D2 = lattice_det_from_columns([h1 + h2 for h1, h2 in zip(H1, H2)])
-
-    Z_cols = solution_lattice_basis(H1, H2)  # (k-r) x (k-r), columns generate
-    # LLL-reduce the solution lattice (rows of the transpose are the columns);
-    # LLL is unimodular, so the check below is the identity D1 = D2 * det3
-    reduced, _U = reduce_basis(list(zip(*Z_cols)))
-    Z = [list(row) for row in zip(*reduced)]
-    det3 = det_bareiss(Z)
-    if abs(det3) * D2 != D1:
-        raise ArithmeticError("solution lattice determinant mismatch")
+    D1, D2, Z = solution_lattice(H1, H2)  # Z: (k-r) x (k-r), columns generate
+    det3 = det_bareiss(Z)  # its sign, for Z^-1
 
     # b' tables: H1 u_j - H2 w_j = D2^j a_j, solved exactly over Z, every
-    # slot j from one echelon form
+    # slot j from one echelon form.  The columns of [H1 | -H2] generate
+    # Lambda_2, of index D2 in Z^r, so D2 Z^r lies in it and every slot solves.
     A = [list(H1[ell]) + [-v for v in H2[ell]] for ell in range(r)]
     solved = solve_integer(A, [[D2 ** j * a[j - 1] for a in gens.a_vecs]
                                for j in range(1, d + 1)])
     if None in solved:
-        raise IntegralityError(f"no integer b' for slot {solved.index(None) + 1}")
+        raise ArithmeticError(f"no integer b' for slot {solved.index(None) + 1}, "
+                              "though D2 Z^r lies in Lambda_2")
     b_upper = [[v[i] for v in solved] for i in range(r)]
     b_lower = [[v[i] for v in solved] for i in range(r, k)]
 

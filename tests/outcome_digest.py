@@ -3,10 +3,11 @@
 A change meant to keep outcomes (a speed-up, a refactor) prints the same
 digests before and after it.  Run from the repository root:
 
-    PYTHONPATH=src python tests/outcome_digest.py
+    PYTHONPATH=src python tests/outcome_digest.py [SET ...]
 
-and compare the output with the same command on the parent commit (copy this
-file there if it lacks it).  One SHA-256 is printed per set:
+One SHA-256 is printed per set and checked against its pin in ``PINS``; the
+script exits 1 if any set differs, naming it.  A change that moves outcomes
+on purpose re-pins the sets it moves and says why.  The sets:
 
 - ``planted``: PLANT_SEED's 200 systems under PLANT_CONFIG;
 - ``planted-default``: the same 200 under the default SolverConfig;
@@ -17,20 +18,25 @@ file there if it lacks it).  One SHA-256 is printed per set:
   ``p/q``, 200-bit ``p/q`` and ``sqrt(m)/q`` coefficients; tolerances from
   1/2 down to 10^-4; x <= 5000), each with `hit_count` at eps and eps/2,
   `first_hit` and `_checkpointed_min` at four horizons, then criterion-6-style
-  d = 1 monomial rows.
+  d = 1 monomial rows;
+- ``det-identity``: criterion 1's 1,000 draws (seed 20103) through
+  ``fracparts lattice --det-identity``, each draw's printed output.
 
 A solve contributes its status, n, certificate bytes, `SolveStats` without
 `wall_time`, and the checks `verify_certificate` makes of its certificate.
 This file is not a test module; pytest does not collect it.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 import sys
 import time
 from fractions import Fraction
 
+from fracparts.cli import main as cli_main
 from fracparts.core import (
     Epsilons,
     Poly,
@@ -43,6 +49,7 @@ from fracparts.core import (
 )
 from fracparts.diophantine import large_coefficients
 from fracparts.driver import SolverConfig, measure_exponent, solve
+from fracparts.intlinalg import det_bareiss
 from fracparts.reduction import verify_certificate
 from fracparts.serialize import certificate_bytes
 from test_acceptance import (
@@ -144,21 +151,63 @@ def linear() -> str:
     return digest.hexdigest()
 
 
+def det_identity() -> str:
+    rng = random.Random(20103)
+    digest = hashlib.sha256()
+    for _ in range(1000):
+        r, ell = rng.randint(1, 4), rng.randint(1, 4)
+        while True:
+            H1 = [[rng.randint(-5, 5) for _ in range(r)] for _ in range(r)]
+            if det_bareiss(H1) != 0:
+                break
+        H2 = [[rng.randint(-5, 5) for _ in range(ell)] for _ in range(r)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(["lattice", "--det-identity",
+                             "--h1", json.dumps(H1), "--h2", json.dumps(H2)])
+        _update(digest, [code, out.getvalue()])
+    return digest.hexdigest()
+
+
 SETS = {
     "planted": lambda: planted(PLANT_CONFIG),
     "planted-default": lambda: planted(SolverConfig()),
     "criterion-4": criterion_4,
     "criterion-6": criterion_6,
     "linear": linear,
+    "det-identity": det_identity,
+}
+
+PINS = {
+    "planted":
+        "83a793bec1989ee9870949d18d5fd80f624ae126aaf7cb8fb0882fe4178d28a7",
+    "planted-default":
+        "f8b600238f8ca7f343b1035d74c59df520792116dac30391a33b2627f8b117d1",
+    "criterion-4":
+        "4b1a0ecca07de774328a237564ccf4d7c88023417ca570e85ab916f0dea5cc8e",
+    "criterion-6":
+        "719e9912eef73e44cbaac6b6d38c2cf308e5d9ec31b2c9e0d08105436968b75e",
+    "linear":
+        "4bb33e459ffc9b9d3c48bc2a39f0167e08b0087c678579aed2315c6a6b770ea4",
+    "det-identity":
+        "3f73181890cd5a258cc57da21a963d98593f5329cf64a4bbe1f7367cff8e60fb",
 }
 
 
-def main(names) -> None:
+def main(names) -> int:
+    moved = []
     for name in names or SETS:
         t0 = time.monotonic()
         value = SETS[name]()
-        print(f"{name} {value}  ({time.monotonic() - t0:.1f} s)", flush=True)
+        ok = value == PINS[name]
+        print(f"{name} {value}  ({time.monotonic() - t0:.1f} s)"
+              + ("" if ok else f"  MISMATCH, pinned {PINS[name]}"), flush=True)
+        if not ok:
+            moved.append(name)
+    if moved:
+        print("digests differ from their pins: " + ", ".join(moved), file=sys.stderr)
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

@@ -1,9 +1,9 @@
 """Residue-enumeration oracles for the sublattice determinant identity.
 
-`latgeom.sublattice_determinants` computes det(Lambda_1), det(Lambda_2) and
-det(Lambda_3) independently; these count the residues of Lambda_2 and
-Lambda_3 mod D = det(Lambda_1) by enumeration, so that D^r = det2 * #Lambda_2
-and D^l = det3 * #Lambda_3 cross-check them.
+`latgeom.solution_lattice` computes det(Lambda_1), det(Lambda_2) and a basis Z
+of Lambda_3, whose |det Z| is det(Lambda_3), independently; these count the
+residues of Lambda_2 and Lambda_3 mod D = det(Lambda_1) by enumeration, so
+that D^r = det2 * #Lambda_2 and D^l = det3 * #Lambda_3 cross-check them.
 """
 
 import itertools

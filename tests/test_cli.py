@@ -73,13 +73,18 @@ class TestSolveCommand:
                                      {"c_hit": math.nan},
                                      {"c_hit": -0.5},
                                      {"enum_cap": -5},
-                                     {"brute_force_threshold": -1}])
+                                     {"brute_force_threshold": -1},
+                                     [1], 5, "x", None])
     def test_config_value_type_checked(self, tmp_path, half_system, cfg, capsys):
         # json writes inf and nan as Infinity and NaN, which it reads back
         path = write(tmp_path, "cfg.json", cfg)
         assert main(["solve", half_system, "--config", path]) == EXIT_ERROR
-        (name,) = cfg
-        assert f"error: config field {name!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if isinstance(cfg, dict):
+            (name,) = cfg
+            assert f"error: config field {name!r}" in err
+        else:
+            assert err.startswith("error: config must be an object")
 
     def test_irrational_tolerance_exit_1(self, tmp_path, capsys):
         # the coefficient is the 192-bit approximant of sqrt(2)/100, so
@@ -189,6 +194,18 @@ class TestPipelineCommands:
         ({"relations": [{"a": [1], "q": [2], "h": [1], "residuals": ["0"]},
                         {"a": [1, 0], "q": [2, 1], "h": [1], "residuals": ["0", "0"]}]},
          "'relations[1]': 2 slots"),
+        ({"relations": [{"a": [1], "q": [3], "h": [0.5, "x"], "residuals": ["0"]},
+                        {"a": [True], "q": [3], "h": [1, 2], "residuals": [0.25]}]},
+         "'relations[0]': h must be a list of integers"),
+        ({"relations": [{"a": [1], "q": [3], "h": [1, 2], "residuals": ["0"]},
+                        {"a": [True], "q": [3], "h": [1, 2], "residuals": [0.25]}]},
+         "'relations[1]': a must be a list of integers"),
+        ({"relations": [{"a": [1], "q": [3], "h": [1, 2], "residuals": [0.25]}]},
+         "'relations[0]': need a rational string"),
+        ({"relations": [{"a": [1], "q": [3], "h": [1, 2], "residuals": "0"}]},
+         "'relations[0]': residuals must be a list"),
+        ({"relations": [{"a": [1], "q": [True], "h": [1, 2], "residuals": ["0"]}]},
+         "'relations[0]': q must be a list of integers"),
     ])
     def test_denom_analyze_malformed_exit_1(self, tmp_path, data, field, capsys):
         path = write(tmp_path, "rels.json", data)

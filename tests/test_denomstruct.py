@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracparts.denomstruct import (
     DEFAULT_FILTER_DELTA,
@@ -117,6 +119,32 @@ class TestDivisorFilter:
                 d0 *= ell
                 cur = [b // ell for b in cur if b % ell == 0]
             assert d0 == res.d0 and cur == res.filtered
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 12).flatmap(lambda g: st.lists(
+               st.one_of(st.integers(1, 60), st.integers(1, 5000)).map(lambda b: g * b),
+               min_size=1, max_size=12)),
+           st.sampled_from([Fraction(1, 400), Fraction(1, 201), Fraction(1, 10 ** 6)]))
+    def test_matches_full_ell_search(self, B, delta):
+        """The divisor search picks what trying every ell up to max(B) picks."""
+        current, d0, trace = list(B), 1, []
+        exp = float(delta / 10)
+        while True:
+            m = max(current)
+            found = None
+            size = len(current)
+            for ell in range(2, m + 1):
+                count = sum(1 for b in current if b % ell == 0)
+                if count >= size / ell ** exp:
+                    found = ell
+                    break
+            if found is None:
+                break
+            d0 *= found
+            trace.append(found)
+            current = [b // found for b in current if b % found == 0]
+        res = dominant_divisor_filter(B, delta)
+        assert (res.d0, res.filtered, res.trace) == (d0, current, trace)
 
     def test_delta_range_enforced(self):
         with pytest.raises(ValueError):

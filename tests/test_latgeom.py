@@ -15,7 +15,7 @@ from fracparts.core import (
     coefficient_sums,
     parse_scalar,
 )
-from fracparts.intlinalg import det_bareiss
+from fracparts.intlinalg import det_bareiss, solve_integer
 from fracparts.latgeom import (
     DependenceError,
     GeneratorSet,
@@ -31,17 +31,12 @@ from fracparts.latgeom import (
     reduce_basis,
     relation_lattice_bits,
     scaled_h_rows,
-    solution_lattice_basis,
+    solution_lattice,
     subset_measures,
-    sublattice_determinants,
     wedge_norm,
     wedge_norm_sq,
 )
-from fracparts.reduction import (
-    DegenerateHorizonError,
-    IntegralityError,
-    reduce_dimension,
-)
+from fracparts.reduction import DegenerateHorizonError, reduce_dimension
 import fraction_oracle
 from fraction_oracle import _dot, mat_mul, mat_vec
 from lll_oracle import reduce_basis_reference, shortest_vector
@@ -399,22 +394,24 @@ def test_generator_search_matches_fraction_reference(case):
     if state is not None:
         try:
             assert reduce_dimension(state, got).perm == perm
-        except (IntegralityError, DegenerateHorizonError):
+        except DegenerateHorizonError:
             pass
 
 
 class TestSublattice:
+    @staticmethod
+    def dets(H1, H2):
+        D1, D2, Z = solution_lattice(H1, H2)
+        return D1, D2, abs(det_bareiss(Z))
+
     def test_examples(self):
-        rep = sublattice_determinants([[2]], [[1]])
-        assert (rep.det1, rep.det2, rep.det3) == (2, 1, 2)
-        rep = sublattice_determinants([[2]], [[0]])
-        assert (rep.det1, rep.det2, rep.det3) == (2, 2, 1)
-        rep = sublattice_determinants([[1, 0], [0, 1]], [[7], [9]])
-        assert (rep.det1, rep.det2, rep.det3) == (1, 1, 1)
+        assert self.dets([[2]], [[1]]) == (2, 1, 2)
+        assert self.dets([[2]], [[0]]) == (2, 2, 1)
+        assert self.dets([[1, 0], [0, 1]], [[7], [9]]) == (1, 1, 1)
 
     def test_singular_rejected(self):
         with pytest.raises(SingularH1Error):
-            sublattice_determinants([[1, 1], [1, 1]], [[1], [1]])
+            solution_lattice([[1, 1], [1, 1]], [[1], [1]])
 
     def test_identity_random_with_oracle(self):
         rng = random.Random(19)
@@ -426,14 +423,15 @@ class TestSublattice:
                 if det_bareiss(H1) != 0:
                     break
             H2 = [[rng.randint(-5, 5) for _ in range(ell)] for _ in range(r)]
-            rep = sublattice_determinants(H1, H2)
-            assert rep.identity_holds
-            assert rep.det1 % rep.det2 == 0  # D2 | D1
-            if rep.det1 <= 30:
-                c2 = lambda2_residue_count(H1, H2, rep.det1)
-                c3 = lambda3_residue_count(H1, H2, rep.det1)
-                assert rep.det1 ** r == rep.det2 * c2
-                assert rep.det1 ** ell == rep.det3 * c3
+            D1, D2, Z = solution_lattice(H1, H2)
+            det3 = abs(det_bareiss(Z))
+            assert D1 == D2 * det3
+            assert D1 % D2 == 0  # D2 | D1
+            if D1 <= 30:
+                c2 = lambda2_residue_count(H1, H2, D1)
+                c3 = lambda3_residue_count(H1, H2, D1)
+                assert D1 ** r == D2 * c2
+                assert D1 ** ell == det3 * c3
                 oracle_checked += 1
         assert oracle_checked > 20
 
@@ -446,12 +444,36 @@ class TestSublattice:
                 if det_bareiss(H1) != 0:
                     break
             H2 = [[rng.randint(-4, 4) for _ in range(ell)] for _ in range(r)]
-            Z = solution_lattice_basis(H1, H2)
-            from fracparts.intlinalg import solve_integer
+            _D1, _D2, Z = solution_lattice(H1, H2)
             for col in range(ell):
                 y = [Z[i][col] for i in range(ell)]
                 t = mat_vec(H2, y)
                 assert solve_integer(H1, [t]) != [None]
+
+
+@st.composite
+def b_prime_cases(draw):
+    """r x k generator rows whose first r columns have a nonzero minor, and
+    an integer a per row."""
+    k = draw(st.integers(2, 5))
+    r = draw(st.integers(1, k - 1))
+    entry = st.integers(-6, 6)
+    H = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=r, max_size=r)
+             .filter(lambda rows: det_bareiss([row[:r] for row in rows]) != 0))
+    a = draw(st.lists(st.integers(-50, 50), min_size=r, max_size=r))
+    return [row[:r] for row in H], [row[r:] for row in H], a
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(b_prime_cases(), st.integers(1, 3))
+def test_every_b_prime_slot_solves(case, j):
+    """D2 Z^r lies in Lambda_2, the column lattice of [H1 | -H2], so the b'
+    target D2^j a solves for every slot j >= 1.  With D2 - 1 in place of D2
+    it solves only for a in Lambda_2, one a in D2."""
+    H1, H2, a = case
+    _D1, D2, _Z = solution_lattice(H1, H2)
+    A = [h1 + [-v for v in h2] for h1, h2 in zip(H1, H2)]
+    assert solve_integer(A, [[D2 ** j * v for v in a]]) != [None]
 
 
 @st.composite
