@@ -31,7 +31,6 @@ from .driver import (
     solve,
 )
 from .expsum import DEFAULT_MAX_BOX, BoxTooLargeError, FourierDichotomy
-from .intlinalg import det_bareiss
 from .latgeom import (
     NoShortVector,
     _integral_rows,
@@ -233,8 +232,9 @@ def cmd_lattice(args) -> int:
         if len(H1[0]) != len(H1) or len(H2) != len(H1):
             raise ValueError(f"--h1 must be square with as many rows as --h2: got "
                              f"{len(H1)}x{len(H1[0])} and {len(H2)}x{len(H2[0])}")
-        D1, D2, Z = solution_lattice(H1, H2)  # raises unless D1 = D2 |det Z|
-        _emit({"det1": D1, "det2": D2, "det3": abs(det_bareiss(Z)), "identity_holds": True})
+        # raises unless D1 = D2 |det Z|, so |det Z| is D1 // D2
+        D1, D2, _Z = solution_lattice(H1, H2)
+        _emit({"det1": D1, "det2": D2, "det3": D1 // D2, "identity_holds": True})
         return EXIT_OK
     if args.generators:
         state = parse_system_file(args.generators)

@@ -81,7 +81,9 @@ class SolverConfig:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # the fields are scalars, so a shallow copy is asdict's dict without
+        # its deep copy
+        return dict(vars(self))
 
     @staticmethod
     def from_dict(d: dict) -> "SolverConfig":

@@ -12,19 +12,20 @@ large enough that no region residual moves by more than
 eta^d 2^-RELATION_GUARD_BITS (the rounding step of Lagarias, SIAM J.
 Comput. 14, 1985), and every candidate the search keeps is re-verified
 exactly against the unrounded coefficients and their radii.  The LLL is the
-integral LLL (Cohen Alg. 2.6.7), updated in place: the Gram determinants of
-the integer rows stay integers that each swap updates rather than
-recomputes, and mu is rounded half to even from an integer divmod.  Its
-steps do not depend on the scale, so a reduced row is in the unit box when
-its sup norm is at most L.  The generator search scores subsets on the
-integer rows h_i (M / B_i), M the lcm of the B_i, with fraction-free
-determinants; region membership is tested in integers on the system's
-integer form (`PolySystem.numerators` and `.radii`).  Reduction quality
-constants are explicit: LLL at delta = 0.99 with the transform retained.
-The Fraction construction of the relation lattice and the Fraction-based
-search the integer ones replaced, the Fraction region test, the rational
-LLL, an exact shortest-vector enumeration and the residue-counting oracles
-that cross-check the determinant identity are part of the tests.
+integral LLL (Cohen Alg. 2.6.7): the Gram determinants of the integer rows
+stay integers, built for a row when the loop first reaches it, the loop
+carries only the transform, and mu is rounded half to even from an integer
+divmod.  Its steps do not depend on the scale, so a reduced row is in the
+unit box when its sup norm is at most L.  The generator search scores
+subsets on the integer rows h_i (M / B_i), M the lcm of the B_i, with
+fraction-free determinants; region membership is tested in integers on the
+system's integer form (`PolySystem.numerators` and `.radii`).  Reduction
+quality constants are explicit: LLL at delta = 0.99 with the transform
+retained.  The Fraction construction of the relation lattice and the
+Fraction-based search the integer ones replaced, the Fraction region test,
+the integral LLL that updated every row in place and the rational LLL
+before it, an exact shortest-vector enumeration and the residue-counting
+oracles that cross-check the determinant identity are part of the tests.
 """
 
 from __future__ import annotations
@@ -167,39 +168,22 @@ def _integral_rows(rows) -> Tuple[int, List[List[int]]]:
     return L, [[x.numerator * (L // x.denominator) for x in row] for row in rows]
 
 
-def _integral_gram(rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]]]:
-    """Gram determinants d and lambda of integer rows, all integers.
-
-    d[0] = 1 and d[i+1] is the Gram determinant of rows 0..i, so the squared
-    Gram-Schmidt norm of row i is d[i+1] / d[i]; lambda[i][j] = d[j+1] mu_ij
-    for j < i.  Raises DependenceError when the rows are dependent.
-    """
-    n = len(rows)
-    d = [1] + [0] * n
-    lam = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            u = _dot(rows[i], rows[j])
-            for t in range(j):
-                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
-            if j < i:
-                lam[i][j] = u
-            else:
-                d[i + 1] = u
-        if d[i + 1] == 0:
-            raise DependenceError("input vectors are linearly dependent")
-    return d, lam
-
-
 def reduce_basis(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[List[int]]]:
     """LLL reduction of integer rows at LLL_DELTA: (reduced rows, U), U the
     unimodular transform with U rows = reduced rows.
 
-    Integral LLL (Cohen Alg. 2.6.7), updated in place: the Gram determinants
-    d and lambda = d mu stay integers and each swap updates them in O(n).
-    The steps are those of rational LLL with full size reduction before each
-    Lovasz test, mu rounded half to even.  Rows of unequal length raise
-    ValueError, dependent rows DependenceError.
+    Integral LLL (Cohen Alg. 2.6.7): the Gram determinants d and
+    lambda = d mu stay integers.  The loop carries only U and forms the
+    reduced rows as U rows once, at the end.  A row's d and lambda are built
+    when the loop first reaches it, from the input rows' Gram entries and U:
+    a row the loop has not reached is still an input row.  A swap therefore
+    updates lambda only for the rows reached so far, and trades the two
+    lambda rows as objects.  d and lambda are exact functions of the current
+    basis, so building them late gives the integers an in-place update
+    would, and with them the same steps, U and rows.  The steps are those
+    of rational LLL with full size reduction before each Lovasz test, mu
+    rounded half to even.  Rows of unequal length raise ValueError,
+    dependent rows DependenceError.
 
     Rational rows are reduced as L times themselves, L any common multiple
     of their denominators.  Every decision compares like powers of L:
@@ -207,15 +191,40 @@ def reduce_basis(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[L
     test do not move.  U is therefore the same for every L, and the reduced
     rows are L times the rational ones, so |row| <= L tests |row / L| <= 1.
     """
-    vecs = [list(row) for row in rows]
-    if len({len(row) for row in vecs}) > 1:
+    if len({len(row) for row in rows}) > 1:
         raise ValueError("rows must all have the same length")
-    n = len(vecs)
+    n = len(rows)
+    if not n:
+        return [], []
     U = identity(n)
-    d, lam = _integral_gram(vecs)
+    # d[i + 1] and lam[i] = [lambda_i0, ..., lambda_i,i-1] are appended when
+    # the loop first reaches row i
+    d = [1, _dot(rows[0], rows[0])]
+    if not d[1]:
+        raise DependenceError("input vectors are linearly dependent")
+    lam = [[]]
     num, den = LLL_DELTA.numerator, LLL_DELTA.denominator
     kk = 1
     while kk < n:
+        if kk == len(lam):
+            # first visit: row kk is still input row kk, and the rows below
+            # it are U's combinations of input rows 0..kk - 1
+            row = rows[kk]
+            gram = [_dot(v, row) for v in rows[:kk]]
+            lk = []
+            for j in range(kk):
+                u = sum(map(mul, U[j], gram))
+                lj = lam[j]
+                for t in range(j):
+                    u = (d[t + 1] * u - lk[t] * lj[t]) // d[t]
+                lk.append(u)
+            u = _dot(row, row)
+            for t in range(kk):
+                u = (d[t + 1] * u - lk[t] * lk[t]) // d[t]
+            if not u:
+                raise DependenceError("input vectors are linearly dependent")
+            d.append(u)
+            lam.append(lk)
         lk = lam[kk]
         for j in range(kk - 1, -1, -1):
             dj = d[j + 1]
@@ -225,7 +234,6 @@ def reduce_basis(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[L
             r, rem = divmod(2 * lk[j] + dj, 2 * dj)
             if not rem and r & 1:
                 r -= 1
-            vecs[kk] = [a - r * b for a, b in zip(vecs[kk], vecs[j])]
             U[kk] = [a - r * b for a, b in zip(U[kk], U[j])]
             lj = lam[j]
             for t in range(j):
@@ -238,17 +246,32 @@ def reduce_basis(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[L
         if den * B >= num * d[kk] ** 2:
             kk += 1
             continue
-        vecs[kk], vecs[kk - 1] = vecs[kk - 1], vecs[kk]
         U[kk], U[kk - 1] = U[kk - 1], U[kk]
-        lam[kk][:kk - 1], lam[kk - 1][:kk - 1] = lam[kk - 1][:kk - 1], lam[kk][:kk - 1]
+        # swap the lambda rows as objects: their entries below kk - 1 trade
+        # places, and lambda_{kk,kk-1} keeps its value
+        lk.pop()
+        lam[kk - 1].append(lk1)
+        lam[kk], lam[kk - 1] = lam[kk - 1], lk
         B //= d[kk]
-        for li in lam[kk + 1:]:
+        for li in lam[kk + 1:]:  # the rows reached so far
             t = li[kk]
             li[kk] = (d[kk + 1] * li[kk - 1] - lk1 * t) // d[kk]
             li[kk - 1] = (B * t + lk1 * li[kk]) // d[kk + 1]
         d[kk] = B
         kk = max(kk - 1, 1)
-    return vecs, U
+    # reduced = U rows, summed over U's nonzero entries; a unit row of U
+    # copies its input row
+    reduced = []
+    for u in U:
+        acc = None
+        for c, v in zip(u, rows):
+            if c:
+                if acc is None:
+                    acc = list(v) if c == 1 else [c * x for x in v]
+                else:
+                    acc = [s + c * x for s, x in zip(acc, v)]
+        reduced.append(acc)
+    return reduced, U
 
 
 @dataclass

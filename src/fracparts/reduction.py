@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .core import Epsilons, Poly, PolySystem, Real, SystemState, eval_system, parse_rational
-from .intlinalg import adjugate, det_bareiss, solve_integer
+from .intlinalg import adjugate, solve_integer
 from .latgeom import GeneratorSet, decisively_in_region, max_minor, scaled_h_rows, solution_lattice
 
 class ReductionPreconditionError(ValueError):
@@ -146,7 +146,6 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
     H1 = [[gens.h_vecs[ell][perm[p]] for p in range(r)] for ell in range(r)]
     H2 = [[gens.h_vecs[ell][perm[p]] for p in range(r, k)] for ell in range(r)]
     D1, D2, Z = solution_lattice(H1, H2)  # Z: (k-r) x (k-r), columns generate
-    det3 = det_bareiss(Z)  # its sign, for Z^-1
 
     # b' tables: H1 u_j - H2 w_j = D2^j a_j, solved exactly over Z, every
     # slot j from one echelon form.  The columns of [H1 | -H2] generate
@@ -162,11 +161,14 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
 
     # g = Z^-1 (f~(D2 X) - sum_j b'_j X^j), f~ the trailing block, on the
     # parent's integer form f = N / D, err = E / R, with Z^-1 = adj(Z) / det3:
-    # one Fraction per child value and per radius
+    # one Fraction per child value and per radius; det3 is row 0 of Z times
+    # column 0 of adj(Z), since Z adj(Z) = det3 I
     (D, N), (R, E) = state.system.numerators, state.system.radii
+    adj = adjugate(Z)
+    det3 = sum(z * adj_row[0] for z, adj_row in zip(Z[0], adj))
     tail = perm[r:]
     g_polys = []
-    for adj_row in adjugate(Z):
+    for adj_row in adj:
         coeffs = []
         for j in range(d):
             scale = D2 ** (j + 1)

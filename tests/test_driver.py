@@ -102,6 +102,15 @@ class TestSolve:
         config = out.certificate.constants["config"]
         assert SolverConfig.from_dict(config) == FORCED
 
+    @pytest.mark.parametrize("config", [SolverConfig(), FORCED])
+    def test_config_record_is_a_copy_of_its_fields(self, config):
+        # the certificate's constants: dataclasses.asdict's dict, key order
+        # included, and one that a reader may change without moving config
+        record = config.to_dict()
+        assert list(record.items()) == list(dataclasses.asdict(config).items())
+        record["seed"] += 1
+        assert config.to_dict() != record
+
     def test_one_certificate_per_solve(self, monkeypatch):
         # the levels below the root return plain values; only solve writes
         # the certificate, once, on the root

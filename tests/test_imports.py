@@ -2,12 +2,14 @@
 the package is used somewhere else: no dead import, no dead definition.  A
 definition that only the tests reach is listed in TEST_ONLY.  The solver's
 modules load neither numpy, mpmath nor the analytic toolkit of the CLI
-chain."""
+chain.  Every function the benchmark's spans wrap still resolves."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -129,3 +131,61 @@ def test_readers_sit_below_serialize():
     # may import it back
     assert loaded_off_limits(["fracparts.core", "fracparts.reduction"],
                              ["fracparts.serialize"]) == []
+
+
+# the (module, attr) targets of perfbench/spans.py's WRAPS that resolve.
+# spans.py skips a target that does not resolve without a word, so its span
+# and counts would drop out of the per-layer metrics; a change that retires
+# or adds one edits this list.
+WRAPPED = {
+    ("fracparts.expsum", "hit_count"),
+    ("fracparts.driver", "first_hit"),
+    ("fracparts.driver", "_checkpointed_min"),
+    ("fracparts.driver", "quasi_orthogonal_generators"),
+    ("fracparts.driver", "reduce_dimension"),
+    ("fracparts.driver", "lift_solution"),
+    ("fracparts.driver", "density_invariant"),
+    ("fracparts.diophantine", "best_rational"),
+    ("fracparts.latgeom", "reduce_basis"),
+    ("fracparts.latgeom", "det_bareiss"),
+    ("fracparts.latgeom", "kernel_columns"),
+    ("fracparts.latgeom", "lattice_det_from_columns"),
+    ("fracparts.reduction", "verify_certificate"),
+    ("fracparts.reduction", "solve_integer"),
+    ("fracparts.serialize", "certificate_bytes"),
+}
+
+
+def wrap_targets(source: str) -> list:
+    """(module, attr) of each WRAPS entry in a spans.py source, read with ast:
+    the listed tuples, and the comprehensions over literal tuples."""
+    assigned = {stmt.targets[0].id: stmt.value for stmt in ast.parse(source).body
+                if isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name)}
+
+    def literal(node):
+        return ast.literal_eval(assigned[node.id] if isinstance(node, ast.Name) else node)
+
+    targets = []
+    for node in ast.walk(assigned["WRAPS"]):
+        if isinstance(node, ast.List):
+            targets += [(literal(e.elts[0]), literal(e.elts[1])) for e in node.elts]
+        elif isinstance(node, ast.ListComp):
+            names = [gen.target.id for gen in node.generators]
+            for values in product(*(literal(gen.iter) for gen in node.generators)):
+                bound = dict(zip(names, values))
+                targets.append(tuple(bound[e.id] for e in node.elt.elts[:2]))
+    return targets
+
+
+def test_benchmark_spans_resolve():
+    targets = wrap_targets((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    assert {(module, attr) for module, attr in targets
+            if hasattr(importlib.import_module(module), attr)} == WRAPPED
+
+
+def test_scan_reads_wrap_targets():
+    source = ('NAMES = ("f", "g")\n'
+              'WRAPS = [("m", "a", "m.a", None), ("m", "b", "m.b", note)] + [\n'
+              '    (mod, fn, "x", None) for mod in ("p", "q") for fn in NAMES]\n')
+    assert wrap_targets(source) == [("m", "a"), ("m", "b"), ("p", "f"), ("p", "g"),
+                                    ("q", "f"), ("q", "g")]

@@ -1,9 +1,10 @@
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 from fracparts.core import (
@@ -39,8 +40,9 @@ from fracparts.latgeom import (
 from fracparts.reduction import DegenerateHorizonError, reduce_dimension
 import fraction_oracle
 from fraction_oracle import _dot, mat_mul, mat_vec
-from lll_oracle import reduce_basis_reference, shortest_vector
+from lll_oracle import reduce_basis_integral, reduce_basis_reference, shortest_vector
 from residue_oracles import lambda2_residue_count, lambda3_residue_count
+from test_acceptance import PLANT_COUNT, PLANT_SEED, planted_state
 from test_core import SYSTEM_KINDS, systems
 
 
@@ -289,6 +291,88 @@ def test_reduce_basis_is_scale_free(rows, c):
             reduce_basis(scaled)
         return
     assert reduce_basis(scaled) == ([[c * x for x in row] for row in reduced], U)
+
+
+class LLLTimeout(Exception):
+    pass
+
+
+def lll_outcome(reduce, rows, seconds=2):
+    """reduce(rows), or the class of the ValueError it raises.  LLLTimeout
+    after `seconds`: an LLL whose Gram-Schmidt data has gone wrong may never
+    stop, and these calls take milliseconds."""
+    def expire(_signum, _frame):
+        raise LLLTimeout(f"{reduce.__name__} gave no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return reduce(rows)
+    except ValueError as exc:  # DependenceError included
+        return type(exc)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@st.composite
+def integer_bases(draw):
+    """n = 0..8 integer rows with entries up to 2^300: random rows of m >= n
+    entries, or knapsack rows (e_i, a_i), which take many swaps as the
+    relation lattice does; sometimes with a zero row, a row that is a
+    combination of the others, a duplicate row or a ragged row, at any
+    position."""
+    n = draw(st.integers(0, 8))
+    bound = 2 ** draw(st.sampled_from([1, 4, 16, 64, 300]))
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        m = n + 1
+        rows = [[int(i == j) for j in range(n)] + [rnd.randint(-bound, bound)]
+                for i in range(n)]
+    else:
+        m = draw(st.integers(max(n, 1), 9))
+        rows = [[rnd.randint(-bound, bound) for _ in range(m)] for _ in range(n)]
+    # a third of the bases keep their rows as drawn
+    kind = draw(st.sampled_from(["free", "free", "zero", "combination", "duplicate", "ragged"]))
+    if n and kind != "free":
+        i = draw(st.integers(0, n - 1))
+        others = [t for t in range(n) if t != i]
+        if kind == "ragged":
+            rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + [1]
+        elif kind == "zero" or not others:
+            rows[i] = [0] * m
+        else:
+            if kind == "duplicate":
+                coeffs = dict.fromkeys([draw(st.sampled_from(others))], 1)
+            else:
+                coeffs = {t: draw(st.integers(-3, 3)) for t in others}
+            rows[i] = [sum(c * rows[t][col] for t, c in coeffs.items()) for col in range(m)]
+    return rows
+
+
+# the tie and Lovasz-equality bases of TestReduceBasis
+@example([[10, 0, 0], [5, 7, 5]])
+@example([[2, 0], [-1, 10]])
+@example([[2, 0], [-3, 10]])
+# no shrink phase: a wrong LLL may not stop, and every shrink step that
+# hits such a basis would wait out lll_outcome's time limit
+@settings(max_examples=500, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.generate],
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(integer_bases(), lll_bases().map(lambda rows: _integral_rows(rows)[1])))
+def test_reduce_basis_matches_integral_oracle(rows):
+    """The same (rows, U) as the integral LLL that updated every row in
+    place, or the same exception class."""
+    assert lll_outcome(reduce_basis, rows) == lll_outcome(reduce_basis_integral, rows)
+
+
+def test_reduce_basis_matches_integral_oracle_on_planted_lattices():
+    """The root relation lattices of the acceptance suite's planted systems."""
+    rng = random.Random(PLANT_SEED)
+    for _ in range(PLANT_COUNT):
+        state = planted_state(rng)
+        _L, rows = build_relation_lattice(state.system, *state.region)
+        assert lll_outcome(reduce_basis, rows) == reduce_basis_integral(rows)
 
 
 class TestQuasiOrthogonal:
