@@ -727,14 +727,22 @@ def _hit_chunks(system: PolySystem, eps: Epsilons, last: int, enum_cap: int):
 
 
 def hit_count(system: PolySystem, eps: Epsilons, x,
-              enum_cap: int = DEFAULT_ENUM_CAP) -> Tuple[int, Optional[int]]:
+              enum_cap: int = DEFAULT_ENUM_CAP,
+              stop_at: Optional[int] = None) -> Tuple[int, Optional[int]]:
     """#{n <= x : ||f_i(n)|| < eps_i for all i} (strict inequalities),
-    and the smallest such n < x (what `first_hit` returns), from one pass."""
+    and the smallest such n < x (what `first_hit` returns), from one pass.
+
+    The pass covers the whole horizon unless ``stop_at`` is given: then it
+    ends after the first chunk at whose end the count has reached
+    ``stop_at`` and a hit n < x is known.  The smallest hit is the same
+    either way; the count is the hits up to that chunk's end."""
     count, first = 0, None
     for hits in _hit_chunks(system, eps, math.floor(x), enum_cap):
         if first is None and hits and hits[0] < x:
             first = hits[0]
         count += len(hits)
+        if stop_at is not None and count >= stop_at and first is not None:
+            break
     return count, first
 
 

@@ -1,15 +1,17 @@
 """The density-increment solve loop and the exponent-measurement harness.
 
 Each level runs the dichotomy's hit-density gate (`expsum.density_gate`),
-one pass that counts the hits and finds the smallest.  Dense hits return
-it; otherwise a level with k >= 2 tries one reduction, with generators from
-the relation lattice over q0 = 1, searched in the level's own region
-(`SystemState.region`, which `reduce_dimension` checks them against), and
-recurses on the smaller child.  The lattice is built from the coefficients
-themselves, so the Fourier box scan, relation reconstruction and
-denominator clustering serve only the CLI chain.  When c_hit * Delta > 1
-(the acceptance suite's c_hit = 1e9) the gate's branch is decided without
-a count, and the level scans only if the reduction path gives no hit.
+one pass that counts the hits and finds the smallest; it stops once the
+count reaches the gate's threshold and a hit n < y is known.  Dense hits
+return that hit; otherwise a level with k >= 2 tries one reduction, with
+generators from the relation lattice over q0 = 1, searched in the level's
+own region (`SystemState.region`, which `reduce_dimension` checks them
+against), and recurses on the smaller child.  The lattice is built from
+the coefficients themselves, so the Fourier box scan, relation
+reconstruction and denominator clustering serve only the CLI chain.  When
+c_hit * Delta > 1 (the acceptance suite's c_hit = 1e9) the gate's branch is
+decided without a count, and the level scans only if the reduction path
+gives no hit.
 
 Fallback ladder (the analytic argument's dichotomies need not fire at desk
 scale): the gate, then the reduction branch, then the level's smallest
@@ -183,14 +185,16 @@ def _solve_level(state: SystemState, config: SolverConfig, stats: SolveStats,
 
     try:
         gate, counted = density_gate(state.system, state.eps, state.y,
-                                     c_hit=config.c_hit, enum_cap=config.enum_cap)
+                                     c_hit=config.c_hit, enum_cap=config.enum_cap,
+                                     count_all=False)
     except (BoxTooLargeError, ValueError, HorizonCapError) as exc:
         stats.fallbacks.append(f"fourier:{exc}")
         return _smallest_hit(state, config, stats, "fourier unavailable")
     stats.fourier_branches.append(gate.branch)
 
     if gate.branch == HIT_DENSITY:
-        # the gate's count scanned the whole horizon; return its smallest hit
+        # the gate's pass found the smallest hit before it stopped, or scanned
+        # the whole horizon and found none; return it
         return _smallest_hit(state, config, stats, "hit-density scan", counted)
 
     if state.k == 1:

@@ -6,7 +6,10 @@ and counts the strict hits in one pass.  Dense hits take the hit-density
 branch; otherwise the large-coefficients branch is left for the box scan,
 `diophantine.large_coefficients`, which finds its witnesses.  When
 c_hit * Delta > 1 no count of n <= x can reach the threshold, so the gate
-takes the large-coefficients branch without counting.
+takes the large-coefficients branch without counting.  On the solve path
+the count stops once it reaches the threshold and the smallest hit n < x is
+known, since only the branch and that hit are used; the box scan and
+`fourier-scan` record the full count.
 """
 
 from __future__ import annotations
@@ -96,7 +99,8 @@ def frequency_caps(eps: Epsilons) -> Tuple[int, ...]:
 
 
 def density_gate(system: PolySystem, eps: Epsilons, x, c_hit: float = 0.05,
-                 max_box: int = DEFAULT_MAX_BOX, enum_cap: int = DEFAULT_ENUM_CAP
+                 max_box: int = DEFAULT_MAX_BOX, enum_cap: int = DEFAULT_ENUM_CAP,
+                 count_all: bool = True
                  ) -> Tuple[FourierDichotomy, Optional[Tuple[int, Optional[int]]]]:
     """The dichotomy's preconditions and its hit-density test.
 
@@ -108,6 +112,12 @@ def density_gate(system: PolySystem, eps: Epsilons, x, c_hit: float = 0.05,
     witnesses left for the box scan.  Returns the dichotomy and
     `hit_count`'s (count, smallest hit n < x), or None in its place when
     c_hit * Delta > 1: no count could reach the threshold, so none is made.
+
+    Unless ``count_all``, the count stops at the end of the first chunk
+    after which it has reached the threshold and a hit n < x is known (see
+    `hit_count`): the branch and the smallest hit are the full count's, but
+    a HIT_DENSITY count, ``density_count`` included, covers only the chunks
+    scanned.
     """
     delta = eps.delta_product
     if delta > Fraction(1, 4):
@@ -126,7 +136,8 @@ def density_gate(system: PolySystem, eps: Epsilons, x, c_hit: float = 0.05,
         # the count could not reach it; the cap is checked as the count would
         _check_cap(N, system.k, enum_cap)
         return FourierDichotomy(branch=LARGE_COEFFICIENTS, x_floor=N, h_caps=caps), None
-    counted = hit_count(system, eps, x, enum_cap=enum_cap)
+    counted = hit_count(system, eps, x, enum_cap=enum_cap,
+                        stop_at=None if count_all else math.ceil(threshold))
     if counted[0] < threshold:
         return FourierDichotomy(branch=LARGE_COEFFICIENTS, x_floor=N, h_caps=caps), counted
     return FourierDichotomy(branch=HIT_DENSITY, x_floor=N, h_caps=caps, density_count=counted[0],

@@ -25,6 +25,7 @@ on purpose re-pins the sets it moves and says why.  The sets:
 A solve contributes its status, n, certificate bytes, `SolveStats` without
 `wall_time`, and the checks `verify_certificate` makes of its certificate.
 This file is not a test module; pytest does not collect it.
+`test_outcome_digest.py` checks every set but criterion-6 against its pin.
 """
 
 import contextlib

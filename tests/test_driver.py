@@ -224,6 +224,16 @@ class TestSolve:
         assert st.system not in scanned
         assert all(ok for _n, ok, _d in verify_certificate(out.certificate))
 
+    def test_zero_c_hit_still_finds_a_late_first_hit(self):
+        # c_hit = 0 puts the gate's threshold at 0, which the count reaches
+        # before its first chunk ends; the count still runs on until a hit
+        # n < x is known, so the only one, n = 101, past that chunk, is found
+        st = state_of(sys1(["1/101"]), [Fraction(1, 300)], 200)
+        out = solve(st, SolverConfig(c_hit=0))
+        assert out.stats.fourier_branches == ["hit-density"]
+        assert (out.status, out.n) == (STATUS_FOUND, 101)
+        assert all(ok for _n, ok, _d in verify_certificate(out.certificate))
+
     @pytest.mark.parametrize("excess", [0, 1])
     def test_skipped_count_keeps_the_cap_check(self, excess):
         # the gate checks the cap on the floor(x) points its count would

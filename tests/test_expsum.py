@@ -1,9 +1,12 @@
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from fracparts.core import (
     DEFAULT_ENUM_CAP,
@@ -12,6 +15,7 @@ from fracparts.core import (
     Poly,
     PolySystem,
     _delta_scaled_caps,
+    _hit_chunks,
     hit_count,
 )
 from fracparts.diophantine import (
@@ -26,8 +30,10 @@ from fracparts.expsum import (
     LARGE_COEFFICIENTS,
     BoxTooLargeError,
     FourierDichotomy,
+    density_gate,
     frequency_caps,
 )
+from test_acceptance import _random_dichotomy_state
 from weyl_oracle import weyl_sum
 
 
@@ -161,6 +167,19 @@ class TestLargeCoefficients:
         assert abs(wit[(1, -1)] - 200) < 1e-6
         assert dich.Q == 2
 
+    def test_density_count_is_the_full_count(self):
+        # criterion 4's draws: the recorded count covers the whole horizon,
+        # not just the chunks the solve path's gate scans before it stops
+        rng = random.Random(40441)
+        dense = 0
+        for _ in range(30):
+            system, eps, x = _random_dichotomy_state(rng)
+            dich = large_coefficients(system, eps, x, c_hit=0.05)
+            if dich.branch == HIT_DENSITY:
+                dense += 1
+                assert dich.density_count == hit_count(system, eps, x)[0]
+        assert dense >= 10
+
     def test_random_branch_agrees_with_direct_computation(self):
         rng = random.Random(23)
         for _ in range(5):
@@ -253,3 +272,76 @@ class TestLargeCoefficients:
         again = FourierDichotomy.from_dict(dich.to_dict())
         assert again.witnesses == dich.witnesses
         assert again.Q == dich.Q
+
+
+# the gate's threshold c_hit * Delta * floor(x), by the kind of value it takes
+THRESHOLD_KINDS = ("zero", "below-one", "chunk-end", "above-floor", "drawn")
+# the box test is not what these cases are about
+ANY_BOX = 10 ** 12
+
+
+@st.composite
+def gate_cases(draw):
+    """(system, eps, x, c_hit): k, d <= 2 rational coefficients, integral or
+    half-integral x of up to 700 (four chunks), and c_hit chosen so that
+    the threshold is of one of THRESHOLD_KINDS.  A "chunk-end" threshold is
+    the count at the end of a chunk, so it is reached on that chunk's last
+    hit."""
+    k, d = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    system = sys1(*[[str(Fraction(draw(st.integers(0, 200)), draw(st.integers(1, 200))))
+                     for _ in range(d)] for _ in range(k)])
+    eps = Epsilons(tuple(Fraction(1, draw(st.integers(4, 400))) for _ in range(k)))
+    N = draw(st.integers(2, 700))
+    x = N if draw(st.booleans()) else N + Fraction(1, 2)
+    per_c_hit = eps.delta_product * N
+    kind = draw(st.sampled_from(THRESHOLD_KINDS))
+    if kind == "zero":
+        c_hit = 0
+    elif kind == "below-one":
+        c_hit = Fraction(1, draw(st.integers(2, 10))) / per_c_hit
+    elif kind == "chunk-end":
+        ends = accumulate(len(hits) for hits in _hit_chunks(system, eps, N, DEFAULT_ENUM_CAP))
+        c_hit = draw(st.sampled_from(sorted(set(ends)))) / per_c_hit
+    elif kind == "above-floor":
+        c_hit = (N + Fraction(1, draw(st.integers(1, 3)))) / per_c_hit
+    else:
+        c_hit = draw(st.floats(0, 1))
+    return system, eps, x, c_hit
+
+
+class TestStoppingGate:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(gate_cases())
+    # c_hit = 0: the threshold is met at once, the only hit below x is 101
+    @example((sys1(["1/101"]), Epsilons((Fraction(1, 300),)), 200, 0))
+    # every n hits, and the threshold 64 is met on the first chunk's last hit
+    @example((sys1(["0"]), Epsilons((Fraction(1, 4),)), 200, Fraction(64, 50)))
+    # integral x: n = x = 100 counts, but no hit n < x exists
+    @example((sys1(["1/100"]), Epsilons((Fraction(1, 300),)), 100, 0))
+    # the hit n = x = 200 reaches the threshold 2; the first hit is 100
+    @example((sys1(["1/100"]), Epsilons((Fraction(1, 300),)), 200, Fraction(3)))
+    def test_branch_and_first_hit_match_the_full_count(self, case):
+        system, eps, x, c_hit = case
+        N = math.floor(x)
+        threshold = Fraction(c_hit) * eps.delta_product * N
+        full = hit_count(system, eps, x)
+        gate, counted = density_gate(system, eps, x, c_hit=c_hit, max_box=ANY_BOX,
+                                     count_all=False)
+        assert density_gate(system, eps, x, c_hit=c_hit, max_box=ANY_BOX)[1] == (
+            None if threshold > N else full)
+        if threshold > N:
+            assert (gate.branch, counted) == (LARGE_COEFFICIENTS, None)
+            return
+        assert gate.branch == (HIT_DENSITY if full[0] >= threshold else LARGE_COEFFICIENTS)
+        assert counted[1] == full[1]
+        # the pass ends with the first chunk after which the threshold is
+        # reached and a hit n < x is known, or else covers the horizon
+        count, first = 0, None
+        for hits in _hit_chunks(system, eps, N, DEFAULT_ENUM_CAP):
+            count += len(hits)
+            if first is None:
+                first = next((n for n in hits if n < x), None)
+            if count >= threshold and first is not None:
+                break
+        assert counted[0] == count
