@@ -25,6 +25,7 @@ from .diophantine import RelationTriple, build_relations, default_q_rel, large_c
 from .driver import (
     CSV_COLUMNS,
     C_ORTH,
+    GENERATOR_SPECS,
     STATUS_FOUND,
     SolverConfig,
     measure_exponent,
@@ -162,7 +163,7 @@ def cmd_relations(args) -> int:
     state = _read_field(args.scan, "'system'", SystemState.from_dict, payload["system"])
     dich = _read_field(args.scan, "'dichotomy'", FourierDichotomy.from_dict, payload["dichotomy"])
     x = _read_field(args.scan, "'x'", parse_threshold, payload["x"])
-    q_rel = args.q_rel or default_q_rel(state.eps)
+    q_rel = default_q_rel(state.eps) if args.q_rel is None else args.q_rel
     rels = build_relations(state.system, state.eps, x, dich, Q_rel=q_rel)
     _emit({"system": payload["system"], "q_rel": q_rel,
            "count": len(rels), "relations": [t.to_dict() for t in rels]})
@@ -279,8 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="comma list of horizons, e.g. 1e3,1e4")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--generator", default="monomial",
-                   choices=["monomial", "full", "zero"])
+    p.add_argument("--generator", default="monomial", choices=GENERATOR_SPECS)
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
     p.set_defaults(func=cmd_exponent)

@@ -180,8 +180,8 @@ class Poly:
         return len(self.coeffs)
 
     @staticmethod
-    def from_strings(strings: Sequence[str], bits: int = DEFAULT_PRECISION_BITS) -> "Poly":
-        return Poly(tuple(parse_scalar(s, bits) for s in strings))
+    def from_strings(strings: Sequence[str]) -> "Poly":
+        return Poly(tuple(parse_scalar(s) for s in strings))
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ adjugates, integer solves and kernels.
 
 from __future__ import annotations
 
+from math import prod
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 Matrix = List[List[int]]
 
@@ -97,49 +98,39 @@ def column_echelon(A: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, int]:
 
 
 def lattice_det_from_columns(A: Sequence[Sequence[int]]) -> int:
-    """Determinant of the full-rank lattice generated by the columns of A.
+    """Determinant (covolume) of the full-rank lattice generated by the
+    columns of A.
 
-    A is r x m with column span of rank r; the value is the covolume
-    (product of echelon pivots).
+    A is r x m; a column span of rank below r is refused.  At rank r each
+    row i of the column echelon form has its pivot at column i, so the value
+    is the product of the positive pivots E[i][i].
     """
     E, _U, rank = column_echelon(A)
-    r = len(A)
-    if rank < r:
+    if rank < len(A):
         raise ValueError("columns do not span a full-rank lattice")
-    det = 1
-    # pivots sit at the first nonzero entry of each echelon column
-    col = 0
-    for i in range(r):
-        while col < rank and E[i][col] == 0:
-            col += 1
-        if col == rank:
-            raise ValueError("echelon form lost rank")
-        det *= E[i][col]
-        col += 1
-    return abs(det)
+    return prod(E[i][i] for i in range(rank))
 
 
 def solve_integer(A: Sequence[Sequence[int]],
-                  targets: Sequence[Sequence[int]]) -> List[Optional[List[int]]]:
-    """One integer solution v of A v = t for each t in ``targets``, or None for
-    a t outside the column lattice, all from one column echelon form of A."""
+                  targets: Sequence[Sequence[int]]) -> List[List[int]]:
+    """One integer solution v of A v = t for each t in ``targets``, all from
+    one column echelon form of A.  A t outside the column lattice of A
+    raises ArithmeticError naming it."""
     E, U, rank = column_echelon(A)
 
     def solve(t):
-        # forward-substitute through the staircase
-        s = [0] * rank
+        # forward-substitute through the staircase; a remainder left in any
+        # row puts t outside the lattice
+        s = []
         residual = list(map(int, t))
-        col = 0
         for i, row in enumerate(E):
+            col = len(s)
             if col < rank and row[col] != 0:
-                s[col], rem = divmod(residual[i], row[col])
-                if rem:
-                    return None
+                s.append(residual[i] // row[col])
                 for r2 in range(i, len(E)):
                     residual[r2] -= s[col] * E[r2][col]
-                col += 1
-            elif residual[i] != 0:
-                return None
+        if any(residual):
+            raise ArithmeticError(f"no integer solution for target {list(t)}")
         return [sum(map(mul, u, s)) for u in U]
     return [solve(t) for t in targets]
 

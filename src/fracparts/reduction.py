@@ -149,13 +149,11 @@ def reduce_dimension(state: SystemState, gens: GeneratorSet) -> ReductionStep:
 
     # b' tables: H1 u_j - H2 w_j = D2^j a_j, solved exactly over Z, every
     # slot j from one echelon form.  The columns of [H1 | -H2] generate
-    # Lambda_2, of index D2 in Z^r, so D2 Z^r lies in it and every slot solves.
+    # Lambda_2, of index D2 in Z^r, so D2 Z^r lies in it and every slot solves
+    # (`solve_integer` raises ArithmeticError on a slot that does not).
     A = [list(H1[ell]) + [-v for v in H2[ell]] for ell in range(r)]
     solved = solve_integer(A, [[D2 ** j * a[j - 1] for a in gens.a_vecs]
                                for j in range(1, d + 1)])
-    if None in solved:
-        raise ArithmeticError(f"no integer b' for slot {solved.index(None) + 1}, "
-                              "though D2 Z^r lies in Lambda_2")
     b_upper = [[v[i] for v in solved] for i in range(r)]
     b_lower = [[v[i] for v in solved] for i in range(r, k)]
 

@@ -10,7 +10,7 @@ import json
 from pathlib import Path
 from typing import Union
 
-from .core import Real, SystemState, parse_scalar, system_from_dict
+from .core import SystemState, parse_scalar, system_from_dict
 from .reduction import Certificate, CertificateRecordError, read_certificate
 
 PathLike = Union[str, Path]
@@ -39,21 +39,6 @@ def parse_system_file(path: PathLike) -> SystemState:
         raise SystemFileError(f"missing field {exc}") from exc
     except ValueError as exc:
         raise SystemFileError(str(exc)) from exc
-
-
-def _coeff_form(c: Real) -> str:
-    return c.source if c.source is not None else str(c.value)
-
-
-def emit_system(state: SystemState, path: PathLike):
-    data = {
-        "d": state.system.d,
-        "polys": [[_coeff_form(c) for c in p.coeffs] for p in state.system.polys],
-        "eps": [str(e) for e in state.eps.eps],
-        "x": str(state.y),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(data, indent=2) + "\n")
 
 
 def write_certificate(cert: Certificate, path: PathLike):

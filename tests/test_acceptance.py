@@ -29,7 +29,6 @@ from fracparts.diophantine import (
     _phase_coefficients,
     best_rational,
     large_coefficients,
-    smoothed_count,
 )
 from fracparts.driver import C_ORTH, N_TARGET, SolverConfig, measure_exponent, solve
 from fracparts.expsum import HIT_DENSITY, LARGE_COEFFICIENTS, frequency_caps
@@ -43,6 +42,7 @@ from fracparts.reduction import (
 )
 from fracparts.serialize import certificate_bytes
 from residue_oracles import lambda2_residue_count, lambda3_residue_count
+from smoothing import smoothed_count
 
 
 def report(criterion: int, passed: bool, detail: str):

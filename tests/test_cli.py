@@ -213,6 +213,26 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
 
+    def test_relations_q_rel_zero_exit_1(self, tmp_path, dup_system, capsys):
+        # 0 is refused like any Q below 1, not read as "use the default",
+        # and so is a scan without witnesses, which never calls best_rational
+        assert main(["fourier-scan", dup_system, "--c-hit", "1e9"]) == EXIT_OK
+        scan = json.loads(capsys.readouterr().out)
+        scan_path = write(tmp_path, "scan.json", scan)
+        empty_path = write(tmp_path, "empty.json",
+                           {**scan, "dichotomy": {**scan["dichotomy"], "witnesses": []}})
+        for path in (scan_path, empty_path):
+            for q_rel in ("0", "-3"):
+                assert main(["relations", path, "--q-rel", q_rel]) == EXIT_ERROR
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == "error: Q must be a positive integer\n"
+
+    def test_denom_analyze_no_relations_exit_2(self, tmp_path, capsys):
+        path = write(tmp_path, "rels.json", {"relations": []})
+        assert main(["denom-analyze", path]) == EXIT_NOT_FOUND
+        assert json.loads(capsys.readouterr().out) == {"error": "no relations to analyze"}
+
     def test_fourier_scan_has_no_precision_option(self, dup_system, capsys):
         assert main(["fourier-scan", dup_system, "--precision", "64"]) == EXIT_ERROR
         capsys.readouterr()
@@ -263,6 +283,29 @@ class TestLatticeCommand:
         # the measures of h / B under --b; the region is not echoed back
         assert out["orth_ratio_sq"] == "1" and out["tilde_product"] == "1"
         assert "B" not in out and "eta" not in out
+
+    def test_generators_none_fit_exit_2(self, tmp_path, capsys):
+        p = write(tmp_path, "g.json",
+                  {"d": 1, "polys": [["sqrt(2)"]], "eps": ["0.01"], "x": "100"})
+        assert main(["lattice", "--generators", p, "--b", "1", "--eta", "1/100"]) \
+            == EXIT_NOT_FOUND
+        assert json.loads(capsys.readouterr().out) == {
+            "outcome": "no-short-vector",
+            "reason": "no reduced basis vector fits in the unit box"}
+
+    @pytest.mark.parametrize("argv, err", [
+        (["--det-identity", "--h1", "[[2]]"], "--det-identity needs --h1 and --h2\n"),
+        (["--det-identity", "--h2", "[[1]]"], "--det-identity needs --h1 and --h2\n"),
+        (["--generators", "SYSTEM", "--b", "2"], "--generators needs --b and --eta\n"),
+        (["--generators", "SYSTEM", "--eta", "1/10"], "--generators needs --b and --eta\n"),
+    ], ids=["no-h2", "no-h1", "no-eta", "no-b"])
+    def test_mode_missing_its_inputs_exit_1(self, tmp_path, argv, err, capsys):
+        system = write(tmp_path, "g.json",
+                       {"d": 1, "polys": [["1/2"]], "eps": ["0.01"], "x": "100"})
+        argv = [system if arg == "SYSTEM" else arg for arg in argv]
+        assert main(["lattice", *argv]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == err
 
     def test_mode_required(self, capsys):
         assert main(["lattice"]) == EXIT_ERROR
@@ -334,6 +377,23 @@ class TestVerifyCert:
         open(cert_path, "w").write(json.dumps(data))
         assert main(["verify-cert", cert_path]) == EXIT_NOT_FOUND
         capsys.readouterr()
+
+    def test_failed_check_printed_with_its_detail(self, tmp_path, capsys):
+        # a chain step whose recorded D2 its rebuild does not give
+        system = write(tmp_path, "dup.json",
+                       {"d": 2, "polys": [["0", "sqrt(2)"], ["0", "sqrt(2)"]],
+                        "eps": ["1/20", "1/20"], "x": "100000"})
+        cfg = write(tmp_path, "cfg.json", {"c_hit": 1e9, "brute_force_threshold": 32})
+        cert_path = str(tmp_path / "c.json")
+        assert main(["solve", system, "--config", cfg, "--cert", cert_path]) == EXIT_OK
+        capsys.readouterr()
+        data = json.loads(open(cert_path).read())
+        data["chain"][0]["D2"] += 1
+        open(cert_path, "w").write(json.dumps(data))
+        assert main(["verify-cert", cert_path]) == EXIT_NOT_FOUND
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL step0.rebuild (differs in D2)" in lines
+        assert "PASS terminal.in_horizon" in lines
 
     def test_flipped_theorem_flag_exit_1(self, tmp_path, half_system, capsys):
         cert_path = str(tmp_path / "c.json")

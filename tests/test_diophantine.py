@@ -16,6 +16,8 @@ from fracparts.diophantine import (
     large_coefficients,
     sigma_vector,
 )
+from fracparts.expsum import LARGE_COEFFICIENTS, FourierDichotomy
+from fracparts.reduction import C_CFG
 
 
 def sys1(*coeff_lists):
@@ -141,6 +143,18 @@ class TestBuildRelations:
         r2 = build_relations(s, eps, 200, dich, Q_rel=50)
         assert r1 == r2
         assert r1 == sorted(r1, key=lambda t: t.h)
+
+    def test_residual_filter_drops_a_witness(self):
+        # sigma of (1, 0) is sqrt(2), which no a/q with q <= 2 meets within
+        # Q_rel^C / x; sigma of (0, 1) is exactly 1/2
+        s = sys1(["sqrt(2)"], ["1/2"])
+        eps = Epsilons((Fraction(1, 5), Fraction(1, 5)))
+        dich = FourierDichotomy(branch=LARGE_COEFFICIENTS, x_floor=300, h_caps=(1, 1),
+                                Q=2, witnesses=[((1, 0), 1.0), ((0, 1), 1.0)])
+        rels = build_relations(s, eps, 300, dich, Q_rel=2)
+        assert [(t.h, t.a, t.q, t.residuals) for t in rels] == [((0, 1), (1,), (2,), (0,))]
+        (sigma,) = sigma_vector(s, (1, 0))
+        assert abs(sigma - Fraction(*best_rational(sigma, 2))) > Fraction(2) ** C_CFG / 300
 
     def test_requires_branch2(self):
         s = sys1(["0"])

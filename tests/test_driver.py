@@ -37,7 +37,6 @@ from fracparts.reduction import (
 from fracparts.serialize import (
     SystemFileError,
     certificate_bytes,
-    emit_system,
     parse_system_file,
 )
 from fraction_oracle import frac_dist
@@ -487,6 +486,23 @@ def system_dicts(draw):
             "polys": [[draw(_coeff_strings) for _ in range(d)] for _ in range(k)],
             "eps": [draw(_eps_strings) for _ in range(k)],
             "x": draw(_x_strings)}
+
+
+def _coeff_form(c: Real) -> str:
+    return c.source if c.source is not None else str(c.value)
+
+
+def emit_system(state: SystemState, path):
+    """Write a system file that `parse_system_file` reads back as ``state``:
+    each coefficient in its source form where it has one."""
+    data = {
+        "d": state.system.d,
+        "polys": [[_coeff_form(c) for c in p.coeffs] for p in state.system.polys],
+        "eps": [str(e) for e in state.eps.eps],
+        "x": str(state.y),
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(data, indent=2) + "\n")
 
 
 class TestSystemFiles:

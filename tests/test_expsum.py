@@ -22,8 +22,6 @@ from fracparts.diophantine import (
     _abs_sum_exact_phase,
     _phase_coefficients,
     large_coefficients,
-    phi,
-    smoothed_count,
 )
 from fracparts.expsum import (
     HIT_DENSITY,
@@ -33,6 +31,7 @@ from fracparts.expsum import (
     density_gate,
     frequency_caps,
 )
+from smoothing import phi, smoothed_count
 from test_acceptance import _random_dichotomy_state
 from weyl_oracle import weyl_sum
 
@@ -206,6 +205,25 @@ class TestLargeCoefficients:
         for h, _m in dich.witnesses[:6]:
             precise = float(abs(weyl_sum(s, h, N)))
             assert N / Q - tol <= precise <= 2 * N / Q + tol
+
+    def test_no_class_meets_sqrt_q_flagged(self):
+        # every dyadic class holds fewer than sqrt(Q) sums: the fullest one,
+        # Q = 2048, is reported with its members and their conjugates
+        s = sys1(["sqrt(2)"])
+        dich = large_coefficients(s, Epsilons((Fraction(1, 5),)), 1000, c_hit=1e9)
+        assert dich.branch == LARGE_COEFFICIENTS and dich.flagged
+        assert dich.flag_reason == "no dyadic class met its sqrt(Q) threshold"
+        assert dich.Q == 2048
+        hs = [h for h, _m in dich.witnesses]
+        assert hs == [(-5,), (-4,), (-1,), (1,), (4,), (5,)]
+        wit = dict(dich.witnesses)
+        assert all(wit[h] == wit[(-h[0],)] for h in hs)
+        N, Q = dich.x_floor, dich.Q
+        tol = N * 2.0 ** -38
+        for h in hs:
+            precise = float(abs(weyl_sum(s, h, N)))
+            assert N / Q - tol <= precise <= 2 * N / Q + tol
+            assert abs(wit[h] - precise) <= tol
 
     def test_branch2_count_meets_sqrt_q(self):
         s = sys1(["0", "sqrt(2)"], ["0", "sqrt(2)"])

@@ -1,8 +1,8 @@
 """Every imported name is used, and every module-level function and class of
-the package is used somewhere else: no dead import, no dead definition.  A
-definition that only the tests reach is listed in TEST_ONLY.  The solver's
-modules load neither numpy, mpmath nor the analytic toolkit of the CLI
-chain.  Every function the benchmark's spans wrap still resolves."""
+the package is used somewhere else: no dead import, no dead definition, and
+no definition that only the tests reach.  The solver's modules load neither
+numpy, mpmath nor the analytic toolkit of the CLI chain.  Every function the
+benchmark's spans wrap still resolves."""
 
 import ast
 import importlib
@@ -18,10 +18,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "fracparts").glob("*.py"))
 FILES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
-
-# package definitions that no code under src/ or perfbench/ refers to: each
-# is reached only from the tests, and is a candidate to move into them
-TEST_ONLY = {"phi", "smoothed_count", "emit_system"}
 
 
 def unused_imports(source: str):
@@ -83,11 +79,12 @@ def test_scan_finds_an_orphaned_definition():
 
 
 def test_only_tests_reach_test_only():
-    """Without the tests' files, the orphaned package definitions are TEST_ONLY."""
+    """Without the tests' files, no package definition is orphaned: code that
+    only the tests reach lives in the tests."""
     sources = {f"{p.parent.name}/{p.name}": p.read_text(encoding="utf-8")
                for p in PACKAGE + PERFBENCH}
     package = {f"{p.parent.name}/{p.name}" for p in PACKAGE}
-    assert {name for _file, name in orphaned_definitions(sources, package)} == TEST_ONLY
+    assert orphaned_definitions(sources, package) == []
 
 
 def test_scan_finds_a_test_only_definition():

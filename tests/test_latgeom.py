@@ -2,6 +2,7 @@ import math
 import random
 import signal
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings
@@ -16,7 +17,7 @@ from fracparts.core import (
     coefficient_sums,
     parse_scalar,
 )
-from fracparts.intlinalg import det_bareiss, solve_integer
+from fracparts.intlinalg import det_bareiss, lattice_det_from_columns, solve_integer
 from fracparts.latgeom import (
     DependenceError,
     GeneratorSet,
@@ -532,7 +533,30 @@ class TestSublattice:
             for col in range(ell):
                 y = [Z[i][col] for i in range(ell)]
                 t = mat_vec(H2, y)
-                assert solve_integer(H1, [t]) != [None]
+                (v,) = solve_integer(H1, [t])
+                assert mat_vec(H1, v) == t
+
+    def test_outside_target_raises(self):
+        assert solve_integer([[2, 4], [0, 3]], [[6, 3]]) == [[1, 1]]
+        # a remainder at a pivot row, then one at a row without a pivot
+        with pytest.raises(ArithmeticError, match=r"target \[1\]"):
+            solve_integer([[2]], [[4], [1]])
+        with pytest.raises(ArithmeticError, match=r"target \[1, 2\]"):
+            solve_integer([[1], [1]], [[1, 2]])
+
+    def test_det_from_columns_is_gcd_of_minors(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            r = rng.randint(1, 3)
+            m = rng.randint(r, r + 2)
+            A = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(r)]
+            g = math.gcd(*(det_bareiss([[row[c] for c in cols] for row in A])
+                           for cols in combinations(range(m), r)))
+            if g == 0:
+                with pytest.raises(ValueError, match="full-rank"):
+                    lattice_det_from_columns(A)
+            else:
+                assert lattice_det_from_columns(A) == g
 
 
 @st.composite
@@ -557,7 +581,9 @@ def test_every_b_prime_slot_solves(case, j):
     H1, H2, a = case
     _D1, D2, _Z = solution_lattice(H1, H2)
     A = [h1 + [-v for v in h2] for h1, h2 in zip(H1, H2)]
-    assert solve_integer(A, [[D2 ** j * v for v in a]]) != [None]
+    t = [D2 ** j * v for v in a]
+    (v,) = solve_integer(A, [t])
+    assert mat_vec(A, v) == t
 
 
 @st.composite

@@ -1,7 +1,8 @@
 """Differential tests of the scan reducers against a per-n reference.
 
-Every scan in `core` and `diophantine` reduces the chunked residue stream,
-or, where the sieving polynomial is linear, the hits of its return map.  The
+Every scan in `core` and `diophantine`, and the smoothed count of
+`smoothing`, reduces the chunked residue stream, or, where the sieving
+polynomial is linear, the hits of its return map.  The
 reference here evaluates each n on its own: `poly_eval` (Horner on exact
 Fractions) and `frac_dist` for the distances, and integer Horner mod D for
 the phase sums, with no forward differences.  Horizons sit on and around
@@ -38,13 +39,9 @@ from fracparts.core import (
     hit_count,
     parse_scalar,
 )
-from fracparts.diophantine import (
-    _abs_sum_exact_phase,
-    _phase_coefficients,
-    phi,
-    smoothed_count,
-)
+from fracparts.diophantine import _abs_sum_exact_phase, _phase_coefficients
 from fraction_oracle import frac_dist, poly_eval
+from smoothing import phi, smoothed_count
 from weyl_oracle import exp_sum, weyl_sum
 
 
